@@ -8,13 +8,7 @@ the incumbent.  Monitor outages and per-node stats gaps black out
 sample ingestion without poisoning the rule windows.
 """
 
-import numpy as np
-
-from repro.cluster.topology import ClusterSpec
 from repro.core.configuration import Configuration
-from repro.core.hill_climbing import HillClimbSettings
-from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
-from repro.experiments.harness import SimCluster
 from repro.faults import ControlPlaneState, Fault, FaultPlan
 from repro.faults.control import ControlPlaneState as DirectControlPlaneState
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
@@ -28,62 +22,14 @@ from repro.telemetry.events import (
     TunerRecovered,
 )
 from repro.testing import assert_no_output_leaks
-from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import FaultToleranceSettings
-
-MB = 1024**2
-
-
-def small_cluster(seed=0, start_monitors=False):
-    return SimCluster(
-        seed=seed,
-        cluster_spec=ClusterSpec(num_slaves=4, racks=(2, 2)),
-        start_monitors=start_monitors,
-        fault_tolerance=FaultToleranceSettings(),
-    )
-
-
-def search_spec(sc, blocks=36, reducers=8):
-    DatasetSpec("d", num_blocks=blocks).load(sc.hdfs, "/in")
-    profile = WorkloadProfile(
-        name="t", map_output_ratio=1.0, map_output_record_size=100.0,
-        map_output_noise=0.02, partition_skew=0.1,
-        map_fixed_mem_bytes=150 * MB, reduce_fixed_mem_bytes=200 * MB,
-    )
-    return JobSpec(
-        name="t", workload=profile, input_path="/in", num_reducers=reducers,
-        base_config=Configuration(), slowstart=0.05,
-    )
-
-
-def make_tuner(strategy=TuningStrategy.AGGRESSIVE):
-    return OnlineTuner(
-        strategy,
-        settings=TunerSettings(
-            hill_climb=HillClimbSettings(m=4, n=4, global_search_limit=2),
-            use_knowledge_base=False,
-        ),
-        rng=np.random.default_rng(0),
-    )
-
-
-def run_tuned(plan=None, strategy=TuningStrategy.AGGRESSIVE):
-    sc = small_cluster()
-    events = []
-    sc.telemetry.subscribe(events.append, categories=("tuner", "fault"))
-    if plan is not None:
-        sc.inject_faults(plan=plan)
-    spec = search_spec(sc)
-    tuner = make_tuner(strategy)
-    am = tuner.submit(sc, spec)
-    result = sc.sim.run_until_complete(am.completion, max_events=40_000_000)
-    return sc, tuner, spec, result, events
-
-
-def crash_plan(time=80.0, duration=60.0):
-    return FaultPlan(
-        (Fault(time=time, kind="tuner_crash", node_id=0, duration=duration),)
-    )
+from tests.faults.tuned_scenarios import (
+    crash_plan,
+    make_tuner,
+    run_monitor_outage,
+    run_tuned,
+    search_spec,
+    small_cluster,
+)
 
 
 class TestTunerCrashEndToEnd:
@@ -254,7 +200,9 @@ class TestMonitorOutage:
         events = []
         sc.telemetry.subscribe(events.append, categories=("fault",))
         sc.inject_faults(plan=plan)
-        spec = search_spec(sc, blocks=12, reducers=4)
+        spec = search_spec(
+            sc, blocks=12, reducers=4, base_config=Configuration(), slowstart=0.05
+        )
         am = sc.submit(spec)
         result = sc.sim.run_until_complete(am.completion, max_events=40_000_000)
         return sc, result, events
@@ -309,10 +257,7 @@ class TestMonitorOutage:
         assert monitor.cpu_timelines[3].mean(0.0, until=20.0) == 0.5
 
     def test_outage_quarantines_tuned_waves(self):
-        plan = FaultPlan(
-            (Fault(time=30.0, kind="monitor_outage", node_id=0, duration=40.0),)
-        )
-        sc, tuner, spec, result, events = run_tuned(plan=plan)
+        sc, tuner, spec, result, events = run_monitor_outage()
         assert result.succeeded
         assert tuner._outage_windows == [(30.0, 70.0)]
         assert [e for e in events if isinstance(e, MonitorOutage)]

@@ -22,6 +22,7 @@ from repro.sim.engine import Simulator
 from repro.testing import assert_no_output_leaks
 from repro.workloads.datasets import DatasetSpec
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
+from tests.faults.tuned_scenarios import run_full_churn
 
 MB = 1024**2
 
@@ -401,34 +402,7 @@ class TestTunerCapacityAwareness:
 
     def test_tuned_job_survives_full_churn(self):
         # Integration: aggressive tuning + decommission + join + preempt.
-        sc = SimCluster(
-            seed=3,
-            cluster_spec=ClusterSpec(num_slaves=6, racks=(3, 3)),
-            start_monitors=False,
-            fault_tolerance=FaultToleranceSettings(
-                speculation=SpeculationSettings()
-            ),
-        )
-        sc.inject_faults(decommissions=1, joins=1, spot_preempts=1, horizon=35.0)
-        DatasetSpec("d", num_blocks=24).load(sc.hdfs, "/in")
-        profile = WorkloadProfile(
-            name="t", map_output_ratio=1.0, map_output_record_size=100.0,
-            map_output_noise=0.02, partition_skew=0.1,
-            map_fixed_mem_bytes=150 * MB, reduce_fixed_mem_bytes=200 * MB,
-        )
-        spec = JobSpec(
-            name="t", workload=profile, input_path="/in", num_reducers=8
-        )
-        tuner = OnlineTuner(
-            TuningStrategy.AGGRESSIVE,
-            settings=TunerSettings(
-                hill_climb=HillClimbSettings(m=4, n=4, global_search_limit=2),
-                use_knowledge_base=False,
-            ),
-            rng=np.random.default_rng(0),
-        )
-        am = tuner.submit(sc, spec)
-        result = sc.sim.run_until_complete(am.completion, max_events=40_000_000)
+        sc, tuner, spec, result, _ = run_full_churn()
         assert result.succeeded
         # The churn reached the tuner as capacity-change notifications.
         assert tuner._capacity_changes

@@ -24,6 +24,7 @@ from repro.telemetry.events import MapOutputLost, TunerRollback
 from repro.testing import assert_no_output_leaks
 from repro.workloads.datasets import DatasetSpec
 from repro.yarn.app_master import FaultToleranceSettings
+from tests.faults.tuned_scenarios import run_link_flaky
 
 MB = 1024**2
 
@@ -291,35 +292,7 @@ class TestTunerRollbackEndToEnd:
         the flaky window inflates reduce wave 2, the gate fires (and is
         visible as a TunerRollback event), a map output is lost and
         re-executed, and the job still completes."""
-        sc = small_cluster()
-        events = []
-        sc.telemetry.subscribe(
-            events.append, categories=("tuner", "yarn")
-        )
-        plan = FaultPlan(
-            (Fault(time=5.0, kind="link_flaky", node_id=1,
-                   fail_prob=0.6, duration=400.0),)
-        )
-        sc.inject_faults(plan=plan)
-        DatasetSpec("d", num_blocks=60).load(sc.hdfs, "/in")
-        profile = WorkloadProfile(
-            name="t", map_output_ratio=1.0, map_output_record_size=100.0,
-            map_output_noise=0.02, partition_skew=0.1,
-            map_fixed_mem_bytes=150 * MB, reduce_fixed_mem_bytes=200 * MB,
-        )
-        spec = JobSpec(
-            name="t", workload=profile, input_path="/in", num_reducers=12
-        )
-        tuner = OnlineTuner(
-            TuningStrategy.AGGRESSIVE,
-            settings=TunerSettings(
-                hill_climb=HillClimbSettings(m=4, n=4, global_search_limit=2),
-                use_knowledge_base=False,
-            ),
-            rng=np.random.default_rng(0),
-        )
-        am = tuner.submit(sc, spec)
-        result = sc.sim.run_until_complete(am.completion, max_events=40_000_000)
+        sc, tuner, spec, result, events = run_link_flaky()
         assert result.succeeded
         rollbacks = [e for e in events if isinstance(e, TunerRollback)]
         assert rollbacks
