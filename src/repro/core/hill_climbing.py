@@ -56,9 +56,6 @@ __all__ = [
     "drive_search",
 ]
 
-#: Back-compat alias (pre-protocol name of the shared uniform sampler).
-_uniform = uniform_sample
-
 
 @dataclass(frozen=True)
 class HillClimbSettings:

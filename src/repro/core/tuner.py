@@ -63,6 +63,18 @@ REDUCE_TUNABLE = [
 ]
 
 
+#: Rule-log text of a voided wave, by reason (see OnlineTuner._void_wave).
+_VOID_LINES = {
+    "capacity": "rolled back (capacity-shifted: cluster membership changed mid-wave)",
+    "outage": "rolled back (outage-shifted: control plane dark mid-wave)",
+    "fetch": "rolled back ({suspect}/{total} samples fault-inflated)",
+    "crash": (
+        "voided by tuner crash at t={start:.1f} "
+        "(degraded on last-known-good until t={end:.1f})"
+    ),
+}
+
+
 class TuningStrategy(enum.Enum):
     AGGRESSIVE = "aggressive"
     CONSERVATIVE = "conservative"
@@ -136,18 +148,11 @@ class _SearchState:
         #: jobs, or the tail of any job).
         self.admitted = 0
         self.stats_seen = 0
-        #: Set when cluster capacity changed while this batch was open;
-        #: the wave is voided rather than scored (its measurements mix
-        #: two different clusters).
-        self.capacity_shifted = False
-        #: Set when a control-plane outage (tuner crash or monitor
-        #: blackout) overlapped this batch; voided like a capacity
-        #: shift -- measurements taken while nobody was watching prove
-        #: nothing about the configurations.
-        self.outage_shifted = False
-        #: Set when a tuner crash voided this batch (or deferred the
-        #: next one); recovery reopens it from the incumbent.
-        self.crash_voided = False
+        #: Length of the tuner's quarantine-window list when this batch
+        #: opened.  A window added later taints the whole wave, even the
+        #: samples it does not overlap: the wave straddles two
+        #: environments.
+        self.quarantine_mark = 0
 
 
 class _ConservativeState:
@@ -244,13 +249,13 @@ class OnlineTuner:
         #: to report warm-start provenance and to assert determinism.
         self.warm_start_seeds: Dict[str, Optional[Configuration]] = {}
         self.configurator.assignment_listeners.append(self._on_assignment)
-        #: Times of elastic capacity changes (joins/departures); waves
-        #: spanning one are capacity-shifted and excluded from tuning.
-        self._capacity_changes: List[float] = []
+        #: Quarantine windows ``(start, end, reason)``, inclusive at both
+        #: ends: elastic capacity changes (``"capacity"``, a point),
+        #: monitor outages (``"outage"``) and tuner crashes (``"crash"``).
+        #: A measurement overlapping one proves nothing about its
+        #: configuration (see :meth:`quarantine_reason`).
+        self.quarantine_windows: List[Tuple[float, float, str]] = []
         self._elastic: Optional[object] = None
-        #: Control-plane outage windows (tuner crashes and monitor
-        #: blackouts); measurements overlapping one are quarantined.
-        self._outage_windows: List[Tuple[float, float]] = []
         #: True while the (simulated) tuner process is crashed.
         self._down = False
         #: Simulated time the current outage ends; overlapping crashes
@@ -366,7 +371,7 @@ class OnlineTuner:
         )
         if elastic is not None and elastic is not self._elastic:
             # Elastic churn is armed: learn about every membership change
-            # so waves spanning one are flagged capacity-shifted.
+            # so each adds a capacity quarantine window.
             self._elastic = elastic
             elastic.capacity_listeners.append(
                 lambda t, e=elastic: self.note_capacity_change(
@@ -401,17 +406,14 @@ class OnlineTuner:
     def note_capacity_change(self, time: float, live_nodes: int = 0) -> None:
         """React to a node joining or leaving the cluster at *time*.
 
-        Open sample batches are flagged capacity-shifted (their wave is
-        voided rather than scored -- see :meth:`_on_stats_aggressive`),
-        and parallelism-style knobs re-clamp to the live capacity: more
-        parallel shuffle copies than live map hosts buys nothing, so the
-        search stops proposing them and single-run configs step down.
+        Adds the point quarantine window ``(time, time, "capacity")``
+        (open waves are voided rather than scored -- see
+        :meth:`_on_stats_aggressive`), and parallelism-style knobs
+        re-clamp to the live capacity: more parallel shuffle copies than
+        live map hosts buys nothing, so the search stops proposing them
+        and single-run configs step down.
         """
-        self._capacity_changes.append(time)
-        for job in self._jobs.values():
-            for state in job.search_states.values():
-                if not state.search_done:
-                    state.capacity_shifted = True
+        self.quarantine_windows.append((time, time, "capacity"))
         if live_nodes <= 0:
             return
         spec = PARAMETER_SPACE.spec(P.SHUFFLE_PARALLELCOPIES)
@@ -436,12 +438,28 @@ class OnlineTuner:
                     job_id, {P.SHUFFLE_PARALLELCOPIES: cap}
                 )
 
-    def _stats_capacity_shifted(self, stats: TaskStats) -> bool:
-        """True when a capacity change landed inside the measurement."""
-        return any(
-            stats.start_time <= t <= stats.end_time
-            for t in self._capacity_changes
-        )
+    def quarantine_reason(self, stats: TaskStats) -> Optional[str]:
+        """Why *stats* proves nothing about its configuration, or None.
+
+        ``"capacity"`` or ``"outage"`` when the measurement overlaps a
+        quarantine window (a tuner crash darkens the control plane like
+        a monitor outage); otherwise ``"fetch"`` when shuffle fetch
+        retries inflated it or an environmental failure (a kill, crash
+        or output loss) cut it short.  OOMs are evidence about the
+        configuration and never count.
+        """
+        reason = None
+        for start, end, kind in self.quarantine_windows:
+            if stats.start_time <= end and start <= stats.end_time:
+                if kind == "capacity":
+                    return kind
+                reason = "outage"
+        if reason is None and (
+            stats.fetch_retries > 0
+            or (stats.failed and stats.failure_kind not in ("", "oom"))
+        ):
+            reason = "fetch"
+        return reason
 
     # ------------------------------------------------------------------
     # Control-plane faults (tuner crash / monitor outage)
@@ -459,66 +477,35 @@ class OnlineTuner:
         )
 
     def note_control_outage(self, start: float, end: float) -> None:
-        """Quarantine measurements spanning a control-plane outage.
+        """Quarantine measurements spanning a monitor outage.
 
-        Used for monitor outages (and by :meth:`on_tuner_crash`): the
-        job keeps running, but a wave whose measurements overlap the
+        The job keeps running, but a wave whose measurements overlap the
         dark window is voided rather than scored, and overlapping
         samples are dropped from the rule windows -- Eq-1 inputs from a
         blind monitor prove nothing about the configurations.
         """
-        self._outage_windows.append((start, end))
-        for job in self._jobs.values():
-            for state in job.search_states.values():
-                if not state.search_done:
-                    state.outage_shifted = True
-
-    def _stats_outage_shifted(self, stats: TaskStats) -> bool:
-        """True when the measurement overlaps a control-plane outage."""
-        return any(
-            stats.start_time <= end and start <= stats.end_time
-            for start, end in self._outage_windows
-        )
+        self.quarantine_windows.append((start, end, "outage"))
 
     def on_tuner_crash(self, now: float, until: float) -> int:
         """The tuner process died at *now*; it restarts at *until*.
 
-        Open waves with an incumbent are voided immediately: their
-        queued trial configurations are dropped, the job configuration
-        is pinned to the last-known-good (incumbent) values, and every
-        task parked at the gate launches untracked.  Waves still
-        bootstrapping (no incumbent yet -- the initial sampling wave)
-        keep draining their already-queued samples; only the quarantine
-        flag is set, exactly as for a capacity shift.  Returns the
+        The crash adds the quarantine window ``(now, until, "crash")``.
+        Open waves with an incumbent are voided immediately (see
+        :meth:`_void_wave`), and every task parked at the gate launches
+        untracked.  Waves still bootstrapping (no incumbent yet -- the
+        initial sampling wave) keep draining their already-queued
+        samples, tainted by the window like any open wave.  Returns the
         number of waves voided.
         """
         self._down = True
         self._down_until = max(self._down_until, until)
-        self.note_control_outage(now, until)
+        self.quarantine_windows.append((now, until, "crash"))
         voided = 0
         for job in self._jobs.values():
             for state in job.search_states.values():
                 if state.search_done:
                     continue
-                if state.climber.rollback():
-                    voided += 1
-                    state.crash_voided = True
-                    self.configurator.clear_wave_queue(
-                        job.spec.job_id, state.task_type
-                    )
-                    state.slots = 0
-                    state.result_buffer = []
-                    # Stats for voided samples must not reach observe():
-                    # the batch they belonged to no longer exists.
-                    state.bindings.clear()
-                    best = state.climber.best_config(job.spec.base_config)
-                    values = {name: best[name] for name in state.space.names}
-                    self.configurator.set_job_parameters(job.spec.job_id, values)
-                    state.rule_log.append(
-                        f"wave {state.wave}: voided by tuner crash at "
-                        f"t={now:.1f} (degraded on last-known-good until "
-                        f"t={until:.1f})"
-                    )
+                voided += self._void_wave(job, state, "crash", start=now, end=until)
                 # With the tuner dead nothing refills slots: release
                 # everything parked at the gate, untracked.
                 while state.admission_queue:
@@ -528,17 +515,20 @@ class OnlineTuner:
         return voided
 
     def on_tuner_recover(self, now: float) -> int:
-        """The tuner restarted; reopen every crash-voided search."""
+        """The tuner restarted; reopen every search left without a wave.
+
+        Those are the searches a crash voided, and any whose next batch
+        came due while the tuner was down.  The reopened wave is fresh:
+        no window added before it opened taints it.
+        """
         if now < self._down_until:
             return 0  # a later crash extended the outage
         self._down = False
         reopened = 0
         for job in self._jobs.values():
             for state in job.search_states.values():
-                if state.search_done or not state.crash_voided:
+                if state.search_done or state.climber.pending_samples():
                     continue
-                state.crash_voided = False
-                state.outage_shifted = False
                 reopened += 1
                 self._open_batch(job, state)
                 self._maybe_finish_starved(job, state)
@@ -569,7 +559,6 @@ class OnlineTuner:
         if self._down:
             # The tuner process is down: no new waves.  Recovery reopens
             # this search (covers jobs attached mid-outage too).
-            state.crash_voided = True
             return
         want = state.climber.replicas
         while True:
@@ -604,6 +593,7 @@ class OnlineTuner:
         self.configurator.push_wave_configs(job.spec.job_id, state.task_type, configs)
         state.slots += len(configs)
         state.wave += 1
+        state.quarantine_mark = len(self.quarantine_windows)
         tel = self._tel()
         if tel is not None:
             from repro.telemetry.events import WaveOpened
@@ -633,10 +623,14 @@ class OnlineTuner:
             return
         state.search_done = True
         # Future tasks of this type run the best configuration found.
+        self._pin_incumbent(job, state)
+        self._drain_admissions(state)
+
+    def _pin_incumbent(self, job: _JobTuning, state: _SearchState) -> None:
+        """Set the job configuration to the search's best point so far."""
         best = state.climber.best_config(job.spec.base_config)
         values = {name: best[name] for name in state.space.names}
         self.configurator.set_job_parameters(job.spec.job_id, values)
-        self._drain_admissions(state)
 
     def _on_stats_aggressive(self, job: _JobTuning, stats: TaskStats) -> None:
         state = job.search_states[stats.task_type]
@@ -668,69 +662,23 @@ class OnlineTuner:
         if not pending or any(counts.get(s.sample_id, 0) < want for s in pending):
             self._maybe_finish_starved(job, state)
             return
-        # Safe exploration: a wave dominated by environmental damage --
-        # attempts lost to kills/crashes/output loss, or measurements
-        # inflated by shuffle fetch retries -- says nothing about the
-        # candidate configurations.  Void the batch, keep the incumbent
-        # (last-known-good) untouched, and re-propose around it rather
-        # than letting network weather steer the search.
-        suspect = sum(
-            1
-            for _sid, s in state.result_buffer
-            if (s.failed and s.failure_kind not in ("", "oom"))
-            or s.fetch_retries > 0
-        )
-        total = len(state.result_buffer)
-        # A wave observed across a capacity change compares measurements
-        # taken on two different clusters: void it the same way.
-        shifted = state.capacity_shifted or any(
-            self._stats_capacity_shifted(s) for _sid, s in state.result_buffer
-        )
-        # Likewise for waves observed across a control-plane outage: the
-        # monitor was dark (or the tuner dead) for part of the window.
-        outage = state.outage_shifted or any(
-            self._stats_outage_shifted(s) for _sid, s in state.result_buffer
-        )
-        if (
-            (suspect > 0 and suspect * 2 >= total) or shifted or outage
-        ) and state.climber.rollback():
-            state.result_buffer = []
-            state.window = []
-            state.capacity_shifted = False
-            state.outage_shifted = False
-            if shifted:
-                line = (
-                    f"wave {state.wave}: rolled back "
-                    f"(capacity-shifted: cluster membership changed mid-wave)"
-                )
-            elif outage:
-                line = (
-                    f"wave {state.wave}: rolled back "
-                    f"(outage-shifted: control plane dark mid-wave)"
-                )
-            else:
-                line = (
-                    f"wave {state.wave}: rolled back "
-                    f"({suspect}/{total} samples fault-inflated)"
-                )
-            state.rule_log.append(line)
-            tel = self._tel()
-            if tel is not None:
-                from repro.telemetry.events import TunerRollback
-
-                tel.emit(
-                    TunerRollback(
-                        time=tel.now,
-                        job_id=job.spec.job_id,
-                        task_type=state.task_type.value,
-                        wave=state.wave,
-                        suspect_samples=suspect,
-                        total_samples=total,
-                    )
-                )
-                tel.increment("tuner.rollbacks")
-            self._open_batch(job, state)
-            self._maybe_finish_starved(job, state)
+        # Safe exploration: a wave that straddles a quarantine window, or
+        # is dominated by environmental damage (attempts lost to kills,
+        # crashes or output loss; measurements inflated by fetch
+        # retries), says nothing about the candidate configurations.
+        # Void it and re-propose around the incumbent (last-known-good)
+        # rather than letting the environment steer the search.
+        reasons = [self.quarantine_reason(s) for _sid, s in state.result_buffer]
+        total = len(reasons)
+        suspect = total - reasons.count(None)
+        tainted = {kind for _s, _e, kind in self.quarantine_windows[state.quarantine_mark:]}
+        if "capacity" in tainted or "capacity" in reasons:
+            reason = "capacity"
+        elif tainted or "outage" in reasons:
+            reason = "outage"
+        else:
+            reason = "fetch" if suspect * 2 >= total else None
+        if reason and self._void_wave(job, state, reason, suspect=suspect, total=total):
             return
         durations = [
             effective_duration(s)
@@ -741,22 +689,15 @@ class OnlineTuner:
         for sid, s in state.result_buffer:
             state.climber.observe(sid, task_cost(s, t_max))
         state.result_buffer = []
-        state.capacity_shifted = False
-        state.outage_shifted = False
         # Wave complete: gray-box bound adjustment, then the next batch.
-        # Fetch-inflated measurements (nonzero fetch_retries) are kept in
-        # the history but excluded from the rule window: their durations
-        # and utilization mix reflect the network fault, not the config.
+        # Quarantined measurements are kept in the history but excluded
+        # from the rule window: their durations and utilization mix
+        # reflect the environment, not the config.
         ctx = RuleContext(
             task_type=state.task_type,
             space=state.space,
             bounds=state.climber.bounds,
-            window=[
-                s for s in state.window
-                if s.fetch_retries == 0
-                and not self._stats_capacity_shifted(s)
-                and not self._stats_outage_shifted(s)
-            ],
+            window=[s for s in state.window if self.quarantine_reason(s) is None],
             history=state.history,
             rng=self.rng,
             memo=state.memo,
@@ -803,6 +744,61 @@ class OnlineTuner:
         if outstanding <= 0 and state.climber.pending_samples():
             self._finish_search(job, state)
 
+    def _void_wave(
+        self,
+        job: _JobTuning,
+        state: _SearchState,
+        reason: str,
+        suspect: int = 0,
+        total: int = 0,
+        start: float = 0.0,
+        end: float = 0.0,
+    ) -> bool:
+        """Discard the in-flight wave of *state* for *reason*.
+
+        The only place a search rolls back: the batch is dropped
+        without advancing the search, along with its queued trial
+        configurations, its task bindings and its measurements, and the
+        job falls back to the incumbent (last-known-good) configuration.
+        A fresh batch is then proposed around the incumbent -- deferred
+        to recovery while the tuner is down.  Returns False, changing
+        nothing, when there is nothing to roll back to.
+        """
+        if not state.climber.rollback():
+            return False
+        job_id = job.spec.job_id
+        self.configurator.clear_wave_queue(job_id, state.task_type)
+        state.slots = 0
+        # Stats for voided samples must not reach observe(): the batch
+        # they belonged to no longer exists.
+        state.bindings.clear()
+        state.result_buffer = []
+        state.window = []
+        self._pin_incumbent(job, state)
+        line = _VOID_LINES[reason].format(
+            suspect=suspect, total=total, start=start, end=end
+        )
+        state.rule_log.append(f"wave {state.wave}: {line}")
+        tel = self._tel()
+        if tel is not None:
+            from repro.telemetry.events import TunerRollback
+
+            tel.emit(
+                TunerRollback(
+                    time=tel.now,
+                    job_id=job_id,
+                    task_type=state.task_type.value,
+                    wave=state.wave,
+                    reason=reason,
+                    suspect_samples=suspect,
+                    total_samples=total,
+                )
+            )
+            tel.increment("tuner.rollbacks")
+        self._open_batch(job, state)
+        self._maybe_finish_starved(job, state)
+        return True
+
     # -- conservative path ----------------------------------------------------
     def _on_stats_conservative(self, job: _JobTuning, stats: TaskStats) -> None:
         state = job.conservative_states[stats.task_type]
@@ -820,15 +816,9 @@ class OnlineTuner:
             task_type=state.task_type,
             space=PARAMETER_SPACE,
             bounds=None,  # bounds are an aggressive-strategy concept
-            # Fetch-inflated and capacity-shifted stats stay in the
-            # history but are dropped from the rule window (see
-            # _on_stats_aggressive).
-            window=[
-                s for s in state.window
-                if s.fetch_retries == 0
-                and not self._stats_capacity_shifted(s)
-                and not self._stats_outage_shifted(s)
-            ],
+            # Quarantined stats stay in the history but are dropped from
+            # the rule window (see _on_stats_aggressive).
+            window=[s for s in state.window if self.quarantine_reason(s) is None],
             history=state.history,
             rng=self.rng,
             memo=state.memo,

@@ -23,7 +23,7 @@ individual components only expose surfaces for:
   the node is reclaimed.
 
 Every membership change fires the ``capacity_listeners`` (the online
-tuner registers here to flag capacity-shifted waves) and emits typed
+tuner registers here to add capacity quarantine windows) and emits typed
 telemetry (``node_decommission`` / ``node_join`` / ``preempt_notice``
 / ``preempt_kill`` on the ``yarn`` category, ``capacity_change`` on
 ``node``).  None of this machinery exists unless a plan contains an

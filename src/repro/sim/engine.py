@@ -10,15 +10,13 @@ Hot-path notes: :meth:`Simulator.run` and
 :meth:`Simulator.step` with the heap bound to locals, the telemetry
 event class is imported once and cached at module level (the per-event
 ``from ... import`` was measurable), and ``repr(event)`` is only built
-when a trace or telemetry consumer actually exists.
+when a telemetry consumer actually exists.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.events import Event, Process, Timeout
@@ -28,10 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
-
-#: Cap on the deprecated :attr:`Simulator.trace_log`: long traced runs
-#: keep only the most recent entries instead of growing without bound.
-TRACE_LOG_LIMIT = 100_000
 
 # Lazily-imported collaborator classes.  ``repro.sim.events`` and
 # ``repro.telemetry.events`` both import this module, so the imports
@@ -61,53 +55,19 @@ def _sim_event_executed_cls():
     return _SIM_EVENT_EXECUTED_CLS
 
 
-# The trace= deprecation fires once per process, not once per Simulator:
-# replica fan-outs construct thousands of simulators, and a warning per
-# construction both floods output and defeats ``-W error`` triage.
-_TRACE_DEPRECATION_EMITTED = False
-
-
-def _warn_trace_deprecated() -> None:
-    global _TRACE_DEPRECATION_EMITTED
-    if _TRACE_DEPRECATION_EMITTED:
-        return
-    _TRACE_DEPRECATION_EMITTED = True
-    warnings.warn(
-        "Simulator(trace=True) is deprecated; attach a TelemetryBus "
-        "and subscribe to the 'sim' category instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_trace_deprecation() -> None:
-    """Re-arm the once-per-process trace= warning (test helper)."""
-    global _TRACE_DEPRECATION_EMITTED
-    _TRACE_DEPRECATION_EMITTED = False
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    Parameters
-    ----------
-    trace:
-        Deprecated.  When true, every executed event is appended to
-        :attr:`trace_log` as ``(time, description)``, keeping at most
-        :data:`TRACE_LOG_LIMIT` entries.  Attach a
-        :class:`~repro.telemetry.bus.TelemetryBus` with a subscriber on
-        the ``"sim"`` category instead (see :meth:`attach_telemetry`).
+    To trace executed events, attach a
+    :class:`~repro.telemetry.bus.TelemetryBus` with a subscriber on the
+    ``"sim"`` category (see :meth:`attach_telemetry`).
     """
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq: int = 0
         self._running = False
-        if trace:
-            _warn_trace_deprecated()
-        self.trace = trace
-        self.trace_log: Deque[tuple[float, str]] = deque(maxlen=TRACE_LOG_LIMIT)
         #: Number of events executed so far (diagnostic counter).
         self.events_executed: int = 0
         #: The attached telemetry bus, or ``None`` (the default): every
@@ -185,8 +145,6 @@ class Simulator:
         """Bookkeeping + firing for one live event (clock already popped)."""
         self._now = when
         self.events_executed += 1
-        if self.trace:
-            self.trace_log.append((when, repr(event)))
         tel = self.telemetry
         if tel is not None and tel.sim_events_wanted:
             tel.emit(_sim_event_executed_cls()(time=when, description=repr(event)))

@@ -159,9 +159,11 @@ def _fill_rates(active: List[Flow], counts: Dict[Link, int]) -> None:
 def maxmin_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     """Max-min fair allocation with per-flow caps; returns flow -> rate.
 
-    Compatibility wrapper around the in-place allocator the scheduler
-    uses on its hot path: rates are *also* written to ``flow.rate`` as
-    a side effect.
+    The stateless entry point to the allocator :class:`FlowScheduler`
+    runs in place on its hot path: it builds the link counts the
+    scheduler keeps incrementally, so a test can check one allocation
+    against a reference solver without a simulator.  Rates are *also*
+    written to ``flow.rate`` as a side effect.
     """
     if not flows:
         return {}

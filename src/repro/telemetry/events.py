@@ -122,7 +122,7 @@ class SpanEvent(TelemetryEvent):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SimEventExecuted(TelemetryEvent):
-    """One calendar event fired (the successor of ``trace_log``)."""
+    """One calendar event fired."""
 
     category: ClassVar[str] = "sim"
     kind: ClassVar[str] = "event"
@@ -474,8 +474,15 @@ class RuleFired(TelemetryEvent):
 
 @dataclass(frozen=True)
 class TunerRollback(TelemetryEvent):
-    """A candidate wave tripped the failure-cost gate; the search voided
-    it and re-proposed around the last-known-good configuration."""
+    """The tuner voided a candidate wave and fell back to the
+    last-known-good configuration.
+
+    ``reason`` says why: ``"fetch"`` (a majority of samples were
+    fetch-inflated or lost to the environment), ``"capacity"`` (cluster
+    membership changed mid-wave), ``"outage"`` (the control plane was
+    dark mid-wave) or ``"crash"`` (the tuner process died).
+    ``suspect_samples`` counts the quarantined samples among the
+    ``total_samples`` the wave had reported."""
 
     category: ClassVar[str] = "tuner"
     kind: ClassVar[str] = "tuner_rollback"
@@ -483,6 +490,7 @@ class TunerRollback(TelemetryEvent):
     job_id: str = ""
     task_type: str = ""
     wave: int = 0
+    reason: str = ""
     suspect_samples: int = 0
     total_samples: int = 0
 

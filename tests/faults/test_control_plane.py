@@ -11,18 +11,20 @@ sample ingestion without poisoning the rule windows.
 from repro.core.configuration import Configuration
 from repro.faults import ControlPlaneState, Fault, FaultPlan
 from repro.faults.control import ControlPlaneState as DirectControlPlaneState
-from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
+from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType, WorkloadProfile
 from repro.monitor.central_monitor import CentralMonitor
-from repro.monitor.statistics import NodeStats
+from repro.monitor.statistics import NodeStats, TaskStats
 from repro.sim.engine import Simulator
 from repro.telemetry.events import (
     MonitorOutage,
     StatsGap,
     TunerCrash,
     TunerRecovered,
+    TunerRollback,
 )
 from repro.testing import assert_no_output_leaks
 from tests.faults.tuned_scenarios import (
+    MB,
     crash_plan,
     make_tuner,
     run_monitor_outage,
@@ -59,6 +61,10 @@ class TestTunerCrashEndToEnd:
         assert recoveries[0].time == 140.0
         assert recoveries[0].downtime == 60.0
         assert recoveries[0].reopened_waves == crashes[0].voided_waves
+        # Crash voids go through the one void path: they are rollbacks too.
+        rollbacks = [e for e in events if isinstance(e, TunerRollback)]
+        assert [e.reason for e in rollbacks] == ["crash"] * crashes[0].voided_waves
+        assert sc.telemetry.counters.get("tuner.rollbacks", 0) == len(rollbacks)
         assert sc.telemetry.counters.get("faults.applied", 0) == 1
         assert not tuner.tuner_down()
 
@@ -151,12 +157,61 @@ class TestDegradedGate:
         voided = tuner.on_tuner_crash(5.0, 15.0)
         assert voided >= 1
         assert tuner.configurator.queued_count(spec.job_id, TaskType.MAP) == 0
-        assert state.slots == 0 and state.crash_voided
+        assert state.slots == 0 and not state.climber.pending_samples()
         # Recovery reopens the search with a fresh wave.
         reopened = tuner.on_tuner_recover(15.0)
         assert reopened == voided
         assert not tuner.tuner_down()
         assert tuner.configurator.queued_count(spec.job_id, TaskType.MAP) > 0
+
+    def test_capacity_change_while_down_spares_the_reopened_wave(self):
+        """A capacity change that lands while the tuner is down predates
+        every sample of the wave reopened at recovery, so that wave is
+        scored, not voided.  A change while a wave is open still voids
+        it, even when no sample overlaps the change."""
+        tuner = make_tuner()
+        spec = JobSpec(
+            name="t",
+            workload=WorkloadProfile(
+                name="t", map_output_ratio=1.0, map_output_record_size=100.0
+            ),
+            input_path="/in",
+            num_reducers=2,
+        )
+        tuner.attach_job(spec)
+        job = tuner._jobs[spec.job_id]
+        state = job.search_states[TaskType.MAP]
+        state.admitted = 1000  # plenty of tasks still to come
+        for sample in state.climber.pending_samples():
+            state.climber.observe(sample.sample_id, 1.0)
+        tuner._open_batch(job, state)
+        assert tuner.on_tuner_crash(5.0, 15.0) >= 1
+        tuner.note_capacity_change(8.0)
+        assert tuner.on_tuner_recover(15.0) >= 1
+        index = 0
+
+        def feed_wave(start):
+            nonlocal index
+            for sample in list(state.climber.pending_samples()):
+                tid = TaskId(spec.job_id, TaskType.MAP, index)
+                state.bindings[str(tid)] = sample.sample_id
+                tuner.on_task_stats(TaskStats(
+                    task_id=tid, task_type=TaskType.MAP, node_id=0, attempt=0,
+                    config={}, start_time=start, end_time=start + 10.0 + index,
+                    cpu_seconds=5.0, allocated_cores=1.0,
+                    working_set_bytes=100 * MB, container_memory_bytes=200 * MB,
+                ))
+                index += 1
+
+        observed = state.climber.observations
+        feed_wave(20.0)
+        assert state.climber.observations > observed  # scored
+        assert not any("rolled back" in line for line in state.rule_log)
+        tuner.note_capacity_change(40.0)
+        feed_wave(50.0)
+        assert state.rule_log[-1].endswith(
+            "rolled back (capacity-shifted: cluster membership changed mid-wave)"
+        )
 
     def test_recover_noop_while_outage_extended(self):
         tuner = make_tuner()
@@ -259,7 +314,7 @@ class TestMonitorOutage:
     def test_outage_quarantines_tuned_waves(self):
         sc, tuner, spec, result, events = run_monitor_outage()
         assert result.succeeded
-        assert tuner._outage_windows == [(30.0, 70.0)]
+        assert tuner.quarantine_windows == [(30.0, 70.0, "outage")]
         assert [e for e in events if isinstance(e, MonitorOutage)]
         # A wave observed across the dark window was rolled back.
         assert any(

@@ -344,30 +344,62 @@ class TestTunerCapacityAwareness:
         tuner.attach_job(spec)
         return tuner, spec
 
-    def test_stats_capacity_shifted_window(self):
-        tuner, _ = self.make_tuner()
-        tuner.note_capacity_change(50.0)
+    POINT = [(50.0, 50.0, "capacity")]
+    OUTAGE = [(30.0, 70.0, "outage")]
+    CRASH = [(30.0, 70.0, "crash")]
+    FETCH = {"fetch_retries": 2}
+    KILLED = {"failed": True, "failure_kind": "killed"}
+    OOM = {"failed": True, "failure_kind": "oom"}
 
-        def mk(s, e):
-            return TaskStats(
-                task_id=TaskId("job_0001", TaskType.MAP, 0),
-                task_type=TaskType.MAP, node_id=0, attempt=1, config={},
-                start_time=s, end_time=e, cpu_seconds=1.0, allocated_cores=1.0,
-                working_set_bytes=MB, container_memory_bytes=MB,
-            )
-        assert tuner._stats_capacity_shifted(mk(40.0, 60.0))
-        assert tuner._stats_capacity_shifted(mk(50.0, 50.0))
-        assert not tuner._stats_capacity_shifted(mk(0.0, 49.9))
-        assert not tuner._stats_capacity_shifted(mk(50.1, 70.0))
+    @pytest.mark.parametrize(
+        "windows, start, end, stats_kw, expected",
+        [
+            # Point window (a capacity change): inclusive at both ends.
+            pytest.param(POINT, 40.0, 60.0, {}, "capacity", id="point-straddles"),
+            pytest.param(POINT, 50.0, 50.0, {}, "capacity", id="point-instant"),
+            pytest.param(POINT, 0.0, 50.0, {}, "capacity", id="point-at-end"),
+            pytest.param(POINT, 50.0, 70.0, {}, "capacity", id="point-at-start"),
+            pytest.param(POINT, 0.0, 49.9, {}, None, id="point-before"),
+            pytest.param(POINT, 50.1, 70.0, {}, None, id="point-after"),
+            # Interval window (an outage or crash): any overlap counts.
+            pytest.param(OUTAGE, 20.0, 30.0, {}, "outage", id="interval-touch-start"),
+            pytest.param(OUTAGE, 70.0, 80.0, {}, "outage", id="interval-touch-end"),
+            pytest.param(OUTAGE, 40.0, 50.0, {}, "outage", id="interval-inside"),
+            pytest.param(OUTAGE, 0.0, 100.0, {}, "outage", id="interval-covers"),
+            pytest.param(OUTAGE, 0.0, 29.9, {}, None, id="interval-before"),
+            pytest.param(OUTAGE, 70.1, 90.0, {}, None, id="interval-after"),
+            pytest.param(CRASH, 69.0, 75.0, {}, "outage", id="crash-is-outage"),
+            # Capacity outranks outage; a window outranks fetch damage.
+            pytest.param(OUTAGE + POINT, 40.0, 60.0, {}, "capacity", id="capacity-first"),
+            pytest.param(OUTAGE, 40.0, 50.0, FETCH, "outage", id="window-before-fetch"),
+            # No window: fetch inflation and environmental loss.
+            pytest.param([], 0.0, 10.0, FETCH, "fetch", id="fetch-retries"),
+            pytest.param([], 0.0, 10.0, KILLED, "fetch", id="env-failure"),
+            pytest.param([], 0.0, 10.0, OOM, None, id="oom-is-evidence"),
+            pytest.param([], 0.0, 10.0, {}, None, id="clean"),
+        ],
+    )
+    def test_quarantine_reason(self, windows, start, end, stats_kw, expected):
+        tuner, _ = self.make_tuner()
+        tuner.quarantine_windows.extend(windows)
+        stats = TaskStats(
+            task_id=TaskId("job_0001", TaskType.MAP, 0),
+            task_type=TaskType.MAP, node_id=0, attempt=1, config={},
+            start_time=start, end_time=end, cpu_seconds=1.0, allocated_cores=1.0,
+            working_set_bytes=MB, container_memory_bytes=MB, **stats_kw,
+        )
+        assert tuner.quarantine_reason(stats) == expected
 
     def test_capacity_change_flags_open_searches_and_reclamps(self):
         from repro.core import parameters as P
 
         tuner, spec = self.make_tuner()
         state = tuner._jobs[spec.job_id].search_states[TaskType.REDUCE]
-        assert not state.capacity_shifted
+        assert state.quarantine_mark == len(tuner.quarantine_windows) == 0
         tuner.note_capacity_change(12.0, live_nodes=3)
-        assert state.capacity_shifted
+        # The window lands after the open batch's mark: the batch is tainted.
+        assert tuner.quarantine_windows == [(12.0, 12.0, "capacity")]
+        assert state.quarantine_mark == 0
         assert any(
             "capacity change at t=12.0" in line for line in state.rule_log
         )
@@ -397,7 +429,8 @@ class TestTunerCapacityAwareness:
         assert any(
             "capacity-shifted" in line for line in state.rule_log
         )
-        assert not state.capacity_shifted  # cleared after the void
+        # The re-proposed batch opened after the window: it is clean.
+        assert state.quarantine_mark == len(tuner.quarantine_windows)
         assert state.climber.pending_samples()  # search re-proposed
 
     def test_tuned_job_survives_full_churn(self):
@@ -405,7 +438,7 @@ class TestTunerCapacityAwareness:
         sc, tuner, spec, result, _ = run_full_churn()
         assert result.succeeded
         # The churn reached the tuner as capacity-change notifications.
-        assert tuner._capacity_changes
+        assert any(kind == "capacity" for *_, kind in tuner.quarantine_windows)
         logs = [
             line
             for state in tuner._jobs[spec.job_id].search_states.values()

@@ -296,6 +296,7 @@ class TestTunerRollbackEndToEnd:
         assert result.succeeded
         rollbacks = [e for e in events if isinstance(e, TunerRollback)]
         assert rollbacks
+        assert all(e.reason == "fetch" for e in rollbacks)
         assert all(e.suspect_samples * 2 >= e.total_samples for e in rollbacks)
         assert sc.telemetry.counters.get("tuner.rollbacks", 0) >= 1
         assert sc.telemetry.counters.get("yarn.map_outputs_lost", 0) >= 1
