@@ -8,7 +8,6 @@ the incumbent.  Monitor outages and per-node stats gaps black out
 sample ingestion without poisoning the rule windows.
 """
 
-from repro.core.configuration import Configuration
 from repro.faults import ControlPlaneState, Fault, FaultPlan
 from repro.faults.control import ControlPlaneState as DirectControlPlaneState
 from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType, WorkloadProfile
@@ -255,9 +254,7 @@ class TestMonitorOutage:
         events = []
         sc.telemetry.subscribe(events.append, categories=("fault",))
         sc.inject_faults(plan=plan)
-        spec = search_spec(
-            sc, blocks=12, reducers=4, base_config=Configuration(), slowstart=0.05
-        )
+        spec = search_spec(sc, blocks=12, reducers=4)
         am = sc.submit(spec)
         result = sc.sim.run_until_complete(am.completion, max_events=40_000_000)
         return sc, result, events

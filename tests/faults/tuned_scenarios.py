@@ -11,7 +11,6 @@ from typing import Callable, Dict, List, NamedTuple
 import numpy as np
 
 from repro.cluster.topology import ClusterSpec
-from repro.core.configuration import Configuration
 from repro.core.hill_climbing import HillClimbSettings
 from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
 from repro.experiments.harness import SimCluster
@@ -40,7 +39,7 @@ def small_cluster(seed=0, start_monitors=False):
     )
 
 
-def search_spec(sc, blocks=36, reducers=8, **spec_kw):
+def search_spec(sc, blocks=36, reducers=8):
     """Load a *blocks*-block input and return a noisy, skewed job on it."""
     DatasetSpec("d", num_blocks=blocks).load(sc.hdfs, "/in")
     profile = WorkloadProfile(
@@ -49,8 +48,7 @@ def search_spec(sc, blocks=36, reducers=8, **spec_kw):
         map_fixed_mem_bytes=150 * MB, reduce_fixed_mem_bytes=200 * MB,
     )
     return JobSpec(
-        name="t", workload=profile, input_path="/in", num_reducers=reducers,
-        **spec_kw,
+        name="t", workload=profile, input_path="/in", num_reducers=reducers
     )
 
 
@@ -82,12 +80,11 @@ def crash_plan(time=80.0, duration=60.0):
 
 
 def run_tuned(plan=None, strategy=TuningStrategy.AGGRESSIVE) -> TunedRun:
-    """36 maps / 8 reduces on 4 slaves, early slowstart, under *plan*."""
+    """36 maps / 8 reduces on 4 slaves under *plan*."""
     sc = small_cluster()
     if plan is not None:
         sc.inject_faults(plan=plan)
-    spec = search_spec(sc, base_config=Configuration(), slowstart=0.05)
-    return run_job(sc, spec, strategy)
+    return run_job(sc, search_spec(sc), strategy)
 
 
 def run_link_flaky() -> TunedRun:
