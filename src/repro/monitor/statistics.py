@@ -136,8 +136,12 @@ class ProgressBoard:
             node_id=node_id, start_time=now,
         )
 
+    def get(self, task_id: TaskId, attempt: int) -> Optional[AttemptProgress]:
+        """One live attempt's progress, or None once it has finished."""
+        return self._running.get((str(task_id), attempt))
+
     def update(self, task_id: TaskId, attempt: int, fraction: float) -> None:
-        entry = self._running.get((str(task_id), attempt))
+        entry = self.get(task_id, attempt)
         if entry is not None:
             entry.fraction = max(entry.fraction, min(1.0, fraction))
 
@@ -147,10 +151,6 @@ class ProgressBoard:
     def running(self) -> List[AttemptProgress]:
         """All live attempts, in deterministic (task, attempt) order."""
         return [self._running[k] for k in sorted(self._running)]
-
-    def attempts_of(self, task_id: TaskId) -> List[AttemptProgress]:
-        tid = str(task_id)
-        return [p for (t, _a), p in sorted(self._running.items()) if t == tid]
 
 
 @dataclass

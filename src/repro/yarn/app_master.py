@@ -5,6 +5,12 @@ appropriately sized containers (per-task configuration!), enforces
 slowstart and reduce ramp-up, retries failed attempts, and aggregates
 counters.
 
+Each task attempt walks one state machine (:class:`_Stage`): it waits
+for gate admission, a request token, reduce ramp-up headroom and a
+container grant, then runs.  A kill while it waits rolls back exactly
+what its stage holds or awaits; settling then releases the rest and
+reports one stats record, so every admitted attempt is released once.
+
 Two seams let MRONLINE plug in without the AM knowing about tuning:
 
 * a **config provider** is consulted for every task attempt's
@@ -27,11 +33,12 @@ killed and its partial output swept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import Callable, Dict, Generator, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
-from repro.cluster.container import Container, ContainerState
+from repro.cluster.container import Container
 from repro.cluster.topology import Cluster
 from repro.core import parameters as P
 from repro.core.configuration import Configuration, enforce_dependencies
@@ -187,9 +194,6 @@ class WaveGate(LaunchGate):
         # slot it occupies must be released like a completed task.
         self.task_completed(task_type)
 
-    def current_wave(self, task_type: TaskType) -> int:
-        return self._states[task_type].wave
-
     def outstanding(self, task_type: TaskType) -> int:
         return self._states[task_type].outstanding
 
@@ -226,13 +230,30 @@ class JobResult:
         )
 
 
+class _Stage(IntEnum):
+    """Where an attempt's runner waits; each stage holds all earlier ones.
+
+    Speculative backups skip the gate and the token; only reduces wait
+    for headroom.  :meth:`MRAppMaster._rollback` undoes each waiting
+    stage, and :meth:`MRAppMaster._settle` releases what is held.
+    """
+
+    NEW = 0  # spawned; the runner has not started
+    ADMISSION = 1  # waits for the launch gate
+    TOKEN = 2  # holds a wave slot; waits for a request token
+    HEADROOM = 3  # holds the token; waits for reduce ramp-up headroom
+    GRANT = 4  # holds the token (and reduce memory); waits for a container
+    RUNNING = 5  # the task process runs in the container
+    SETTLED = 6  # released everything and reported its stats
+
+
 class _Attempt:
     """One container-level execution attempt of a task."""
 
     __slots__ = (
         "number", "speculative", "tier", "wave", "config",
-        "container", "process", "runner", "avoid_nodes", "settled",
-        "migration",
+        "container", "runner", "avoid_nodes", "migration", "stage",
+        "pending", "request",
     )
 
     def __init__(
@@ -251,14 +272,26 @@ class _Attempt:
         self.wave = -1
         self.config = config
         self.container: Optional[Container] = None
-        self.process: Optional[Process] = None
         self.runner: Optional[Process] = None
         self.avoid_nodes = avoid_nodes
-        self.settled = False
         #: A grace-window replacement launched on a preemption notice;
         #: while one is live the doomed primary's death triggers no
         #: crash-style re-execution.
         self.migration = migration
+        self.stage = _Stage.NEW
+        #: What the runner waits on at ``stage`` (None at HEADROOM); at
+        #: RUNNING, the task's process.
+        self.pending: Optional[Event] = None
+        self.request: Optional[ContainerRequest] = None
+
+    def enter(self, stage: _Stage, pending: Event) -> Event:
+        """Record that the runner now waits at *stage* on *pending*."""
+        self.stage, self.pending = stage, pending
+        return pending
+
+    @property
+    def settled(self) -> bool:
+        return self.stage is _Stage.SETTLED
 
 
 class _TaskRun:
@@ -276,6 +309,7 @@ class _TaskRun:
         self.task_type = task_type
         self.index = index
         self.attempt_counter = 0
+        #: Live attempts: added when spawned, removed when settled.
         self.running: List[_Attempt] = []
         self.winner: Optional[TaskStats] = None
         self.last_failure: Optional[TaskStats] = None
@@ -299,17 +333,38 @@ def _reraise_runner_failure(ev: Event) -> None:
         raise ev.exception
 
 
+def _lost_attempt_stats(run: _TaskRun, end_time: float, **fields) -> TaskStats:
+    """A failed attempt's record that measured no work (zero CPU)."""
+    return TaskStats(
+        task_id=run.task_id, task_type=run.task_type, end_time=end_time,
+        cpu_seconds=0.0, allocated_cores=0.0, working_set_bytes=0.0,
+        failed=True, **fields,
+    )
+
+
+def _request_tokens(sim: Simulator, cluster: Cluster, job_id: str) -> Dict[TaskType, Semaphore]:
+    """Bound each task type to ~half a wave of outstanding container requests.
+
+    Configurations are resolved at request time, so a bounded pipeline
+    is what makes category-2 parameters (container size!) tunable
+    mid-job: requests made a whole job in advance would freeze the
+    sizing at submission-time values.  Half a wave keeps the scheduler
+    fed while letting tuning reach tasks within the same wave in shared
+    (multi-tenant) clusters.
+    """
+    depth = max(16, cluster.total_yarn_memory // (2 * 1024 * 1024 * 1024))
+    return {
+        TaskType.MAP: Semaphore(sim, depth, name=f"{job_id}-mreq"),
+        TaskType.REDUCE: Semaphore(sim, depth, name=f"{job_id}-rreq"),
+    }
+
+
 class MRAppMaster:
     """Per-job orchestration (YARN delegates task tracking to us)."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        cluster: Cluster,
-        hdfs: HdfsFileSystem,
-        rm: ResourceManager,
-        node_managers: Dict[int, NodeManager],
-        spec: JobSpec,
+        self, sim: Simulator, cluster: Cluster, hdfs: HdfsFileSystem, rm: ResourceManager,
+        node_managers: Dict[int, NodeManager], spec: JobSpec,
         config_provider: Optional[ConfigProvider] = None,
         gate: Optional[LaunchGate] = None,
         rng: Optional[np.random.Generator] = None,
@@ -327,25 +382,20 @@ class MRAppMaster:
         self.app_weight = app_weight
         self.ft = fault_tolerance or FaultToleranceSettings()
 
-        input_file = hdfs.get(spec.input_path)
-        self.dataflow = JobDataflow(spec, input_file, rng=rng)
-        self.catalog = MapOutputCatalog(
-            sim, self.dataflow.num_maps, self.dataflow.num_reducers
-        )
+        self._input_file = hdfs.get(spec.input_path)
+        self.dataflow = JobDataflow(spec, self._input_file, rng=rng)
+        self.catalog = MapOutputCatalog(sim, self.dataflow.num_maps, self.dataflow.num_reducers)
         self.progress = ProgressBoard()
         self.ctx = TaskContext(
-            sim, cluster, hdfs, spec, self.dataflow, self.catalog,
-            progress=self.progress,
+            sim, cluster, hdfs, spec, self.dataflow, self.catalog, progress=self.progress
         )
         if getattr(cluster.network, "faults", None) is not None:
             # The injector armed the gray-failure network state before
             # this job was submitted: switch reducers onto the per-fetch
             # recovery path and accept their fetch-failure reports.
             self.ctx.fetch = ShuffleFetchService(
-                sim, cluster, self.catalog,
-                FetchRecoverySettings(), self._on_fetch_failure_report,
+                sim, cluster, self.catalog, FetchRecoverySettings(), self._on_fetch_failure_report
             )
-        self._input_file = input_file
 
         self.completion: Event = sim.event()
         self.counters = Counters()
@@ -356,7 +406,6 @@ class MRAppMaster:
         self._runs: Dict[str, _TaskRun] = {}
         self._completed_maps = 0
         self._map_lifecycles_done = 0
-        self._completed_reduces = 0
         self._lifecycles_done = 0
         self._permanent_failures = 0
         self._reduces_started = False
@@ -378,21 +427,8 @@ class MRAppMaster:
         #: during the grace window (elastic churn only).
         self.preempt_migrations = 0
         #: Mean-duration inputs for the speculator, per task type.
-        self._completed_durations: Dict[TaskType, List[float]] = {
-            TaskType.MAP: [], TaskType.REDUCE: [],
-        }
-        # Keep at most ~half a wave of container requests outstanding per
-        # task type.  Configurations are resolved at request time, so a
-        # bounded pipeline is what makes category-2 parameters (container
-        # size!) tunable mid-job: requests made a whole job in advance
-        # would freeze the sizing at submission-time values.  Half a wave
-        # keeps the scheduler fed while letting tuning reach tasks within
-        # the same wave in shared (multi-tenant) clusters.
-        depth = max(16, cluster.total_yarn_memory // (2 * 1024 * 1024 * 1024))
-        self._request_tokens: Dict[TaskType, Semaphore] = {
-            TaskType.MAP: Semaphore(sim, depth, name=f"{spec.job_id}-mreq"),
-            TaskType.REDUCE: Semaphore(sim, depth, name=f"{spec.job_id}-rreq"),
-        }
+        self._completed_durations: Dict[TaskType, List[float]] = {t: [] for t in TaskType}
+        self._request_tokens = _request_tokens(sim, cluster, spec.job_id)
 
     def _telemetry(self, category: str):
         """The attached bus if someone subscribed to *category*, else None."""
@@ -474,17 +510,14 @@ class MRAppMaster:
             return requested
         return refresh(self.spec, task_id, requested)
 
-    def _fallback_config(self, task_id: TaskId) -> Configuration:
-        """Escalation target: the job's base configuration, clamped."""
-        return enforce_dependencies(self.spec.base_config)
-
     def _resolve_config(self, run: _TaskRun, attempt: _Attempt) -> Configuration:
         if attempt.config is not None:
             # Speculative backups reuse the primary's exact configuration
             # (consulting the provider again would pop a fresh sample).
             return attempt.config
         if attempt.tier >= 2:
-            return self._fallback_config(run.task_id)
+            # The safe fallback: the job's base configuration, clamped.
+            return enforce_dependencies(self.spec.base_config)
         if run.tier1_config is None:
             run.tier1_config = self._task_config(run.task_id)
         return run.tier1_config
@@ -518,137 +551,126 @@ class MRAppMaster:
         attempt.runner.add_callback(_reraise_runner_failure)
         return attempt
 
-    def _blacklist_for(self, attempt: _Attempt) -> Tuple[int, ...]:
-        blocked = set(self._blacklisted_nodes) | set(attempt.avoid_nodes)
-        return tuple(sorted(blocked))
-
     def _attempt_runner(
         self, run: _TaskRun, attempt: _Attempt
     ) -> Generator[Event, object, None]:
-        ttype = run.task_type
-        task_id = run.task_id
-        gated = not attempt.speculative
-        admit_ev: Optional[Event] = None
-        admitted = False
-        tok_ev: Optional[Event] = None
-        token_held = False
-        grant_ev: Optional[Event] = None
-        request: Optional[ContainerRequest] = None
-        mem_counted = 0
-        launched = False
-        stats: Optional[TaskStats] = None
         try:
-            if gated:
-                admit_ev = self.gate.admit(ttype, self.sim)
-                attempt.wave = yield admit_ev
-                admitted = True
-                tok_ev = self._request_tokens[ttype].acquire()
-                yield tok_ev
-                token_held = True
-            config = self._resolve_config(run, attempt)
-            attempt.config = config
-            if ttype is TaskType.MAP:
-                resource = Resource.of_mb(
-                    int(config[P.MAP_MEMORY_MB]), int(config[P.MAP_CPU_VCORES])
-                )
-                preferred = tuple(
-                    loc.node_id for loc in self._input_file.blocks[run.index].locations
-                )
-                priority = Priority.MAP
-            else:
-                resource = Resource.of_mb(
-                    int(config[P.REDUCE_MEMORY_MB]), int(config[P.REDUCE_CPU_VCORES])
-                )
-                preferred = ()
-                priority = Priority.REDUCE
-                yield from self._await_reduce_headroom(resource.memory_bytes)
-                mem_counted = resource.memory_bytes
-            request = ContainerRequest(
-                app_id=self.spec.job_id,
-                resource=resource,
-                priority=priority,
-                preferred_nodes=preferred,
-                blacklisted_nodes=self._blacklist_for(attempt),
-                # Attempt-scoped kill prefix (trailing dot so "a1" never
-                # matches an "a10" label): killing this container cancels
-                # only this attempt's flows, not a live sibling's.
-                tag=f"{task_id}.a{attempt.number}.",
-            )
-            grant_ev = self.rm.allocate(request)
-            container = yield grant_ev
-            attempt.container = container
-            if token_held:
-                self._request_tokens[ttype].release()
-                token_held = False
-                tok_ev = None  # consumed; cleanup must not release again
-            if gated:
-                config = self._launch_config(task_id, config)
-                attempt.config = config
-            nm = self.node_managers[container.node.node_id]
-            if (
-                nm.decommissioned
-                or nm.draining
-                or self.rm.is_node_lost(container.node.node_id)
-            ):
-                # The node died (or started draining) while the grant
-                # was in flight.
-                stats = self._synthesize_failure(
-                    run, attempt, "node_lost",
-                    f"{container.node.hostname} lost before launch",
-                )
-            else:
-                if ttype is TaskType.MAP:
-                    task_gen = run_map_task(
-                        self.ctx, run.index, self._input_file.blocks[run.index],
-                        container, config, attempt.number, attempt.wave,
-                    )
-                else:
-                    task_gen = run_reduce_task(
-                        self.ctx, run.index, container, config,
-                        attempt.number, attempt.wave,
-                    )
-                proc = nm.launch(container, task_gen)
-                attempt.process = proc
-                launched = True
-                self.progress.start(
-                    task_id, attempt.number, ttype, container.node.node_id, self.sim.now
-                )
-                stats = yield proc
+            container = yield from self._acquire(run, attempt)
+            stats = yield from self._launch(run, attempt, container)
         except Interrupt as interrupt:
-            cause = interrupt.cause
-            kind = getattr(cause, "kind", "") or "preempted"
-            detail = getattr(cause, "detail", "") or str(cause)
-            # Stage-aware rollback of everything the attempt held.
-            if gated and admit_ev is not None and not admitted:
-                # Granted-but-undelivered admissions occupy a wave slot;
-                # queued ones are simply removed.
-                if admit_ev.scheduled or admit_ev.triggered:
-                    admitted = True
-                else:
-                    self.gate.retract(ttype, admit_ev)
-            if token_held:
-                self._request_tokens[ttype].release()
-                token_held = False
-            elif tok_ev is not None and not token_held:
-                if not self._request_tokens[ttype].cancel(tok_ev):
-                    if tok_ev.scheduled or tok_ev.triggered:
-                        self._request_tokens[ttype].release()
-            if attempt.container is None and grant_ev is not None:
-                if grant_ev.scheduled or grant_ev.triggered:
-                    attempt.container = grant_ev.value  # granted, undelivered
-                elif request is not None:
-                    self.rm.cancel(request)
-            stats = self._synthesize_failure(run, attempt, kind, detail)
+            stats = self._rollback(run, attempt, interrupt.cause)
+        self._settle(run, attempt, stats)
 
-        assert stats is not None
-        if attempt.container is not None and attempt.container.state is not (
-            ContainerState.RELEASED
-        ):
+    def _acquire(
+        self, run: _TaskRun, attempt: _Attempt
+    ) -> Generator[Event, object, Container]:
+        """Admission, token, config, headroom, then the container grant."""
+        ttype = run.task_type
+        tokens = self._request_tokens[ttype]
+        if not attempt.speculative:
+            attempt.wave = yield attempt.enter(
+                _Stage.ADMISSION, self.gate.admit(ttype, self.sim)
+            )
+            yield attempt.enter(_Stage.TOKEN, tokens.acquire())
+        config = attempt.config = self._resolve_config(run, attempt)
+        if ttype is TaskType.MAP:
+            resource = Resource.of_mb(
+                int(config[P.MAP_MEMORY_MB]), int(config[P.MAP_CPU_VCORES])
+            )
+            preferred = tuple(
+                loc.node_id for loc in self._input_file.blocks[run.index].locations
+            )
+            priority = Priority.MAP
+        else:
+            resource = Resource.of_mb(
+                int(config[P.REDUCE_MEMORY_MB]), int(config[P.REDUCE_CPU_VCORES])
+            )
+            preferred = ()
+            priority = Priority.REDUCE
+            attempt.stage, attempt.pending = _Stage.HEADROOM, None
+            yield from self._await_reduce_headroom(resource.memory_bytes)
+        attempt.request = ContainerRequest(
+            app_id=self.spec.job_id,
+            resource=resource,
+            priority=priority,
+            preferred_nodes=preferred,
+            blacklisted_nodes=tuple(sorted(self._blacklisted_nodes | set(attempt.avoid_nodes))),
+            # Attempt-scoped kill prefix (trailing dot so "a1" never
+            # matches an "a10" label): killing this container cancels
+            # only this attempt's flows, not a live sibling's.
+            tag=f"{run.task_id}.a{attempt.number}.",
+        )
+        container = yield attempt.enter(_Stage.GRANT, self.rm.allocate(attempt.request))
+        attempt.container = container
+        if not attempt.speculative:
+            tokens.release()
+            attempt.config = self._launch_config(run.task_id, config)
+        return container
+
+    def _launch(
+        self, run: _TaskRun, attempt: _Attempt, container: Container
+    ) -> Generator[Event, object, TaskStats]:
+        """Run the task in its granted container; return its stats."""
+        nm = self.node_managers[container.node.node_id]
+        if nm.decommissioned or nm.draining or self.rm.is_node_lost(container.node.node_id):
+            # The node died (or started draining) while the grant was in
+            # flight.
+            return self._synthesize_failure(
+                run, attempt, "node_lost", f"{container.node.hostname} lost before launch"
+            )
+        if run.task_type is TaskType.MAP:
+            task_gen = run_map_task(
+                self.ctx, run.index, self._input_file.blocks[run.index],
+                container, attempt.config, attempt.number, attempt.wave,
+            )
+        else:
+            task_gen = run_reduce_task(
+                self.ctx, run.index, container, attempt.config,
+                attempt.number, attempt.wave,
+            )
+        process = nm.launch(container, task_gen)
+        self.progress.start(
+            run.task_id, attempt.number, run.task_type, container.node.node_id, self.sim.now
+        )
+        return (yield attempt.enter(_Stage.RUNNING, process))
+
+    def _rollback(self, run: _TaskRun, attempt: _Attempt, cause: object) -> TaskStats:
+        """Undo what an attempt interrupted at ``attempt.stage`` holds.
+
+        A pending event that was already granted but not yet delivered
+        counts as held, so it is released rather than withdrawn.
+        """
+        ttype, stage, pending = run.task_type, attempt.stage, attempt.pending
+        tokens = self._request_tokens[ttype]
+        granted = pending is not None and (pending.scheduled or pending.triggered)
+        if stage is _Stage.ADMISSION:
+            if granted:
+                attempt.stage = _Stage.TOKEN  # admitted: settling frees the slot
+            else:
+                self.gate.retract(ttype, pending)
+        elif stage is _Stage.TOKEN:
+            if not tokens.cancel(pending) and granted:
+                tokens.release()
+        elif stage in (_Stage.HEADROOM, _Stage.GRANT) and not attempt.speculative:
+            tokens.release()
+        if stage is _Stage.GRANT:
+            if granted:
+                attempt.container = pending.value  # granted, undelivered
+            else:
+                self.rm.cancel(attempt.request)
+        kind = getattr(cause, "kind", "") or "preempted"
+        detail = getattr(cause, "detail", "") or str(cause)
+        return self._synthesize_failure(run, attempt, kind, detail)
+
+    def _settle(self, run: _TaskRun, attempt: _Attempt, stats: TaskStats) -> None:
+        """Release what the attempt holds, arbitrate, record, and report."""
+        ttype = run.task_type
+        if attempt.container is not None:
             self.rm.release_container(attempt.container)
-        if mem_counted:
-            self._reduce_mem_outstanding -= mem_counted
-        if launched:
-            self.progress.finish(task_id, attempt.number)
+        if ttype is TaskType.REDUCE and attempt.stage > _Stage.HEADROOM:
+            self._reduce_mem_outstanding -= attempt.request.resource.memory_bytes
+        if attempt.stage is _Stage.RUNNING:
+            self.progress.finish(run.task_id, attempt.number)
         if not stats.failed and run.winner is not None:
             # Photo-finish: another attempt committed first this instant.
             stats.failed = True
@@ -678,19 +700,18 @@ class MRAppMaster:
                     node_id=stats.node_id,
                     track=f"container-{container_id}" if container_id >= 0 else "am",
                     job_id=self.spec.job_id,
-                    task=str(task_id),
+                    task=str(run.task_id),
                     attempt=attempt.number,
                     failed=stats.failed,
                     speculative=stats.speculative,
                 )
             )
         self._record(stats)
-        if gated and admitted:
+        if not attempt.speculative and attempt.stage > _Stage.ADMISSION:
             self.gate.task_completed(ttype)
         self._poke_headroom()
-        attempt.settled = True
-        if attempt in run.running:
-            run.running.remove(attempt)
+        attempt.stage = _Stage.SETTLED
+        run.running.remove(attempt)
         run.inbox.append((attempt, stats))
         if run.waiter is not None and not run.waiter.triggered:
             waiter, run.waiter = run.waiter, None
@@ -700,30 +721,15 @@ class MRAppMaster:
         self, run: _TaskRun, attempt: _Attempt, kind: str, detail: str
     ) -> TaskStats:
         """Stats for an attempt that never got to report its own."""
-        node_id = attempt.container.node.node_id if attempt.container else -1
-        config = attempt.config.as_dict() if attempt.config is not None else {}
-        now = self.sim.now
-        entry = None
-        for p in self.progress.attempts_of(run.task_id):
-            if p.attempt == attempt.number:
-                entry = p
-                break
-        start = entry.start_time if entry is not None else now
-        return TaskStats(
-            task_id=run.task_id,
-            task_type=run.task_type,
-            node_id=node_id,
+        container = attempt.container
+        entry = self.progress.get(run.task_id, attempt.number)
+        return _lost_attempt_stats(
+            run, self.sim.now,
+            node_id=container.node.node_id if container else -1,
             attempt=attempt.number,
-            config=config,
-            start_time=start,
-            end_time=now,
-            cpu_seconds=0.0,
-            allocated_cores=0.0,
-            working_set_bytes=0.0,
-            container_memory_bytes=(
-                attempt.container.memory_bytes if attempt.container else 0.0
-            ),
-            failed=True,
+            config=attempt.config.as_dict() if attempt.config is not None else {},
+            start_time=entry.start_time if entry is not None else self.sim.now,
+            container_memory_bytes=container.memory_bytes if container else 0.0,
             failure_reason=detail,
             failure_kind=kind,
             speculative=attempt.speculative,
@@ -731,18 +737,16 @@ class MRAppMaster:
         )
 
     def _kill_attempt(self, attempt: _Attempt, reason: KillReason) -> None:
-        if attempt.settled:
-            return
-        if attempt.process is not None:
-            if not attempt.process.triggered and attempt.container is not None:
-                nm = self.node_managers[attempt.container.node.node_id]
-                nm.kill_container(attempt.container, reason)
-        elif attempt.runner is not None and not attempt.runner.triggered:
+        """Kill the container of a running attempt, else interrupt its wait."""
+        if attempt.stage is _Stage.RUNNING:
+            nm = self.node_managers[attempt.container.node.node_id]
+            nm.kill_container(attempt.container, reason)
+        elif not attempt.settled:
             attempt.runner.interrupt(reason)
 
     def _kill_losers(self, run: _TaskRun, winner: _Attempt) -> None:
         for other in list(run.running):
-            if other is winner or other.settled:
+            if other is winner:
                 continue
             self._kill_attempt(
                 other,
@@ -897,19 +901,13 @@ class MRAppMaster:
         )
         winner, run.winner = run.winner, None
         run.env_failures += 1
-        stats = TaskStats(
-            task_id=run.task_id,
-            task_type=run.task_type,
+        stats = _lost_attempt_stats(
+            run, self.sim.now,
             node_id=src_node_id,
             attempt=winner.attempt if winner is not None else run.attempt_counter,
             config=dict(winner.config) if winner is not None else {},
             start_time=self.sim.now,
-            end_time=self.sim.now,
-            cpu_seconds=0.0,
-            allocated_cores=0.0,
-            working_set_bytes=0.0,
             container_memory_bytes=0.0,
-            failed=True,
             failure_reason=(
                 f"map output {map_index} lost after {reports} fetch-failure report(s)"
             ),
@@ -1042,11 +1040,8 @@ class MRAppMaster:
                 or self._map_lifecycles_done >= self.dataflow.num_maps
             ):
                 self._start_reduces()
-        else:
-            if failed:
-                self._permanent_failures += 1
-            else:
-                self._completed_reduces += 1
+        elif failed:
+            self._permanent_failures += 1
         self._lifecycle_finished()
 
     # ------------------------------------------------------------------
@@ -1102,7 +1097,7 @@ class MRAppMaster:
             1
             for run in self._runs.values()
             for a in run.running
-            if a.speculative and not a.settled
+            if a.speculative
         )
         budget = settings.max_concurrent - backups_running
         if budget <= 0:
@@ -1115,17 +1110,13 @@ class MRAppMaster:
             if len(run.running) != 1:
                 continue  # at most one backup, and only for lone attempts
             primary = run.running[0]
-            if primary.speculative or primary.process is None or primary.settled:
+            if primary.speculative or primary.stage is not _Stage.RUNNING:
                 continue
             durations = self._completed_durations[run.task_type]
             if len(durations) < settings.min_completed:
                 continue
             mean_duration = sum(durations) / len(durations)
-            entry = None
-            for p in self.progress.attempts_of(run.task_id):
-                if p.attempt == primary.number:
-                    entry = p
-                    break
+            entry = self.progress.get(run.task_id, primary.number)
             if entry is None:
                 continue
             elapsed = now - entry.start_time
@@ -1145,24 +1136,35 @@ class MRAppMaster:
             avoid = ()
             if primary.container is not None:
                 avoid = (primary.container.node.node_id,)
-            self.counters.increment(Counter.SPECULATIVE_TASK_ATTEMPTS)
-            tel = self._telemetry("yarn")
-            if tel is not None:
-                from repro.telemetry.events import SpeculativeLaunch
+            self._launch_backup(run, primary, avoid, "yarn.speculative_launches")
 
-                tel.emit(
-                    SpeculativeLaunch(
-                        time=now,
-                        job_id=self.spec.job_id,
-                        task=str(run.task_id),
-                        attempt=run.attempt_counter + 1,
-                    )
+    def _launch_backup(
+        self,
+        run: _TaskRun,
+        primary: _Attempt,
+        avoid_nodes: Tuple[int, ...],
+        counter: str,
+        migration: bool = False,
+    ) -> None:
+        """Start a copy of *primary* with its tier and exact configuration."""
+        self.counters.increment(Counter.SPECULATIVE_TASK_ATTEMPTS)
+        tel = self._telemetry("yarn")
+        if tel is not None:
+            from repro.telemetry.events import SpeculativeLaunch
+
+            tel.emit(
+                SpeculativeLaunch(
+                    time=self.sim.now,
+                    job_id=self.spec.job_id,
+                    task=str(run.task_id),
+                    attempt=run.attempt_counter + 1,
                 )
-                tel.increment("yarn.speculative_launches")
-            self._spawn_attempt(
-                run, speculative=True, tier=primary.tier,
-                config=primary.config, avoid_nodes=avoid,
             )
+            tel.increment(counter)
+        self._spawn_attempt(
+            run, speculative=True, tier=primary.tier, config=primary.config,
+            avoid_nodes=avoid_nodes, migration=migration,
+        )
 
     # ------------------------------------------------------------------
     # Elastic churn: grace-window migration
@@ -1190,41 +1192,19 @@ class MRAppMaster:
                 continue
             doomed = [
                 a for a in run.running
-                if not a.settled
-                and a.container is not None
-                and a.container.node.node_id == node_id
+                if a.container is not None and a.container.node.node_id == node_id
             ]
             if not doomed:
                 continue
-            if any(
-                not a.settled
-                and (a.container is None or a.container.node.node_id != node_id)
-                for a in run.running
-            ):
+            if len(doomed) < len(run.running):
                 # A live copy already exists (or is pending placement)
                 # off the doomed node; the scheduler no longer places on
                 # draining nodes, so that copy covers the task.
                 continue
             primary = doomed[0]
             self.preempt_migrations += 1
-            self.counters.increment(Counter.SPECULATIVE_TASK_ATTEMPTS)
-            tel = self._telemetry("yarn")
-            if tel is not None:
-                from repro.telemetry.events import SpeculativeLaunch
-
-                tel.emit(
-                    SpeculativeLaunch(
-                        time=self.sim.now,
-                        job_id=self.spec.job_id,
-                        task=str(run.task_id),
-                        attempt=run.attempt_counter + 1,
-                    )
-                )
-                tel.increment("elastic.preempt_migrations")
-            self._spawn_attempt(
-                run, speculative=True, tier=primary.tier,
-                config=primary.config, avoid_nodes=(node_id,),
-                migration=True,
+            self._launch_backup(
+                run, primary, (node_id,), "elastic.preempt_migrations", migration=True
             )
 
     # ------------------------------------------------------------------

@@ -164,14 +164,16 @@ class TestProgressBoard:
         board.update(self.tid(), 1, 0.5)  # never started
         assert board.running() == []
 
-    def test_attempts_of_orders_speculative_backups(self):
+    def test_get_finds_one_attempt_of_one_task(self):
         board = self.make_board()
         board.start(self.tid(), 2, TaskType.MAP, node_id=1, now=5.0)
         board.start(self.tid(), 1, TaskType.MAP, node_id=0, now=0.0)
         board.start(self.tid(index=1), 1, TaskType.MAP, node_id=2, now=0.0)
-        attempts = board.attempts_of(self.tid())
-        assert [a.attempt for a in attempts] == [1, 2]
-        assert all(str(a.task_id) == str(self.tid()) for a in attempts)
+        backup = board.get(self.tid(), 2)
+        assert (str(backup.task_id), backup.attempt) == (str(self.tid()), 2)
+        assert backup.node_id == 1 and backup.start_time == 5.0
+        assert board.get(self.tid(index=1), 1).node_id == 2
+        assert board.get(self.tid(index=1), 2) is None
 
     def test_speculative_finish_removes_only_that_attempt(self):
         # The loser of a speculative race is cleaned up independently of
@@ -180,9 +182,10 @@ class TestProgressBoard:
         board.start(self.tid(), 1, TaskType.MAP, node_id=0, now=0.0)
         board.start(self.tid(), 2, TaskType.MAP, node_id=1, now=5.0)
         board.finish(self.tid(), 1)
-        assert [a.attempt for a in board.attempts_of(self.tid())] == [2]
+        assert board.get(self.tid(), 1) is None
+        assert board.get(self.tid(), 2).attempt == 2
         board.finish(self.tid(), 2)
-        assert board.attempts_of(self.tid()) == []
+        assert board.running() == []
 
     def test_finish_is_idempotent(self):
         board = self.make_board()
