@@ -1,0 +1,167 @@
+"""Pinned outcomes of the experiment drivers outside ``execute_request``.
+
+The run digests pin what :func:`execute_request` produces.  The other
+drivers -- the expedited and single-run protocols, tournament lanes,
+traced runs and the fault experiment -- build their clusters and tuners
+themselves, so these pins hash their results directly: every field of
+the protocol results, the tournament lanes' search traces and times,
+the traced runs' JSONL digests and the fault experiment's plans and
+digest.  A refactor of the run path must leave every one unchanged.
+
+Print the current values with::
+
+    PYTHONPATH=src python -m tests.experiments.test_driver_pins --record
+"""
+
+import dataclasses
+import hashlib
+import itertools
+import sys
+
+import pytest
+
+from repro.core.configuration import Configuration
+from repro.core.hill_climbing import HillClimbSettings
+from repro.experiments import expedited
+from repro.experiments.faults import run_fault_experiment
+from repro.experiments.single_run import run_single_run_case
+from repro.experiments.tournament import TournamentEntry, run_tournament_entry
+from repro.experiments.trace import run_traced_case
+from repro.faults import FAULT_KINDS
+from repro.workloads.suite import case_by_name, shrink_case
+
+#: The expedited protocol's hill-climb budget in ``test_protocols.py``.
+TINY_HC = HillClimbSettings(m=6, n=4, global_search_limit=1)
+
+
+def small_terasort():
+    return shrink_case(case_by_name("terasort"), num_blocks=8, num_reducers=4)
+
+
+def pin_global_ids():
+    """Reset the process-global id counters, as a fresh process would.
+
+    Job, container, request and block ids and optimizer sample ids all
+    reach the JSONL trace; pinning them keeps the digests independent
+    of which tests ran first.
+    """
+    from repro.cluster import container
+    from repro.core.optimizers import base
+    from repro.hdfs import block
+    from repro.mapreduce import jobspec
+    from repro.yarn import records
+
+    jobspec._job_ids = itertools.count(9000)
+    container._container_ids = itertools.count(1_000_000)
+    records._request_ids = itertools.count(1_000_000)
+    block._block_ids = itertools.count(1_000_000)
+    base._sample_ids = itertools.count(1_000_000)
+
+
+def sha(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+def plain(value):
+    """A configuration as sorted pairs; everything else unchanged."""
+    if isinstance(value, Configuration):
+        return sorted(value.as_dict().items())
+    return value
+
+
+def fields_digest(result) -> str:
+    return sha(
+        [(f.name, plain(getattr(result, f.name))) for f in dataclasses.fields(result)]
+    )
+
+
+def expedited_pin() -> str:
+    expedited._case_cache.clear()
+    try:
+        result = expedited.run_expedited_case(small_terasort(), 1, hill_climb=TINY_HC)
+    finally:
+        expedited._case_cache.clear()
+    return fields_digest(result)
+
+
+def single_run_pin() -> str:
+    return fields_digest(run_single_run_case(small_terasort(), 1))
+
+
+def tournament_pin(backend: str) -> str:
+    lane = run_tournament_entry(
+        TournamentEntry(backend, "terasort", 1, num_blocks=8, num_reducers=4)
+    )
+    return sha(
+        (lane.succeeded, lane.tuning_job_time, lane.tuned_job_time, lane.traces)
+    )
+
+
+def trace_pin(tuning: str) -> str:
+    pin_global_ids()
+    run = run_traced_case(
+        "wordcount-wikipedia", 1, tuning=tuning, num_blocks=4, num_reducers=2
+    )
+    return run.digest()
+
+
+def faults_pin() -> str:
+    report = run_fault_experiment(
+        "terasort",
+        1,
+        levels=("none", "low"),
+        num_blocks=8,
+        num_reducers=4,
+        max_workers=1,
+        kinds=FAULT_KINDS,
+    )
+    return sha((report.plans_json, report.digest))
+
+
+DRIVERS = {
+    "expedited": expedited_pin,
+    "single-run": single_run_pin,
+    "tournament-hill_climb": lambda: tournament_pin("hill_climb"),
+    "tournament-spsa": lambda: tournament_pin("spsa"),
+    "trace-none": lambda: trace_pin("none"),
+    "trace-aggressive": lambda: trace_pin("aggressive"),
+    "faults-all-kinds": faults_pin,
+}
+
+PINS = {
+    "expedited": (
+        "8d4f25a3c89d2acf8c1d7df5c41b4186120576552c0e1c4e3f994d547860606d"
+    ),
+    "single-run": (
+        "4e2965cc0ba05a9d3403043905e26dc79107e2b0b153df15479b2f0acc8e484e"
+    ),
+    "tournament-hill_climb": (
+        "254995c37e17fea8985f8579ce6090efc8e48c6c8c32969d7910dc884c59f35d"
+    ),
+    "tournament-spsa": (
+        "a6065eded790da76116d297c3212adb2eb60ffe08e57ce4abda7f3441523b3f4"
+    ),
+    "trace-none": (
+        "f53e5266e90e9746a7fc27f57c954646b8a8c6a317b9d84afef1869f12d26b0f"
+    ),
+    "trace-aggressive": (
+        "a5ec3f6ef4e5f0ef29128da6d076542e5304ca1aaf616e5643406991d1454222"
+    ),
+    "faults-all-kinds": (
+        "562e6db54dc6394ff56f06b6d0ab90a995cb62ba42cab31cf395f978422470c1"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_driver_pin(name):
+    assert DRIVERS[name]() == PINS[name]
+
+
+def test_every_driver_is_pinned():
+    assert set(PINS) == set(DRIVERS)
+
+
+if __name__ == "__main__" and "--record" in sys.argv:
+    for name in sorted(DRIVERS):
+        print(f'    "{name}": (\n        "{DRIVERS[name]()}"\n    ),')
