@@ -31,7 +31,7 @@ loop via :func:`repro.core.optimizers.make_optimizer`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "INFEASIBLE_RADIUS",
     "Sample",
     "SearchPhase",
-    "drive_search",
 ]
 
 
@@ -245,33 +244,3 @@ class GrayBoxHillClimber(WaveOptimizer):
             # Local optimum found; try another global round (line 18-20).
             self.phase = SearchPhase.GLOBAL
             self._notify("local_done", neighborhood=self.neighborhood.size)
-
-def drive_search(
-    climber: "GrayBoxHillClimber",
-    evaluate_batch: Callable[[Sequence[np.ndarray]], Sequence[float]],
-) -> Optional[np.ndarray]:
-    """Run an asynchronous optimizer to completion with a batch evaluator.
-
-    The optimizer hands out whole waves (:meth:`WaveOptimizer.propose`)
-    whose samples are mutually independent, so *evaluate_batch* may
-    price them concurrently -- e.g. one full simulated run per
-    candidate fanned out over a process pool
-    (:func:`repro.experiments.parallel.offline_candidate_search`).
-    Costs are fed back in proposal order regardless of completion
-    order, so the search trajectory is identical for any degree of
-    parallelism.  Samples wanting several replicas are re-presented
-    until fully observed.  Works for any backend speaking the
-    :class:`repro.core.optimizers.base.Optimizer` protocol.
-    """
-    while not climber.finished:
-        if not climber.propose():
-            break
-        pending = climber.pending_samples()
-        costs = evaluate_batch([s.point for s in pending])
-        if len(costs) != len(pending):
-            raise ValueError(
-                f"evaluator returned {len(costs)} costs for {len(pending)} samples"
-            )
-        for sample, cost in zip(pending, costs):
-            climber.observe(sample.sample_id, float(cost))
-    return climber.best_point()

@@ -1,8 +1,7 @@
 """Pluggable optimizer backends behind one propose/observe protocol.
 
-The online tuner (and the offline candidate search) drive any backend
-registered here through the :class:`~repro.core.optimizers.base.
-Optimizer` protocol:
+The online tuner drives any backend registered here through the
+:class:`~repro.core.optimizers.base.Optimizer` protocol:
 
 * ``hill_climb`` -- the paper's gray-box smart hill climber
   (:class:`repro.core.hill_climbing.GrayBoxHillClimber`, Algorithm 1);

@@ -389,17 +389,6 @@ class OnlineTuner:
             control.register_tuner(self)
         return am
 
-    def submit_to(self, backend, spec: JobSpec):
-        """Attach, submit, and wire statistics on any execution backend.
-
-        The backend-agnostic twin of :meth:`submit`: delegates to
-        ``backend.attach_tuner(self, spec)`` (see
-        :mod:`repro.backends.base`), which is responsible for the
-        backend-specific wiring -- input sizing, stats listeners,
-        completion finalization.  Returns the backend's job handle.
-        """
-        return backend.attach_tuner(self, spec)
-
     # ------------------------------------------------------------------
     # Elastic capacity changes
     # ------------------------------------------------------------------

@@ -17,15 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro.backends.sim import SimBackend
 from repro.baselines.offline_guide import offline_guide_config
 from repro.core.configuration import Configuration
 from repro.core.hill_climbing import HillClimbSettings
-from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
-from repro.experiments.harness import SimCluster, checked_duration
+from repro.core.tuner import TunerSettings, TuningStrategy
+from repro.experiments.harness import checked_duration, run_tuned
 from repro.mapreduce.jobspec import TaskType
-from repro.sim.rng import derive_seed
 from repro.workloads.suite import BenchmarkCase, make_job_spec
 from repro.yarn.app_master import JobResult
 
@@ -66,13 +64,15 @@ def optimal_spills(result: JobResult) -> float:
 
 
 def run_default(case: BenchmarkCase, seed: int) -> JobResult:
-    sc = SimCluster(seed=seed)
-    return sc.run_job(make_job_spec(case, sc.hdfs))
+    return run_with_config(case, seed, None)
 
 
-def run_with_config(case: BenchmarkCase, seed: int, config: Configuration) -> JobResult:
-    sc = SimCluster(seed=seed)
-    return sc.run_job(make_job_spec(case, sc.hdfs, base_config=config))
+def run_with_config(
+    case: BenchmarkCase, seed: int, config: Optional[Configuration]
+) -> JobResult:
+    """One untuned run under *config* (``None`` = the YARN defaults)."""
+    backend = SimBackend(seed=seed)
+    return backend.run_job(make_job_spec(case, backend.hdfs, base_config=config))
 
 
 def run_aggressive_tuning(
@@ -88,17 +88,12 @@ def run_aggressive_tuning(
     *hill_climb* settings only apply to the hill-climber backend; other
     backends run with their own defaults.
     """
-    sc = SimCluster(seed=seed)
-    spec = make_job_spec(case, sc.hdfs)
-    tuner = OnlineTuner(
-        TuningStrategy.AGGRESSIVE,
-        settings=TunerSettings(
-            hill_climb=hill_climb or HillClimbSettings(), optimizer=optimizer
-        ),
-        rng=np.random.default_rng(derive_seed(seed, "tuner", case.name)),
+    backend = SimBackend(seed=seed)
+    spec = make_job_spec(case, backend.hdfs)
+    settings = TunerSettings(
+        hill_climb=hill_climb or HillClimbSettings(), optimizer=optimizer
     )
-    am = tuner.submit(sc, spec)
-    result = sc.sim.run_until_complete(am.completion)
+    result, tuner = run_tuned(backend, spec, TuningStrategy.AGGRESSIVE, seed, settings)
     return result, tuner.recommended_config(spec.job_id)
 
 

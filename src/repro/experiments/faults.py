@@ -24,6 +24,7 @@ from repro.experiments.parallel import (
     RunRequest,
     combined_digest,
     execute_request,
+    fault_counts,
     run_requests,
 )
 
@@ -33,23 +34,6 @@ FAULT_LEVELS: Dict[str, Dict[str, float]] = {
     "none": {},
     "low": {"container_kills": 2, "degraded": 1},
     "high": {"crashes": 1, "container_kills": 4, "degraded": 2},
-}
-
-#: Fault kind -> ``generate_fault_plan`` count knob (the ``--kinds``
-#: filter builds per-level knob dicts from this map).
-KIND_TO_KNOB: Dict[str, str] = {
-    "node_crash": "crashes",
-    "container_kill": "container_kills",
-    "degrade": "degraded",
-    "link_degrade": "link_degraded",
-    "link_flaky": "link_flaky",
-    "rack_partition": "rack_partitions",
-    "node_decommission": "decommissions",
-    "node_join": "joins",
-    "spot_preempt": "spot_preempts",
-    "tuner_crash": "tuner_crashes",
-    "monitor_outage": "monitor_outages",
-    "stats_gap": "stats_gaps",
 }
 
 #: Failure kind (``TaskStats.failure_kind``) -> the fault kind that
@@ -71,6 +55,8 @@ def levels_for_kinds(kinds: Tuple[str, ...]) -> Dict[str, Dict[str, float]]:
     capped at one each -- losing more nodes on a small test cluster
     starves the job rather than stressing recovery.
     """
+    from repro.faults import KIND_TO_KNOB
+
     unknown = [k for k in kinds if k not in KIND_TO_KNOB]
     if unknown:
         raise ValueError(
@@ -151,7 +137,7 @@ def run_fault_experiment(
     """Run the full resilience protocol for one case and seed.
 
     *kinds* restricts the generated scenarios to the named fault kinds
-    (see :data:`KIND_TO_KNOB`); without it the legacy node/container
+    (see :data:`repro.faults.KIND_TO_KNOB`); without it the legacy node/container
     levels in :data:`FAULT_LEVELS` apply.  *plan_json* bypasses
     generation entirely: the serialized plan replays verbatim at every
     non-``none`` level (the ``--plan-json`` round-trip).
@@ -253,18 +239,7 @@ def _level_plans(
             RngRegistry(seed).stream("faults", "plan"),
             num_nodes=num_nodes,
             horizon=horizon,
-            crashes=int(knobs.get("crashes", 0)),
-            container_kills=int(knobs.get("container_kills", 0)),
-            degraded=int(knobs.get("degraded", 0)),
-            link_degraded=int(knobs.get("link_degraded", 0)),
-            link_flaky=int(knobs.get("link_flaky", 0)),
-            rack_partitions=int(knobs.get("rack_partitions", 0)),
-            decommissions=int(knobs.get("decommissions", 0)),
-            joins=int(knobs.get("joins", 0)),
-            spot_preempts=int(knobs.get("spot_preempts", 0)),
-            tuner_crashes=int(knobs.get("tuner_crashes", 0)),
-            monitor_outages=int(knobs.get("monitor_outages", 0)),
-            stats_gaps=int(knobs.get("stats_gaps", 0)),
+            **fault_counts(knobs),
         )
         out.append((level, plan_to_json(plan)))
     return tuple(out)

@@ -1,20 +1,21 @@
-"""Integration harness: build a cluster, submit jobs, repeat with seeds.
+"""Integration harness: build a cluster, submit jobs, run a tuned job.
 
 :class:`SimCluster` assembles one simulated deployment (engine, nodes,
 network, HDFS, resource manager, node managers, central monitor) and
-offers a JobClient-like interface.  :class:`ExperimentRunner` runs the
-paper's protocol: every measurement is repeated over several seeds
-("we repeat each experiment four times ... and report the average").
+offers a JobClient-like interface.  :func:`run_tuned` is the one seeded
+tuned-run step every experiment driver shares.  Repeating a
+measurement over seeds ("we repeat each experiment four times ... and
+report the average") is :func:`repro.experiments.parallel.map_seeds`.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.topology import Cluster, ClusterSpec, build_cluster
-from repro.core.configuration import Configuration
+from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
 from repro.faults import FaultInjector, FaultPlan, generate_fault_plan
 from repro.hdfs.filesystem import HdfsFileSystem
 from repro.mapreduce.jobspec import JobSpec
@@ -22,9 +23,8 @@ from repro.monitor.central_monitor import CentralMonitor
 from repro.monitor.slave_monitor import SlaveMonitor
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, derive_seed
 from repro.telemetry import TelemetryBus
-from repro.workloads.suite import BenchmarkCase, make_job_spec
 from repro.yarn.app_master import (
     ConfigProvider,
     FaultToleranceSettings,
@@ -36,6 +36,9 @@ from repro.yarn.fair_scheduler import FairScheduler
 from repro.yarn.node_manager import NodeManager
 from repro.yarn.resource_manager import ResourceManager
 from repro.yarn.scheduler import FifoScheduler, SchedulerBase
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.base import Backend
 
 
 class SimCluster:
@@ -98,23 +101,15 @@ class SimCluster:
     def inject_faults(
         self,
         plan: Optional[FaultPlan] = None,
-        crashes: int = 0,
-        container_kills: int = 0,
-        degraded: int = 0,
         horizon: float = 0.0,
-        link_degraded: int = 0,
-        link_flaky: int = 0,
-        rack_partitions: int = 0,
-        decommissions: int = 0,
-        joins: int = 0,
-        spot_preempts: int = 0,
-        tuner_crashes: int = 0,
-        monitor_outages: int = 0,
-        stats_gaps: int = 0,
+        **counts: int,
     ) -> FaultPlan:
         """Arm fault injection, from an explicit *plan* or generated knobs.
 
-        Without *plan*, a scenario is drawn from the dedicated
+        Without *plan*, a scenario is drawn with
+        :func:`~repro.faults.generate_fault_plan`, which takes the
+        *counts* (``crashes=1``, ``link_flaky=2``, ... -- see
+        :data:`~repro.faults.KIND_TO_KNOB`), from the dedicated
         ``("faults", "plan")`` RNG stream -- fault-free runs never touch
         that stream, so arming faults cannot perturb any other random
         draw, and the same seed always produces the same scenario.
@@ -130,18 +125,7 @@ class SimCluster:
                 self.rngs.stream("faults", "plan"),
                 num_nodes=len(self.cluster.nodes),
                 horizon=horizon,
-                crashes=crashes,
-                container_kills=container_kills,
-                degraded=degraded,
-                link_degraded=link_degraded,
-                link_flaky=link_flaky,
-                rack_partitions=rack_partitions,
-                decommissions=decommissions,
-                joins=joins,
-                spot_preempts=spot_preempts,
-                tuner_crashes=tuner_crashes,
-                monitor_outages=monitor_outages,
-                stats_gaps=stats_gaps,
+                **counts,
             )
         elastic = None
         if plan.has_elastic_faults:
@@ -273,144 +257,22 @@ def checked_duration(result: JobResult) -> float:
     return result.duration
 
 
-@dataclass
-class RepeatedMeasurement:
-    """Aggregate of one metric over seed replicas."""
-
-    values: List[float]
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.values)
-
-    @property
-    def stdev(self) -> float:
-        return statistics.stdev(self.values) if len(self.values) > 1 else 0.0
-
-
-def _validate_case(case: Union[BenchmarkCase, str]) -> BenchmarkCase:
-    """Resolve and sanity-check a case *before* any simulation starts.
-
-    Accepts the case object or its Table-3 name.  An unknown name, an
-    empty dataset, or a non-positive reducer count raises here, in the
-    submitting process, instead of surfacing as a crash deep inside the
-    first (possibly pooled) replica run.
-    """
-    if isinstance(case, str):
-        from repro.workloads.suite import case_by_name
-
-        case = case_by_name(case)  # raises KeyError on unknown names
-    if case.num_reducers < 1:
-        raise ValueError(f"case {case.name!r}: num_reducers must be >= 1")
-    if case.dataset.num_blocks < 1:
-        raise ValueError(f"case {case.name!r}: dataset has no blocks")
-    return case
-
-
-def _run_case_replica(
-    case: BenchmarkCase,
+def run_tuned(
+    backend: "Backend",
+    spec: JobSpec,
+    strategy: TuningStrategy,
     seed: int,
-    base_config: Optional[Configuration],
-    scheduler: str,
-) -> JobResult:
-    """Top-level (hence picklable) worker for one run_case replica."""
-    from repro.backends.sim import SimBackend
+    settings: Optional[TunerSettings] = None,
+) -> Tuple[JobResult, OnlineTuner]:
+    """Run *spec* on *backend* co-executed with a freshly seeded tuner.
 
-    backend = SimBackend(seed=seed, scheduler=scheduler)
-    spec = make_job_spec(case, backend.hdfs, base_config=base_config)
-    return backend.run_job(spec)
-
-
-class ExperimentRunner:
-    """Repeats a measurement over seeds, paper-style (4 runs, mean).
-
-    ``parallel=True`` fans the replica runs out over a process pool
-    (``max_workers`` defaults to the ``REPRO_WORKERS`` environment knob
-    and then to the CPU count); replicas are independently seeded, so
-    results are bit-identical to the serial path.
+    The tuner's RNG comes from ``derive_seed(seed, "tuner", spec.name)``,
+    so every driver that tunes the same case under the same seed walks
+    the same search.  Returns the job result and the tuner.
     """
-
-    def __init__(self, replicas: int = 4, base_seed: int = 1) -> None:
-        if replicas < 1:
-            raise ValueError("need at least one replica")
-        self.replicas = replicas
-        self.base_seed = base_seed
-
-    def seeds(self) -> List[int]:
-        return [self.base_seed + i for i in range(self.replicas)]
-
-    def measure(
-        self,
-        fn: Callable[[int], float],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> RepeatedMeasurement:
-        """Run ``fn(seed)`` for each replica seed and aggregate.
-
-        The parallel path requires *fn* to be picklable (a top-level
-        function or a :func:`functools.partial` over one).
-        """
-        if parallel:
-            from repro.experiments.parallel import map_seeds
-
-            values = map_seeds(fn, self.seeds(), max_workers=max_workers)
-            return RepeatedMeasurement([float(v) for v in values])
-        return RepeatedMeasurement([float(fn(seed)) for seed in self.seeds()])
-
-    def run_case(
-        self,
-        case: Union[BenchmarkCase, str],
-        base_config: Optional[Configuration] = None,
-        scheduler: str = "fifo",
-        config_provider_factory: Optional[
-            Callable[[SimCluster, JobSpec], ConfigProvider]
-        ] = None,
-        gate_factory: Optional[Callable[[SimCluster, JobSpec], LaunchGate]] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> List[JobResult]:
-        """Run one benchmark case once per seed; returns all results.
-
-        *case* may be a :class:`BenchmarkCase` or a Table-3 case name;
-        either way it is validated up front, before the first cluster is
-        built.  Provider/gate factories close over live cluster state,
-        so they are incompatible with the process-pool path.
-        """
-        case = _validate_case(case)
-        if parallel:
-            if config_provider_factory or gate_factory:
-                raise ValueError(
-                    "provider/gate factories bind to live cluster state and "
-                    "cannot cross the process boundary; use parallel=False"
-                )
-            from functools import partial
-
-            from repro.experiments.parallel import map_seeds
-
-            return map_seeds(
-                partial(
-                    _run_case_replica,
-                    case,
-                    base_config=base_config,
-                    scheduler=scheduler,
-                ),
-                self.seeds(),
-                max_workers=max_workers,
-            )
-        from repro.backends.sim import SimBackend
-
-        results = []
-        for seed in self.seeds():
-            # The serial path runs behind the Backend protocol too; the
-            # factories keep receiving the live SimCluster they close over.
-            backend = SimBackend(seed=seed, scheduler=scheduler)
-            sc = backend.cluster
-            spec = make_job_spec(case, sc.hdfs, base_config=base_config)
-            provider = (
-                config_provider_factory(sc, spec) if config_provider_factory else None
-            )
-            gate = gate_factory(sc, spec) if gate_factory else None
-            results.append(
-                backend.run_job(spec, config_provider=provider, gate=gate)
-            )
-        return results
+    tuner = OnlineTuner(
+        strategy,
+        settings=settings,
+        rng=np.random.default_rng(derive_seed(seed, "tuner", spec.name)),
+    )
+    return backend.wait(backend.attach_tuner(tuner, spec)), tuner

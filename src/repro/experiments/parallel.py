@@ -5,8 +5,8 @@ simulation over seed replicas ("we repeat each experiment four times
 ... and report the average"), and the replicas are fully independent:
 each one builds its own :class:`~repro.experiments.harness.SimCluster`
 seeded by its own :class:`~repro.sim.rng.RngRegistry`.  The serial
-loops in the harness and the figure benchmarks therefore leave every
-core but one idle.  This module fans those loops out across a
+loops in the experiment drivers and the figure benchmarks therefore
+leave every core but one idle.  This module fans those loops out across a
 :class:`concurrent.futures.ProcessPoolExecutor` without changing a
 single simulated outcome.
 
@@ -17,9 +17,10 @@ picklable, so work crosses the process boundary *declaratively*:
   configuration overrides, scheduler kind, optional tuning mode --
   using only plain picklable values;
 * :func:`execute_request` is a pure top-level worker that rebuilds the
-  cluster from the request, runs the job, and returns a slim
-  :class:`RunOutcome` (job time, phase times, spill/shuffle counters,
-  per-node utilization summary);
+  cluster from the request (:func:`build_request`), runs the job
+  (:func:`run_request`), and returns a slim :class:`RunOutcome` (job
+  time, phase times, spill/shuffle counters, per-node utilization
+  summary);
 * :func:`run_digest` reduces an outcome to a stable hash, so tests and
   the CI determinism gate can assert that parallel execution is
   bit-identical to the serial path.
@@ -39,9 +40,14 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.sim import SimBackend
+    from repro.faults import FaultPlan
+    from repro.yarn.app_master import JobResult
 
 #: Environment knob: worker processes for seed/candidate fan-out.
 #: Unset or ``0`` means ``os.cpu_count()``; ``1`` forces the exact
@@ -138,12 +144,10 @@ class RunRequest:
     num_blocks: Optional[int] = None
     num_reducers: Optional[int] = None
     #: Fault-scenario knobs as sorted ``(name, value)`` pairs -- the
-    #: declarative input to :func:`repro.faults.generate_fault_plan`
-    #: (``crashes``, ``container_kills``, ``degraded``, ``horizon``,
-    #: ``link_degraded``, ``link_flaky``, ``rack_partitions``,
-    #: ``decommissions``, ``joins``, ``spot_preempts``,
-    #: ``tuner_crashes``, ``monitor_outages``, ``stats_gaps``).
-    #: The plan itself is drawn worker-side from the run's own seeded
+    #: declarative input to :func:`repro.faults.generate_fault_plan`:
+    #: a positive ``horizon`` plus non-negative integer counts named
+    #: by :data:`repro.faults.KIND_TO_KNOB`.  The plan itself is drawn
+    #: worker-side from the run's own seeded
     #: ``("faults", "plan")`` stream, so the same request always yields
     #: the same scenario.  Alternatively a single ``("plan", json)``
     #: entry replays an explicit serialized plan (see
@@ -157,25 +161,29 @@ class RunRequest:
         if self.num_reducers is not None and self.num_reducers < 1:
             raise ValueError("num_reducers override must be >= 1")
         if self.faults is not None:
-            names = [name for name, _v in self.faults]
-            if "plan" in names:
+            knobs = dict(self.faults)
+            if "plan" in knobs:
                 if len(self.faults) != 1:
                     raise ValueError("a 'plan' fault entry must be the only knob")
                 from repro.faults import plan_from_json
 
-                plan_from_json(str(dict(self.faults)["plan"]))  # validate early
+                plan_from_json(str(knobs["plan"]))  # validate early
                 return
-            known = {
-                "crashes", "container_kills", "degraded", "horizon",
-                "link_degraded", "link_flaky", "rack_partitions",
-                "decommissions", "joins", "spot_preempts",
-                "tuner_crashes", "monitor_outages", "stats_gaps",
-            }
-            bad = [name for name, _v in self.faults if name not in known]
+            from repro.faults import KIND_TO_KNOB
+
+            known = {"horizon", *KIND_TO_KNOB.values()}
+            bad = [name for name in knobs if name not in known]
             if bad:
                 raise ValueError(f"unknown fault knob(s) {bad}, want a subset of {sorted(known)}")
-            if float(dict(self.faults).get("horizon", 0.0)) <= 0.0:
+            if float(knobs.get("horizon", 0.0)) <= 0.0:
                 raise ValueError("fault scenarios need a positive 'horizon' knob")
+            # Checked here, not in the worker: int() would silently turn
+            # 0.5 into 0, and a pool worker's error is retried first.
+            for name, value in knobs.items():
+                if name != "horizon" and (value < 0 or value != int(value)):
+                    raise ValueError(
+                        f"fault count {name}={value!r} must be a non-negative integer"
+                    )
 
     @classmethod
     def build(
@@ -302,23 +310,20 @@ def _phase_time(result, task_type) -> float:
     return max(s.end_time for s in stats) - min(s.start_time for s in stats)
 
 
-def execute_request(request: RunRequest) -> RunOutcome:
-    """Pure top-level worker: rebuild the cluster, run, summarize.
+def fault_counts(knobs: Dict[str, object]) -> Dict[str, int]:
+    """The count knobs of a fault-knob dict, as ints (``horizon`` dropped)."""
+    return {name: int(value) for name, value in knobs.items() if name != "horizon"}
 
-    Runs entirely from the request's declarative fields, so it executes
-    identically in the parent process (serial path) and in a pool
-    worker -- determinism is preserved because each replica owns its
-    own ``RngRegistry(seed)`` and no state crosses runs.
+
+def build_request(request: RunRequest) -> Tuple["SimBackend", Optional["FaultPlan"]]:
+    """The build step: a fresh backend with the request's faults armed.
+
+    Returns the backend and the injected plan (``None`` when fault-free).
+    Callers may attach observers to the backend's telemetry bus before
+    handing it to :func:`run_request`.
     """
-    import numpy as np
-
     from repro.backends.sim import SimBackend
-    from repro.mapreduce.counters import Counter
-    from repro.mapreduce.jobspec import TaskType
-    from repro.sim.rng import derive_seed
-    from repro.workloads.suite import make_job_spec
 
-    case = resolve_case(request)
     fault_tolerance = None
     if request.faults is not None:
         from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
@@ -335,52 +340,62 @@ def execute_request(request: RunRequest) -> RunOutcome:
         scheduler=request.scheduler,
         fault_tolerance=fault_tolerance,
     )
-    sc = backend.cluster
     plan = None
     if request.faults is not None:
         knobs = dict(request.faults)
         if "plan" in knobs:
             from repro.faults import plan_from_json
 
-            plan = sc.inject_faults(plan=plan_from_json(str(knobs["plan"])))
+            plan = backend.inject_faults(plan=plan_from_json(str(knobs["plan"])))
         else:
-            plan = sc.inject_faults(
-                crashes=int(knobs.get("crashes", 0)),
-                container_kills=int(knobs.get("container_kills", 0)),
-                degraded=int(knobs.get("degraded", 0)),
-                horizon=float(knobs["horizon"]),
-                link_degraded=int(knobs.get("link_degraded", 0)),
-                link_flaky=int(knobs.get("link_flaky", 0)),
-                rack_partitions=int(knobs.get("rack_partitions", 0)),
-                decommissions=int(knobs.get("decommissions", 0)),
-                joins=int(knobs.get("joins", 0)),
-                spot_preempts=int(knobs.get("spot_preempts", 0)),
-                tuner_crashes=int(knobs.get("tuner_crashes", 0)),
-                monitor_outages=int(knobs.get("monitor_outages", 0)),
-                stats_gaps=int(knobs.get("stats_gaps", 0)),
+            plan = backend.inject_faults(
+                horizon=float(knobs["horizon"]), **fault_counts(knobs)
             )
-    spec = make_job_spec(case, sc.hdfs, base_config=request.config())
-    recommended = None
+    return backend, plan
+
+
+def run_request(
+    backend: "SimBackend", request: RunRequest
+) -> Tuple["JobResult", Optional[Configuration]]:
+    """The run step: run the request's job on *backend*, tuned or not.
+
+    Returns the job result and, for aggressive tuning, the tuner's
+    recommended configuration (``None`` otherwise).
+    """
+    from repro.core.tuner import TunerSettings, TuningStrategy
+    from repro.experiments.harness import run_tuned
+    from repro.workloads.suite import make_job_spec
+
+    spec = make_job_spec(
+        resolve_case(request), backend.hdfs, base_config=request.config()
+    )
     mode, optimizer = parse_tuning(request.tuning)
     if mode == "none":
-        result = backend.run_job(spec)
-    else:
-        from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
+        return backend.run_job(spec), None
+    strategy = (
+        TuningStrategy.CONSERVATIVE if mode == "conservative" else TuningStrategy.AGGRESSIVE
+    )
+    result, tuner = run_tuned(
+        backend, spec, strategy, request.seed, TunerSettings(optimizer=optimizer)
+    )
+    if mode != "aggressive":
+        return result, None
+    return result, tuner.recommended_config(spec.job_id)
 
-        strategy = (
-            TuningStrategy.CONSERVATIVE
-            if mode == "conservative"
-            else TuningStrategy.AGGRESSIVE
-        )
-        tuner = OnlineTuner(
-            strategy,
-            settings=TunerSettings(optimizer=optimizer),
-            rng=np.random.default_rng(derive_seed(request.seed, "tuner", case.name)),
-        )
-        handle = backend.attach_tuner(tuner, spec)
-        result = backend.wait(handle)
-        if mode == "aggressive":
-            recommended = serialize_config(tuner.recommended_config(spec.job_id))
+
+def execute_request(request: RunRequest) -> RunOutcome:
+    """Pure top-level worker: rebuild the cluster, run, summarize.
+
+    Runs entirely from the request's declarative fields, so it executes
+    identically in the parent process (serial path) and in a pool
+    worker -- determinism is preserved because each replica owns its
+    own ``RngRegistry(seed)`` and no state crosses runs.
+    """
+    from repro.mapreduce.counters import Counter
+    from repro.mapreduce.jobspec import TaskType
+
+    backend, plan = build_request(request)
+    result, recommended = run_request(backend, request)
     return RunOutcome(
         request=request,
         job_time=result.duration,
@@ -391,9 +406,9 @@ def execute_request(request: RunRequest) -> RunOutcome:
         shuffled_bytes=result.counters.get(Counter.SHUFFLED_BYTES),
         failed_attempts=result.counters.get(Counter.FAILED_TASK_ATTEMPTS),
         counters=tuple(sorted(result.counters.snapshot().items())),
-        node_cpu_utilization=sc.monitor.mean_cpu_utilization(),
-        node_memory_utilization=sc.monitor.mean_memory_utilization(),
-        recommended=recommended,
+        node_cpu_utilization=backend.monitor.mean_cpu_utilization(),
+        node_memory_utilization=backend.monitor.mean_memory_utilization(),
+        recommended=serialize_config(recommended),
         killed_attempts=result.counters.get(Counter.KILLED_TASK_ATTEMPTS),
         failure_reasons=tuple(sorted(result.failure_reasons.items())),
         injected_faults=tuple(plan.describe()) if plan is not None else (),
@@ -540,96 +555,3 @@ def map_seeds(
         max_workers=max_workers, timeout=timeout, worker=fn
     )
     return runner.run(list(seeds))
-
-
-# ----------------------------------------------------------------------
-# Parallel offline candidate search (hill-climber fan-out)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CandidateEval:
-    """One hill-climber sample to evaluate as a full simulated run."""
-
-    case_name: str
-    seed: int
-    point: Tuple[float, ...]
-    scheduler: str = "fifo"
-    num_blocks: Optional[int] = None
-    num_reducers: Optional[int] = None
-
-
-def evaluate_candidate(item: CandidateEval) -> float:
-    """Top-level worker: one candidate configuration, one full run."""
-    import numpy as np
-
-    from repro.core.configuration import enforce_dependencies
-    from repro.core.parameters import PARAMETER_SPACE
-
-    point = np.asarray(item.point)
-    config = enforce_dependencies(Configuration(PARAMETER_SPACE.decode(point)))
-    request = RunRequest.build(
-        item.case_name,
-        item.seed,
-        config=config,
-        scheduler=item.scheduler,
-        num_blocks=item.num_blocks,
-        num_reducers=item.num_reducers,
-    )
-    return execute_request(request).job_time
-
-
-def offline_candidate_search(
-    case_name: str,
-    seed: int,
-    settings=None,
-    max_workers: Optional[int] = None,
-    timeout: float = DEFAULT_RUN_TIMEOUT,
-    num_blocks: Optional[int] = None,
-    num_reducers: Optional[int] = None,
-    optimizer: str = "hill_climb",
-):
-    """Drive a search backend with whole-job evaluations fanned out per wave.
-
-    The online tuner evaluates candidates on live task waves inside one
-    simulation; this offline variant instead prices every candidate
-    with its own full simulated run -- the MRPerf-style search the
-    paper defers to simulation tools.  Each wave's candidates are
-    independent, so they fan out across the pool; costs are fed back in
-    proposal order, keeping the search trajectory identical for any
-    worker count.  *optimizer* selects the backend (default: the
-    paper's hill climber); *settings* is that backend's settings
-    object.
-
-    Returns ``(best Configuration, best cost, samples evaluated)``.
-    """
-    import numpy as np
-
-    from repro.core.hill_climbing import drive_search
-    from repro.core.optimizers import make_optimizer
-    from repro.core.parameters import PARAMETER_SPACE
-    from repro.sim.rng import derive_seed
-
-    climber = make_optimizer(
-        optimizer,
-        PARAMETER_SPACE,
-        rng=np.random.default_rng(derive_seed(seed, "offline-search", case_name)),
-        settings=settings,
-    )
-    runner = ParallelExperimentRunner(
-        max_workers=max_workers, timeout=timeout, worker=evaluate_candidate
-    )
-
-    def evaluate_batch(points: Sequence) -> List[float]:
-        items = [
-            CandidateEval(
-                case_name=case_name,
-                seed=seed,
-                point=tuple(float(x) for x in p),
-                num_blocks=num_blocks,
-                num_reducers=num_reducers,
-            )
-            for p in points
-        ]
-        return runner.run(items)
-
-    drive_search(climber, evaluate_batch)
-    return climber.best_config(), climber.best_cost(), climber.samples_proposed

@@ -190,7 +190,7 @@ def _run_tuned(
     with LocalProcessBackend(
         workspace=os.path.join(workspace, "tuned"), slots=slots, seed=seed
     ) as backend:
-        handle = tuner.submit_to(backend, spec)
+        handle = backend.attach_tuner(tuner, spec)
         result = backend.wait(handle)
     return result, tuner, spec.job_id
 

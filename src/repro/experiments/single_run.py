@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
-from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
-from repro.experiments.harness import SimCluster, checked_duration
-from repro.sim.rng import derive_seed
+from repro.backends.sim import SimBackend
+from repro.core.tuner import TunerSettings, TuningStrategy
+from repro.experiments.harness import checked_duration, run_tuned
 from repro.workloads.suite import BenchmarkCase, make_job_spec
 from repro.yarn.app_master import JobResult
 
@@ -41,16 +39,9 @@ def run_conservative(
     settings: Optional[TunerSettings] = None,
 ) -> tuple:
     """One job co-executed with the conservative tuner."""
-    sc = SimCluster(seed=seed)
-    spec = make_job_spec(case, sc.hdfs)
-    tuner = OnlineTuner(
-        TuningStrategy.CONSERVATIVE,
-        settings=settings or TunerSettings(),
-        rng=np.random.default_rng(derive_seed(seed, "tuner", case.name)),
-    )
-    am = tuner.submit(sc, spec)
-    result = sc.sim.run_until_complete(am.completion)
-    return result, tuner
+    backend = SimBackend(seed=seed)
+    spec = make_job_spec(case, backend.hdfs)
+    return run_tuned(backend, spec, TuningStrategy.CONSERVATIVE, seed, settings)
 
 
 def run_single_run_case(

@@ -126,12 +126,11 @@ class TournamentResult:
 
 def run_tournament_entry(entry: TournamentEntry) -> TournamentResult:
     """Top-level worker: one backend's full tuning session + tuned run."""
-    import numpy as np
-
-    from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
-    from repro.experiments.harness import SimCluster
+    from repro.backends.sim import SimBackend
+    from repro.core.tuner import TunerSettings, TuningStrategy
+    from repro.experiments.expedited import run_with_config
+    from repro.experiments.harness import run_tuned
     from repro.experiments.parallel import RunRequest, resolve_case
-    from repro.sim.rng import derive_seed
     from repro.workloads.suite import make_job_spec
 
     request = RunRequest(
@@ -141,23 +140,15 @@ def run_tournament_entry(entry: TournamentEntry) -> TournamentResult:
         num_reducers=entry.num_reducers,
     )
     case = resolve_case(request)
-    sc = SimCluster(seed=entry.seed)
-    spec = make_job_spec(case, sc.hdfs)
-    tuner = OnlineTuner(
-        TuningStrategy.AGGRESSIVE,
-        settings=TunerSettings(
-            optimizer=entry.backend,
-            optimizer_settings=budget_settings(entry.backend, entry.budget),
-        ),
-        rng=np.random.default_rng(derive_seed(entry.seed, "tuner", case.name)),
+    sim = SimBackend(seed=entry.seed)
+    spec = make_job_spec(case, sim.hdfs)
+    settings = TunerSettings(
+        optimizer=entry.backend,
+        optimizer_settings=budget_settings(entry.backend, entry.budget),
     )
-    am = tuner.submit(sc, spec)
-    result = sc.sim.run_until_complete(am.completion)
+    result, tuner = run_tuned(sim, spec, TuningStrategy.AGGRESSIVE, entry.seed, settings)
     summary = tuner.session_summary(spec.job_id)
-    recommended = tuner.recommended_config(spec.job_id)
-
-    sc2 = SimCluster(seed=entry.seed)
-    tuned = sc2.run_job(make_job_spec(case, sc2.hdfs, base_config=recommended))
+    tuned = run_with_config(case, entry.seed, tuner.recommended_config(spec.job_id))
 
     traces = tuple(
         SearchTrace(

@@ -166,29 +166,31 @@ def run_traced_case(
 ) -> TracedRun:
     """Run one benchmark case with every telemetry exporter attached.
 
-    Builds a fresh :class:`~repro.experiments.harness.SimCluster`,
+    Builds the run with :func:`~repro.experiments.parallel.build_request`,
     subscribes the JSONL, Chrome-trace, and metrics-summary exporters
-    to its bus, then runs the (optionally tuned) job exactly as
-    :func:`repro.experiments.parallel.execute_request` would.  The
-    subscriptions only add passive observers, so the simulated outcome
-    is bit-identical to an untraced run of the same request.
+    to its bus, then runs the (optionally tuned) job with
+    :func:`~repro.experiments.parallel.run_request` -- the same two
+    steps :func:`~repro.experiments.parallel.execute_request` takes.
+    The subscriptions only add passive observers, so the simulated
+    outcome is bit-identical to an untraced run of the same request.
 
     ``categories`` defaults to every category except the per-calendar-
     event ``sim`` firehose; pass ``include_sim=True`` to add it.  The
     summary subscribes to the same explicit categories (never the
     wildcard, which would implicitly turn the firehose on).
     """
-    import numpy as np
-
-    from repro.experiments.harness import SimCluster
-    from repro.experiments.parallel import RunRequest, parse_tuning, resolve_case
+    from repro.experiments.parallel import (
+        RunRequest,
+        build_request,
+        resolve_case,
+        run_request,
+    )
     from repro.telemetry import (
         DEFAULT_EXPORT_CATEGORIES,
         ChromeTraceExporter,
         JsonlExporter,
         MetricsSummary,
     )
-    from repro.workloads.suite import make_job_spec
 
     request = RunRequest(
         case_name=case_name,
@@ -197,39 +199,18 @@ def run_traced_case(
         num_blocks=num_blocks,
         num_reducers=num_reducers,
     )
-    case = resolve_case(request)
     cats = tuple(categories) if categories is not None else DEFAULT_EXPORT_CATEGORIES
     if include_sim and "sim" not in cats:
         cats = cats + ("sim",)
 
-    sc = SimCluster(seed=seed)
-    events = JsonlExporter().attach(sc.telemetry, categories=cats)
-    chrome = ChromeTraceExporter().attach(sc.telemetry, categories=cats)
-    summary = MetricsSummary().attach(sc.telemetry, categories=cats)
-
-    spec = make_job_spec(case, sc.hdfs)
-    mode, optimizer = parse_tuning(request.tuning)
-    if mode == "none":
-        result = sc.run_job(spec)
-    else:
-        from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
-        from repro.sim.rng import derive_seed
-
-        strategy = (
-            TuningStrategy.CONSERVATIVE
-            if mode == "conservative"
-            else TuningStrategy.AGGRESSIVE
-        )
-        tuner = OnlineTuner(
-            strategy,
-            settings=TunerSettings(optimizer=optimizer),
-            rng=np.random.default_rng(derive_seed(seed, "tuner", case.name)),
-        )
-        am = tuner.submit(sc, spec)
-        result = sc.sim.run_until_complete(am.completion)
+    backend, _plan = build_request(request)
+    events = JsonlExporter().attach(backend.telemetry, categories=cats)
+    chrome = ChromeTraceExporter().attach(backend.telemetry, categories=cats)
+    summary = MetricsSummary().attach(backend.telemetry, categories=cats)
+    result, _recommended = run_request(backend, request)
 
     return TracedRun(
-        case_name=case.name,
+        case_name=resolve_case(request).name,
         seed=seed,
         tuning=request.tuning,
         job_time=result.duration,

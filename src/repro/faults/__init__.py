@@ -8,6 +8,7 @@ from repro.faults.plan import (
     CONTROL_FAULT_KINDS,
     ELASTIC_FAULT_KINDS,
     FAULT_KINDS,
+    KIND_TO_KNOB,
     NETWORK_FAULT_KINDS,
     Fault,
     FaultPlan,
@@ -20,6 +21,7 @@ __all__ = [
     "CONTROL_FAULT_KINDS",
     "ELASTIC_FAULT_KINDS",
     "FAULT_KINDS",
+    "KIND_TO_KNOB",
     "NETWORK_FAULT_KINDS",
     "ControlPlaneState",
     "ElasticCluster",

@@ -18,25 +18,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+#: Fault kind -> its :func:`generate_fault_plan` count knob.  The
+#: ``--kinds`` filter and every knob-name check read this map; the
+#: generator's signature is the only other place the knobs are named.
+KIND_TO_KNOB: Dict[str, str] = {
+    "node_crash": "crashes",
+    "container_kill": "container_kills",
+    "degrade": "degraded",
+    "link_degrade": "link_degraded",
+    "link_flaky": "link_flaky",
+    "rack_partition": "rack_partitions",
+    "node_decommission": "decommissions",
+    "node_join": "joins",
+    "spot_preempt": "spot_preempts",
+    "tuner_crash": "tuner_crashes",
+    "monitor_outage": "monitor_outages",
+    "stats_gap": "stats_gaps",
+}
+
 #: The fault kinds the injector understands.
-FAULT_KINDS = (
-    "node_crash",
-    "container_kill",
-    "degrade",
-    "link_degrade",
-    "link_flaky",
-    "rack_partition",
-    "node_decommission",
-    "node_join",
-    "spot_preempt",
-    "tuner_crash",
-    "monitor_outage",
-    "stats_gap",
-)
+FAULT_KINDS = tuple(KIND_TO_KNOB)
 
 #: Kinds that act on the network fabric rather than a node's CPU/disks.
 #: Their presence in a plan arms the gray-failure fetch path (per-fetch
@@ -344,13 +349,12 @@ def generate_fault_plan(
         raise ValueError("need at least one node")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if crashes < 0 or container_kills < 0 or degraded < 0:
-        raise ValueError("fault counts must be >= 0")
-    if link_degraded < 0 or link_flaky < 0 or rack_partitions < 0:
-        raise ValueError("fault counts must be >= 0")
-    if decommissions < 0 or joins < 0 or spot_preempts < 0:
-        raise ValueError("fault counts must be >= 0")
-    if tuner_crashes < 0 or monitor_outages < 0 or stats_gaps < 0:
+    counts = (
+        crashes, container_kills, degraded, link_degraded, link_flaky,
+        rack_partitions, decommissions, joins, spot_preempts,
+        tuner_crashes, monitor_outages, stats_gaps,
+    )
+    if min(counts) < 0:
         raise ValueError("fault counts must be >= 0")
     if crashes + decommissions + spot_preempts >= num_nodes:
         raise ValueError(
@@ -495,6 +499,7 @@ __all__ = [
     "CONTROL_FAULT_KINDS",
     "ELASTIC_FAULT_KINDS",
     "FAULT_KINDS",
+    "KIND_TO_KNOB",
     "NETWORK_FAULT_KINDS",
     "Fault",
     "FaultPlan",

@@ -527,7 +527,7 @@ def run_service_local(
                 tuner = tuner_service.tuner_for(
                     arrival.tenant, arrival.profile, arrival.index
                 )
-                handle = tuner.submit_to(backend, spec)
+                handle = backend.attach_tuner(tuner, spec)
             else:
                 tuner = None
                 handle = backend.submit(spec)

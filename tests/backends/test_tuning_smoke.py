@@ -39,7 +39,7 @@ def test_aggressive_tuning_improves_real_cost(seed, tmp_path):
         rng=np.random.default_rng(derive_seed(seed, "real-tuner", "wordcount")),
     )
     with LocalProcessBackend(workspace=str(tmp_path / "ws")) as backend:
-        handle = tuner.submit_to(backend, spec)
+        handle = backend.attach_tuner(tuner, spec)
         result = backend.wait(handle)
         assert result.succeeded, result.failure_reasons
         assert_no_output_leaks(backend)
@@ -78,7 +78,7 @@ def test_conservative_tuning_runs_real_job(tmp_path):
         rng=np.random.default_rng(derive_seed(5, "real-tuner", "grep")),
     )
     with LocalProcessBackend(workspace=str(tmp_path / "ws")) as backend:
-        result = backend.wait(tuner.submit_to(backend, spec))
+        result = backend.wait(backend.attach_tuner(tuner, spec))
         assert result.succeeded
         summary = tuner.session_summary(spec.job_id)
         observed = summary["tasks_observed"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.topology import ClusterSpec
-from repro.experiments.harness import ExperimentRunner, RepeatedMeasurement, SimCluster
+from repro.experiments.harness import SimCluster
 from repro.experiments.reporting import FigureReport, format_table
 from repro.workloads.suite import terasort_case
 
@@ -27,25 +27,6 @@ class TestSimCluster:
         sc.run_job(make_job_spec(case, sc.hdfs))
         assert len(sc.monitor.node_samples) > 0
         assert len(sc.monitor.task_stats) == case.num_maps + case.num_reducers
-
-
-class TestExperimentRunner:
-    def test_seed_list(self):
-        runner = ExperimentRunner(replicas=4, base_seed=10)
-        assert runner.seeds() == [10, 11, 12, 13]
-
-    def test_measure_aggregates(self):
-        runner = ExperimentRunner(replicas=3)
-        m = runner.measure(lambda seed: float(seed))
-        assert m.mean == pytest.approx(2.0)
-        assert m.stdev == pytest.approx(1.0)
-
-    def test_single_replica_stdev_zero(self):
-        assert RepeatedMeasurement([5.0]).stdev == 0.0
-
-    def test_invalid_replicas(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(replicas=0)
 
 
 class TestReporting:

@@ -13,9 +13,7 @@ import time
 import pytest
 
 from repro.experiments import parallel as par
-from repro.experiments.harness import ExperimentRunner
 from repro.experiments.parallel import (
-    CandidateEval,
     ParallelExperimentRunner,
     RunRequest,
     RunTimeoutError,
@@ -23,7 +21,6 @@ from repro.experiments.parallel import (
     combined_digest,
     execute_request,
     map_seeds,
-    offline_candidate_search,
     resolve_case,
     resolve_workers,
     run_digest,
@@ -101,6 +98,14 @@ class TestRunRequest:
             RunRequest("terasort", 1, num_blocks=0)
         with pytest.raises(ValueError):
             RunRequest("terasort", 1, num_reducers=0)
+        # Fault counts must be non-negative integers: int(0.5) would
+        # silently run the request fault-free.
+        with pytest.raises(ValueError, match="crashes"):
+            RunRequest.build("terasort", 1, faults={"crashes": 0.5, "horizon": 10.0})
+        with pytest.raises(ValueError, match="container_kills"):
+            RunRequest.build("terasort", 1, faults={"container_kills": -1, "horizon": 10.0})
+        # Integral floats stay accepted.
+        RunRequest.build("terasort", 1, faults={"crashes": 2.0, "horizon": 10.0})
 
     def test_tuning_string_carries_optimizer_backend(self):
         from repro.experiments.parallel import parse_tuning
@@ -251,99 +256,3 @@ class TestWorkerResolution:
         )
         # Closures are fine on the serial path -- nothing is pickled.
         assert map_seeds(lambda s: s + 1, [1, 2, 3]) == [2, 3, 4]
-
-
-class TestHarnessIntegration:
-    def test_measure_parallel_matches_serial(self):
-        runner = ExperimentRunner(replicas=3, base_seed=5)
-        serial = runner.measure(_square)
-        pooled = runner.measure(_square, parallel=True, max_workers=2)
-        assert pooled.values == serial.values
-
-    def test_run_case_parallel_matches_serial(self):
-        from repro.workloads.suite import terasort_case
-
-        case = terasort_case(0.5)
-        runner = ExperimentRunner(replicas=2, base_seed=1)
-        serial = runner.run_case(case)
-        pooled = runner.run_case(case, parallel=True, max_workers=2)
-        assert [r.duration for r in serial] == [r.duration for r in pooled]
-        assert [r.counters.snapshot() for r in serial] == [
-            r.counters.snapshot() for r in pooled
-        ]
-
-    def test_run_case_accepts_table3_names(self):
-        runner = ExperimentRunner(replicas=1)
-        with pytest.raises(KeyError):
-            runner.run_case("no-such-case")
-
-    def test_run_case_validates_before_simulating(self, monkeypatch):
-        """Bad inputs must raise before any cluster is built."""
-        import repro.experiments.harness as harness
-
-        def explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("SimCluster built before validation")
-
-        monkeypatch.setattr(harness, "SimCluster", explode)
-        import dataclasses
-
-        from repro.workloads.suite import terasort_case
-
-        runner = ExperimentRunner(replicas=1)
-        bad = dataclasses.replace(terasort_case(0.5), num_reducers=0)
-        with pytest.raises(ValueError, match="num_reducers"):
-            runner.run_case(bad)
-        with pytest.raises(KeyError):
-            runner.run_case("no-such-case")
-
-    def test_run_case_rejects_factories_on_parallel_path(self):
-        from repro.workloads.suite import terasort_case
-
-        runner = ExperimentRunner(replicas=2)
-        with pytest.raises(ValueError, match="factories"):
-            runner.run_case(
-                terasort_case(0.5),
-                parallel=True,
-                config_provider_factory=lambda sc, spec: None,
-            )
-
-    def test_measure_single_replica_stdev(self):
-        runner = ExperimentRunner(replicas=1)
-        m = runner.measure(_square)
-        assert m.stdev == 0.0
-        assert m.mean == 1.0
-
-
-class TestOfflineCandidateSearch:
-    SETTINGS = None  # built lazily to keep import cheap
-
-    @classmethod
-    def settings(cls):
-        from repro.core.hill_climbing import HillClimbSettings
-
-        if cls.SETTINGS is None:
-            cls.SETTINGS = HillClimbSettings(
-                m=3, n=2, global_search_limit=1, neighborhood_threshold=0.45,
-                shrink_factor=0.5,
-            )
-        return cls.SETTINGS
-
-    def test_search_returns_config_and_is_deterministic(self):
-        serial = offline_candidate_search(
-            "terasort", 1, settings=self.settings(), max_workers=1,
-            num_blocks=4, num_reducers=2,
-        )
-        pooled = offline_candidate_search(
-            "terasort", 1, settings=self.settings(), max_workers=2,
-            num_blocks=4, num_reducers=2,
-        )
-        best_serial, cost_serial, evals_serial = serial
-        best_pooled, cost_pooled, evals_pooled = pooled
-        assert cost_serial == cost_pooled
-        assert evals_serial == evals_pooled
-        assert best_serial.as_dict() == best_pooled.as_dict()
-        assert cost_serial > 0
-
-    def test_candidate_eval_pickles(self):
-        item = CandidateEval("terasort", 1, point=(0.5,) * 13, num_blocks=4)
-        assert pickle.loads(pickle.dumps(item)) == item

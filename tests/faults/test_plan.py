@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.experiments.harness import SimCluster
 from repro.faults import (
+    KIND_TO_KNOB,
     Fault,
     FaultPlan,
     generate_fault_plan,
@@ -124,6 +126,13 @@ class TestGenerateFaultPlan:
             generate_fault_plan(
                 np.random.default_rng(0), num_nodes=4, horizon=10.0, crashes=-1
             )
+
+    @pytest.mark.parametrize("kind,knob", sorted(KIND_TO_KNOB.items()))
+    def test_each_knob_reaches_its_own_kind(self, kind, knob):
+        # inject_faults forwards **counts; a dropped or misrouted knob
+        # would yield an empty plan or the wrong kind.
+        plan = SimCluster(seed=1).inject_faults(horizon=100.0, **{knob: 1})
+        assert {f.kind for f in plan} == {kind}
 
 
 class TestElasticFaults:

@@ -11,10 +11,11 @@ that is what keeps every pinned scenario replayable when new kinds
 import pytest
 
 from repro.cluster.topology import ClusterSpec
-from repro.experiments.faults import KIND_TO_KNOB, levels_for_kinds
+from repro.experiments.faults import levels_for_kinds
 from repro.faults import (
     CONTROL_FAULT_KINDS,
     FAULT_KINDS,
+    KIND_TO_KNOB,
     Fault,
     generate_fault_plan,
     plan_from_json,
