@@ -6,9 +6,9 @@ simulation over seed replicas ("we repeat each experiment four times
 each one builds its own :class:`~repro.experiments.harness.SimCluster`
 seeded by its own :class:`~repro.sim.rng.RngRegistry`.  The serial
 loops in the experiment drivers and the figure benchmarks therefore
-leave every core but one idle.  This module fans those loops out across a
-:class:`concurrent.futures.ProcessPoolExecutor` without changing a
-single simulated outcome.
+leave every core but one idle.  This module fans those loops out
+across a :class:`concurrent.futures.ProcessPoolExecutor` without
+changing a single simulated outcome.
 
 Live simulator state (``SimCluster``, ``MRAppMaster``) is not
 picklable, so work crosses the process boundary *declaratively*:
@@ -147,11 +147,11 @@ class RunRequest:
     #: declarative input to :func:`repro.faults.generate_fault_plan`:
     #: a positive ``horizon`` plus non-negative integer counts named
     #: by :data:`repro.faults.KIND_TO_KNOB`.  The plan itself is drawn
-    #: worker-side from the run's own seeded
-    #: ``("faults", "plan")`` stream, so the same request always yields
-    #: the same scenario.  Alternatively a single ``("plan", json)``
-    #: entry replays an explicit serialized plan (see
-    #: :func:`repro.faults.plan_to_json`).  ``None`` = fault-free.
+    #: worker-side from the run's own seeded ``("faults", "plan")``
+    #: stream, so the same request always yields the same scenario.
+    #: Alternatively a single ``("plan", json)`` entry replays an
+    #: explicit serialized plan (see :func:`repro.faults.plan_to_json`).
+    #: ``None`` = fault-free.
     faults: Optional[Tuple[Tuple[str, object], ...]] = None
 
     def __post_init__(self) -> None:

@@ -140,13 +140,15 @@ def run_tournament_entry(entry: TournamentEntry) -> TournamentResult:
         num_reducers=entry.num_reducers,
     )
     case = resolve_case(request)
-    sim = SimBackend(seed=entry.seed)
-    spec = make_job_spec(case, sim.hdfs)
+    sim_backend = SimBackend(seed=entry.seed)
+    spec = make_job_spec(case, sim_backend.hdfs)
     settings = TunerSettings(
         optimizer=entry.backend,
         optimizer_settings=budget_settings(entry.backend, entry.budget),
     )
-    result, tuner = run_tuned(sim, spec, TuningStrategy.AGGRESSIVE, entry.seed, settings)
+    result, tuner = run_tuned(
+        sim_backend, spec, TuningStrategy.AGGRESSIVE, entry.seed, settings
+    )
     summary = tuner.session_summary(spec.job_id)
     tuned = run_with_config(case, entry.seed, tuner.recommended_config(spec.job_id))
 
