@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro.cluster.node import FROZEN_CAPACITY
 from repro.sim.resources import _EPS, Flow, Link, maxmin_rates
 
 try:
@@ -144,6 +145,71 @@ def random_topology(rng):
         idx = rng.sample(range(n_links), k)
         cap = None if rng.random() < 0.4 else rng.uniform(0.5, 500.0)
         flows.append(Flow([links[j] for j in idx], 100.0, event=None, cap=cap))
+    return links, flows
+
+
+def network_topology(rng):
+    """A snapshot shaped like the cluster network's flow scheduler.
+
+    Per-node tx/rx links at one NIC speed, two rack uplinks at a quarter
+    of their racks' NIC bandwidth, the fabric core and per-reducer
+    copier links.  Flows are node-to-node transfers (tx, both uplinks
+    when crossing racks, rx), aggregated fetches (core, rx, a copier
+    link) and source-attributed fetches (a transfer path plus a copier
+    link), so each crosses 2 to 5 links.  A few links are degraded or
+    frozen at 1e-9, as the fault injector leaves them.  About 15% of
+    the flows are capped, some exactly at a link's initial fair share,
+    and a few capped flows cross no link at all.
+    """
+    n_nodes = rng.randint(2, 24)
+    nic = rng.choice((125.0, 1250.0, 1.25e8))
+    rack_of = [i % 2 for i in range(n_nodes)]
+    tx = [Link(f"n{i}.tx", nic) for i in range(n_nodes)]
+    rx = [Link(f"n{i}.rx", nic) for i in range(n_nodes)]
+    uplinks = [Link(f"rack{r}.uplink", nic * rack_of.count(r) / 4.0) for r in (0, 1)]
+    core = Link("fabric.core", uplinks[0].capacity + uplinks[1].capacity)
+    copiers = [
+        Link(f"copier{i}", nic * rng.choice((0.05, 0.1, 0.25)))
+        for i in range(rng.randint(0, 12))
+    ]
+    links = tx + rx + uplinks + [core] + copiers
+    for link in rng.sample(links, rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            link.capacity = FROZEN_CAPACITY
+        else:
+            link.capacity *= rng.uniform(0.05, 0.5)
+    paths = []
+    for _ in range(rng.randint(1, 130)):
+        dst = rng.randrange(n_nodes)
+        copier = [rng.choice(copiers)] if copiers and rng.random() < 0.7 else []
+        kind = rng.random()
+        if kind < 0.3:
+            paths.append([core, rx[dst], *copier])
+            continue
+        src = rng.choice([i for i in range(n_nodes) if i != dst])
+        path = [tx[src]]
+        if rack_of[src] != rack_of[dst]:
+            path += [uplinks[rack_of[src]], uplinks[rack_of[dst]]]
+        path.append(rx[dst])
+        if kind >= 0.65:
+            path += copier
+        paths.append(path)
+    counts = {}
+    for path in paths:
+        for link in path:
+            counts[link] = counts.get(link, 0) + 1
+    flows = []
+    for path in paths:
+        cap = None
+        if rng.random() < 0.15:
+            if rng.random() < 0.5:
+                link = rng.choice(path)
+                cap = link.capacity / counts[link]
+            else:
+                cap = nic * rng.uniform(0.01, 1.0)
+        flows.append(Flow(path, 100.0, event=None, cap=cap))
+    for _ in range(rng.randint(0, 2)):
+        flows.append(Flow([], 100.0, event=None, cap=nic * rng.uniform(0.01, 1.0)))
     return links, flows
 
 
@@ -287,6 +353,7 @@ def test_total_throughput_never_exceeds_demand_or_capacity(capacity, caps):
 class TestSeededRandomSweep:
     SEED = 20260807
     ROUNDS = 150
+    NETWORK_ROUNDS = 300
 
     def test_invariants_and_reference_equivalence(self):
         rng = random.Random(self.SEED)
@@ -296,6 +363,20 @@ class TestSeededRandomSweep:
             rates = maxmin_rates(flows)
             check_feasibility(links, flows, rates)
             check_work_conservation(flows, rates)
+
+    def test_network_shaped_reference_equivalence(self):
+        """Network-sized snapshots: many links, up to 130 flows, ties.
+
+        The generic generator draws at most 6 links and 12 flows; the
+        network scheduler holds dozens of links and ~70 flows whose
+        shares tie on equal-capacity NICs, with frozen links where
+        ``water + _EPS`` is not absorbed by rounding.
+        """
+        rng = random.Random(self.SEED + 1)
+        for _ in range(self.NETWORK_ROUNDS):
+            links, flows = network_topology(rng)
+            check_reference_equivalence(flows)
+            check_feasibility(links, flows, maxmin_rates(flows))
 
     def test_sweep_is_deterministic(self):
         """The fallback generator itself must be replayable."""
