@@ -65,7 +65,7 @@ class Link:
     __slots__ = ("name", "capacity")
 
     def __init__(self, name: str, capacity: float) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise ValueError(f"link {name!r} needs positive capacity, got {capacity}")
         self.name = name
         self.capacity = float(capacity)
@@ -223,10 +223,15 @@ class FlowScheduler:
     ) -> Event:
         """Stream *amount* units through *links*; returns a completion event.
 
-        Zero-sized transfers complete on the next calendar step.
+        Zero-sized transfers complete on the next calendar step.  A
+        negative or NaN *amount* or *cap* is rejected before any state
+        changes: a negative cap would hand its links' capacity to the
+        other flows, and a NaN amount would never complete.
         """
-        if amount < 0:
-            raise SimulationError(f"negative transfer amount {amount}")
+        if not amount >= 0:
+            raise SimulationError(f"transfer amount must be >= 0, got {amount}")
+        if cap is not None and not cap >= 0:
+            raise SimulationError(f"transfer cap must be >= 0, got {cap}")
         done = self.sim.event()
         if amount <= _EPS:
             done.succeed(0.0)
@@ -249,7 +254,7 @@ class FlowScheduler:
         In-flight flows keep the progress they made at the old rates; the
         allocation is recomputed from the new capacity.
         """
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise SimulationError(
                 f"link {link.name!r} needs positive capacity, got {capacity}"
             )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import FlowScheduler, Link, Semaphore, Simulator, Store
+from repro.sim.engine import SimulationError
 from repro.sim.resources import Flow, maxmin_rates
 
 
@@ -187,6 +188,47 @@ class TestFlowScheduler:
         link = Link("disk", 100.0)
         with pytest.raises(Exception, match="none\\s+can make progress"):
             sched.transfer([link], 10.0, cap=0.0)
+
+    @pytest.mark.parametrize("cap", [-5.0, float("nan")])
+    def test_negative_or_nan_cap_rejected_before_any_state_change(self, cap):
+        # Admitted, a -5 cap on a capacity-10 link would hand the
+        # sibling flow a rate of 15.
+        sim, sched = make()
+        link = Link("net", 10.0)
+        sibling = sched.transfer([link], 100.0)
+        with pytest.raises(SimulationError, match="cap must be >= 0"):
+            sched.transfer([link], 10.0, cap=cap)
+        assert sched.active_flows == 1
+        assert sched._link_counts == {link: 1}
+        assert sched.utilization(link) == 1.0
+        sim.run_until_complete(sibling)
+        assert sim.now == pytest.approx(10.0)
+
+    def test_nan_amount_rejected_before_any_state_change(self):
+        # Admitted, a NaN amount never completes: the transfer raised
+        # "none can make progress" and left the flow registered.
+        sim, sched = make()
+        link = Link("disk", 100.0)
+        with pytest.raises(SimulationError, match="amount must be >= 0"):
+            sched.transfer([link], float("nan"))
+        assert sched.active_flows == 0
+        assert sched._link_counts == {}
+        done = sched.transfer([link], 100.0)
+        sim.run_until_complete(done)
+        assert sim.now == pytest.approx(1.0)
+
+    def test_link_rejects_nan_capacity(self):
+        with pytest.raises(ValueError, match="positive capacity"):
+            Link("l", float("nan"))
+
+    def test_set_link_capacity_rejects_nan(self):
+        sim, sched = make()
+        link = Link("disk", 100.0)
+        sched.transfer([link], 1000.0)
+        with pytest.raises(SimulationError, match="positive capacity"):
+            sched.set_link_capacity(link, float("nan"))
+        assert link.capacity == 100.0
+        assert sched.utilization(link) == 1.0
 
     def test_simultaneous_completions_fire_in_insertion_order(self):
         sim, sched = make()
