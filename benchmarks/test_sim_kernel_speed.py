@@ -1,11 +1,14 @@
 """Sim-kernel speed microbenchmarks with a CI regression gate.
 
-Three measurements, each reported as events/sec and persisted to
-``benchmarks/results/BENCH_*.json`` via :func:`bench_common.record_bench`:
+Four measurements, persisted to ``benchmarks/results/BENCH_*.json`` via
+:func:`bench_common.record_bench`:
 
 * **flow churn** -- concurrent capped/uncapped multi-link transfers
   with monitor-style utilization polling, the pattern every disk, CPU,
   and network scheduler in the cluster layers exercises;
+* **network solve** -- one max-min allocation over a snapshot shaped
+  like the cluster network's scheduler (dozens of live links, ~70
+  uncapped flows of 3 to 5 links), timed per solve;
 * **semaphore contention** -- thousands of processes funnelling through
   a small-permit semaphore (container-slot style);
 * **end-to-end TeraSort** -- a full shrunk cluster run through the
@@ -14,8 +17,11 @@ Three measurements, each reported as events/sec and persisted to
 The churn and semaphore benchmarks run both the optimized kernel and a
 verbatim replica of the *pre-optimization* ("legacy") kernel kept in
 this file, and gate on the speedup ratio -- a relative measure that is
-robust to slow CI machines.  If the gate fails, a kernel change
-regressed the hot paths; see ``docs/performance.md``.
+robust to slow CI machines.  The network-solve benchmark does the same
+against a verbatim copy of the allocator that preceded the live-link
+rewrite of ``_fill_rates``; the churn workload (six links, half the
+flows capped) is too small to resolve that rewrite.  If a gate fails, a
+kernel change regressed the hot paths; see ``docs/performance.md``.
 
 Determinism guard: both kernels must execute the *same number of
 events* on the same workload -- a cheap cross-check that the optimized
@@ -29,12 +35,17 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
-from repro.sim.resources import _EPS, Flow, FlowScheduler, Link, Semaphore
+from repro.sim.resources import _EPS, Flow, FlowScheduler, Link, Semaphore, _fill_rates
 
 from benchmarks.bench_common import record_bench
 
 #: Required optimized/legacy events-per-second ratio on flow churn.
 FLOW_CHURN_MIN_SPEEDUP = 1.5
+
+#: Required previous/current solve-time ratio on network-shaped
+#: snapshots; the live-link rewrite reads 1.6-2.2x (median ~1.7x) on a
+#: 2-vCPU host.
+NET_SOLVE_MIN_SPEEDUP = 1.4
 
 #: The semaphore path's win (deque vs list.pop(0)) is algorithmic --
 #: O(1) vs O(queue) per grant -- so it only dominates once the waiter
@@ -92,6 +103,57 @@ def _legacy_maxmin_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
                 counts[link] -= 1
         active = [f for f in active if f not in rates]
     return rates
+
+
+def _previous_fill_rates(active: List[Flow], counts: Dict[Link, int]) -> None:
+    """``_fill_rates`` before the live-link rewrite, verbatim."""
+    cap_left: Dict[Link, float] = {link: link.capacity for link in counts}
+    while active:
+        # Fair share on the currently tightest link.
+        water = float("inf")
+        for link, n in counts.items():
+            if n > 0:
+                share = cap_left[link] / n
+                if share < water:
+                    water = share
+        if water == float("inf"):  # all remaining flows traverse no links
+            for f in active:
+                f.rate = f.cap
+            return
+        threshold = water + _EPS
+        frozen: List[Flow] = []
+        rest: List[Flow] = []
+        for f in active:
+            if f.cap <= threshold:
+                frozen.append(f)
+            else:
+                rest.append(f)
+        if frozen:
+            for f in frozen:
+                f.rate = min(f.cap, water)
+        else:
+            # Freeze every flow crossing a bottleneck link.
+            bottlenecks = {
+                link
+                for link, n in counts.items()
+                if n > 0 and cap_left[link] / n <= threshold
+            }
+            rest = []
+            for f in active:
+                for lnk in f.links:
+                    if lnk in bottlenecks:
+                        frozen.append(f)
+                        break
+                else:
+                    rest.append(f)
+            for f in frozen:
+                f.rate = water
+        for f in frozen:
+            r = f.rate
+            for link in f.links:
+                cap_left[link] = max(0.0, cap_left[link] - r)
+                counts[link] -= 1
+        active = rest
 
 
 class LegacyFlowScheduler:
@@ -235,6 +297,58 @@ def _run_flow_churn(scheduler_cls, n_transfers=4000, concurrency=48, n_links=6):
     return sim.events_executed, time.perf_counter() - start
 
 
+def _network_snapshots(n_snapshots=200, n_nodes=18, n_flows=70, seed=4321):
+    """Seeded allocator inputs shaped like the network scheduler's.
+
+    The shape of a shuffle under the ``shuffle-faults`` benchmark
+    workload: 18 nodes in two racks, reducers on 7 of them, each
+    fetching a batch of up to five map outputs through its own copier
+    link (five 12 MB/s streams), and no flow capped.  Every flow is a
+    source-attributed fetch, ``(tx, rx, copier)`` inside a rack or
+    ``(tx, uplink, uplink, rx, copier)`` across racks; one node's NIC
+    runs degraded.  About 40 links are live.  Returns ``(flows,
+    counts)`` pairs; ``counts`` must be copied per solve, since the
+    allocator consumes it.
+    """
+    mb = 1024.0 * 1024.0
+    rng = random.Random(seed)
+    snapshots = []
+    for _ in range(n_snapshots):
+        tx = [Link(f"n{i}.tx", 117 * mb) for i in range(n_nodes)]
+        rx = [Link(f"n{i}.rx", 117 * mb) for i in range(n_nodes)]
+        slow = rng.randrange(n_nodes)
+        tx[slow].capacity = rx[slow].capacity = 117 * mb * rng.uniform(0.1, 0.9)
+        uplinks = [Link(f"rack{r}.uplink", 117 * mb * n_nodes / 8) for r in (0, 1)]
+        hosts = rng.sample(range(n_nodes), 7)
+        sources = rng.sample(range(n_nodes), 12)
+        flows = []
+        while len(flows) < n_flows:
+            dst = rng.choice(hosts)
+            copier = Link(f"r{len(flows)}.copiers", 60 * mb)
+            batch = 5 if rng.random() < 0.7 else rng.randint(1, 4)
+            for _ in range(min(batch, n_flows - len(flows))):
+                src = rng.choice([i for i in sources if i != dst])
+                if src % 2 == dst % 2:
+                    links = [tx[src], rx[dst], copier]
+                else:
+                    links = [tx[src], uplinks[src % 2], uplinks[dst % 2], rx[dst], copier]
+                flows.append(Flow(links, 1e6, event=None))
+        counts: Dict[Link, int] = {}
+        for f in flows:
+            for link in f.links:
+                counts[link] = counts.get(link, 0) + 1
+        snapshots.append((flows, counts))
+    return snapshots
+
+
+def _solve_all(fill, snapshots):
+    """Wall seconds for one solve of every snapshot."""
+    start = time.perf_counter()
+    for flows, counts in snapshots:
+        fill(flows, dict(counts))
+    return time.perf_counter() - start
+
+
 def _run_semaphore_contention(semaphore_cls, n_workers=60_000, permits=8):
     sim = Simulator()
     sem = semaphore_cls(sim, permits)
@@ -289,6 +403,38 @@ def test_flow_churn_speedup_gate():
         f"flow-churn speedup {speedup:.2f}x fell below the "
         f"{FLOW_CHURN_MIN_SPEEDUP}x regression gate "
         f"({new_eps:,.0f} vs {old_eps:,.0f} events/s)"
+    )
+
+
+def test_network_solve_speedup_gate():
+    snapshots = _network_snapshots()
+    for flows, counts in snapshots:
+        _previous_fill_rates(flows, dict(counts))
+        expected = [f.rate for f in flows]
+        _fill_rates(flows, dict(counts))
+        assert [f.rate for f in flows] == expected, "allocators disagree"
+    # Alternate the two allocators so host-speed drift hits both alike.
+    best_new = best_old = float("inf")
+    for _ in range(2 * BEST_OF):
+        best_old = min(best_old, _solve_all(_previous_fill_rates, snapshots))
+        best_new = min(best_new, _solve_all(_fill_rates, snapshots))
+    speedup = best_old / best_new
+    live_links = sum(len(counts) for _flows, counts in snapshots) / len(snapshots)
+    record_bench(
+        "sim_kernel_net_solve",
+        wall_time_s=best_new,
+        extra={
+            "solves": len(snapshots),
+            "flows_per_solve": len(snapshots[0][0]),
+            "live_links_per_solve": round(live_links, 1),
+            "us_per_solve": round(best_new / len(snapshots) * 1e6, 1),
+            "us_per_solve_previous": round(best_old / len(snapshots) * 1e6, 1),
+            "speedup_vs_previous": round(speedup, 2),
+        },
+    )
+    assert speedup >= NET_SOLVE_MIN_SPEEDUP, (
+        f"network-solve speedup {speedup:.2f}x fell below the "
+        f"{NET_SOLVE_MIN_SPEEDUP}x regression gate"
     )
 
 
