@@ -59,7 +59,6 @@ class SimBackend:
         seed: int = 0,
         cluster_spec: Optional["ClusterSpec"] = None,
         scheduler: str = "fifo",
-        monitor_interval: float = 5.0,
         start_monitors: bool = True,
         fault_tolerance: Optional["FaultToleranceSettings"] = None,
         cluster: Optional[SimCluster] = None,
@@ -72,7 +71,6 @@ class SimBackend:
                 seed=seed,
                 cluster_spec=cluster_spec,
                 scheduler=scheduler,
-                monitor_interval=monitor_interval,
                 start_monitors=start_monitors,
                 fault_tolerance=fault_tolerance,
             )

@@ -197,23 +197,23 @@ class Network:
         return self.scheduler.transfer(links, nbytes, cap=cap, label=label)
 
     # -- monitoring -------------------------------------------------------
-    def nic_utilization(self, node: Node) -> Tuple[float, ...]:
-        """``(rx, tx)`` utilization for *node*, one scan of active flows.
+    def nic_utilizations(self, nodes: Sequence[Node]) -> List[Tuple[float, float]]:
+        """``(rx, tx)`` utilization per node, in one scan of active flows.
 
-        The slave monitors sample both directions every heartbeat; the
-        batched form halves the per-sample flow-list scans while staying
-        bit-identical to two :meth:`rx_utilization`/:meth:`tx_utilization`
-        calls.
+        The slave monitor reads every sampled node's NIC on each tick;
+        one :meth:`FlowScheduler.utilizations` pass over all their links
+        is bit-identical to per-node :meth:`rx_utilization` /
+        :meth:`tx_utilization` calls.
         """
-        return self.scheduler.utilizations(
-            (self._rx[node.node_id], self._tx[node.node_id])
-        )
+        links: List[Link] = []
+        for node in nodes:
+            links.append(self._rx[node.node_id])
+            links.append(self._tx[node.node_id])
+        used = self.scheduler.utilizations(links)
+        return list(zip(used[0::2], used[1::2]))
 
     def rx_utilization(self, node: Node) -> float:
         return self.scheduler.utilization(self._rx[node.node_id])
 
     def tx_utilization(self, node: Node) -> float:
         return self.scheduler.utilization(self._tx[node.node_id])
-
-    def uplink_utilization(self, rack: int) -> float:
-        return self.scheduler.utilization(self._uplink[rack])

@@ -49,7 +49,6 @@ class SimCluster:
         seed: int = 0,
         cluster_spec: Optional[ClusterSpec] = None,
         scheduler: str = "fifo",
-        monitor_interval: float = 5.0,
         start_monitors: bool = True,
         fault_tolerance: Optional["FaultToleranceSettings"] = None,
     ) -> None:
@@ -73,24 +72,14 @@ class SimCluster:
             for node in self.cluster.nodes
         }
         # The central monitor consumes the ``stats``/``node`` feeds off
-        # the bus; slave monitors publish there (sink=None) rather than
-        # calling the central monitor directly.
+        # the bus; the slave monitor publishes its samples there.
         self.monitor = CentralMonitor(self.sim, bus=self.telemetry)
-        self._monitor_interval = monitor_interval
-        self._monitors_started = start_monitors
-        self.slave_monitors: List[SlaveMonitor] = [
-            SlaveMonitor(
-                self.sim,
-                nm,
-                sink=None,
-                interval=monitor_interval,
-                network=self.cluster.network,
-            )
-            for nm in self.node_managers.values()
-        ]
+        #: Samples every node on one timer per start; ``None`` when the
+        #: harness runs without monitors.
+        self.slave_monitor: Optional[SlaveMonitor] = None
         if start_monitors:
-            for sm in self.slave_monitors:
-                sm.start()
+            self.slave_monitor = SlaveMonitor(self.sim, self.cluster.network)
+            self.slave_monitor.start(self.node_managers.values())
         #: Retry/blacklist/speculation policy handed to every app master
         #: (``None`` = defaults: retries on, speculation off).
         self.fault_tolerance = fault_tolerance
@@ -129,9 +118,9 @@ class SimCluster:
             )
         elastic = None
         if plan.has_elastic_faults:
-            # A fully wired membership manager: joined nodes get a slave
-            # monitor (when this harness runs them) and departed nodes'
-            # monitors stop, so the central monitor tracks the live set.
+            # A fully wired membership manager: joined nodes are sampled
+            # (when this harness runs monitors) from the instant they
+            # join, so the central monitor tracks the live set.
             from repro.faults.elastic import ElasticCluster
 
             elastic = ElasticCluster(
@@ -139,8 +128,7 @@ class SimCluster:
                 self.cluster,
                 self.node_managers,
                 self.rm,
-                start_node_monitor=self._start_slave_monitor,
-                stop_node_monitor=self._stop_slave_monitor,
+                slave_monitor=self.slave_monitor,
             )
         control = None
         if plan.has_control_faults:
@@ -161,24 +149,6 @@ class SimCluster:
         )
         self.fault_injector.start()
         return plan
-
-    def _start_slave_monitor(self, nm: NodeManager) -> None:
-        """Give a freshly joined node the same monitoring as seed nodes."""
-        sm = SlaveMonitor(
-            self.sim,
-            nm,
-            sink=None,
-            interval=self._monitor_interval,
-            network=self.cluster.network,
-        )
-        self.slave_monitors.append(sm)
-        if self._monitors_started:
-            sm.start()
-
-    def _stop_slave_monitor(self, node_id: int) -> None:
-        for sm in self.slave_monitors:
-            if sm.nm.node.node_id == node_id:
-                sm.stop()
 
     def _make_scheduler(self, kind: str) -> SchedulerBase:
         if kind == "fifo":

@@ -7,13 +7,13 @@ individual components only expose surfaces for:
 * ``node_decommission`` -- graceful drain.  The NodeManager stops
   accepting containers and the scheduler stops placing on the node;
   running tasks finish undisturbed, and when the last one settles the
-  node deregisters from the RM, its monitor stops, and its links
-  freeze.  Nothing is ever killed.
+  node deregisters from the RM, drops out of monitor sampling, and its
+  links freeze.  Nothing is ever killed.
 * ``node_join`` -- a new node is built with the next sequential id,
   attached to an existing rack's fabric, given a NodeManager (heart-
-  beating immediately when failure detection is armed), an optional
-  slave monitor, and entered into scheduling; pending requests can
-  land on it one dispatch beat later.
+  beating immediately when failure detection is armed), sampled by the
+  slave monitor (if any) from the instant it joins, and entered into
+  scheduling; pending requests can land on it one dispatch beat later.
 * ``spot_preempt`` -- a preemption *notice* drains the node like a
   decommission, but a hard kill lands after the grace window.  Every
   registered application master is notified at notice time so it can
@@ -39,6 +39,7 @@ from repro.yarn.node_manager import KillReason, NodeManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.cluster.topology import Cluster
+    from repro.monitor.slave_monitor import SlaveMonitor
     from repro.sim.engine import Simulator
     from repro.yarn.resource_manager import ResourceManager
 
@@ -52,15 +53,13 @@ class ElasticCluster:
         cluster: "Cluster",
         node_managers: Dict[int, NodeManager],
         rm: "ResourceManager",
-        start_node_monitor: Optional[Callable[[NodeManager], None]] = None,
-        stop_node_monitor: Optional[Callable[[int], None]] = None,
+        slave_monitor: Optional["SlaveMonitor"] = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
         self.node_managers = node_managers
         self.rm = rm
-        self._start_node_monitor = start_node_monitor
-        self._stop_node_monitor = stop_node_monitor
+        self.slave_monitor = slave_monitor
         #: Application masters to notify of preemption notices.
         self.apps: List[object] = []
         #: Called with the sim time on every capacity change (join or
@@ -132,8 +131,8 @@ class ElasticCluster:
         nm = NodeManager(self.sim, node, network=self.cluster.network)
         self.node_managers[node.node_id] = nm
         self.rm.register_node_manager(nm)
-        if self._start_node_monitor is not None:
-            self._start_node_monitor(nm)
+        if self.slave_monitor is not None:
+            self.slave_monitor.start([nm])
         self.joined.append(node.node_id)
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
@@ -220,8 +219,6 @@ class ElasticCluster:
             # crashed one's, so in-flight fetches from it time out and
             # the recovery path takes over.
             self.cluster.network.freeze_node_nic(node_id)
-        if self._stop_node_monitor is not None:
-            self._stop_node_monitor(node_id)
         self.departed.append((node_id, why))
         self._emit_capacity_change(node_id, "depart")
 

@@ -1,6 +1,6 @@
 """The central monitor: aggregates task and node statistics.
 
-The per-node slave monitors push :class:`NodeStats` samples here; app
+The slave monitors push per-node :class:`NodeStats` samples here; app
 masters push :class:`TaskStats` on task completion.  The tuner reads
 both through query methods -- it never touches simulator internals.
 """
@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.mapreduce.jobspec import TaskType
 from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
 from repro.sim.engine import Simulator
+from repro.telemetry.events import CapacityChange, NodeSampled, TaskStatsRecorded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import TelemetryBus
@@ -59,12 +60,6 @@ class CentralMonitor:
         bus.subscribe(self.on_event, categories=("stats", "node"))
 
     def on_event(self, event: "TelemetryEvent") -> None:
-        from repro.telemetry.events import (
-            CapacityChange,
-            NodeSampled,
-            TaskStatsRecorded,
-        )
-
         if isinstance(event, TaskStatsRecorded):
             self.on_task_stats(event.stats)
         elif isinstance(event, NodeSampled):

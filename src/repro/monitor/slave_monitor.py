@@ -1,14 +1,16 @@
-"""Per-node slave monitor: samples node statistics periodically."""
+"""Slave monitors: sample node statistics periodically."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Iterable, List, Sequence
 
 from repro.monitor.statistics import NodeStats
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
+from repro.telemetry.events import NodeSampled
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a monitor <-> yarn cycle
+    from repro.cluster.network import Network
     from repro.yarn.node_manager import NodeManager
 
 DEFAULT_SAMPLE_INTERVAL = 5.0
@@ -19,65 +21,50 @@ class SlaveMonitor:
 
     Mirrors the paper's slave monitors running inside each node manager
     (Section 3): they sample local CPU/memory/network state and push it
-    upstream on a fixed period.  With an explicit *sink* the sample is
-    handed to that callable; without one, each sample is published on
-    the simulator's telemetry bus as a ``node``-category
-    :class:`~repro.telemetry.events.NodeSampled` event (dropped when no
-    bus -- or no subscriber -- is attached).
+    upstream on a fixed period.  Each :meth:`start` call runs one timer
+    over the node managers it is given, so a node is sampled from the
+    instant it is started and every :data:`DEFAULT_SAMPLE_INTERVAL`
+    seconds after, until it departs the cluster.  Every sample is
+    published on the simulator's telemetry bus as a ``node``-category
+    :class:`~repro.telemetry.events.NodeSampled` event, in node order
+    (skipped when no bus -- or no subscriber -- is attached).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node_manager: "NodeManager",
-        sink: Optional[Callable[[NodeStats], None]] = None,
-        interval: float = DEFAULT_SAMPLE_INTERVAL,
-        network=None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
+    def __init__(self, sim: Simulator, network: "Network") -> None:
         self.sim = sim
-        self.nm = node_manager
-        self.sink = sink
-        self.interval = interval
         self.network = network
-        self._running = False
 
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name=f"slave-mon-{self.nm.node.node_id}")
+    def start(self, node_managers: Iterable["NodeManager"]) -> None:
+        """Sample *node_managers* now and on every tick after."""
+        self.sim.process(self._loop(list(node_managers)), name="slave-monitor")
 
-    def stop(self) -> None:
-        self._running = False
+    def sample(self, node_managers: Sequence["NodeManager"]) -> List[NodeStats]:
+        """One :class:`NodeStats` per node manager, in the given order."""
+        nics = self.network.nic_utilizations([nm.node for nm in node_managers])
+        now = self.sim.now
+        return [
+            NodeStats(
+                node_id=nm.node.node_id,
+                time=now,
+                cpu_utilization=nm.cpu_utilization(),
+                memory_utilization=nm.memory_utilization(),
+                running_containers=nm.running_containers,
+                rx_utilization=rx,
+                tx_utilization=tx,
+            )
+            for nm, (rx, tx) in zip(node_managers, nics)
+        ]
 
-    def sample(self) -> NodeStats:
-        node = self.nm.node
-        rx = tx = 0.0
-        if self.network is not None:
-            rx, tx = self.network.nic_utilization(node)
-        return NodeStats(
-            node_id=node.node_id,
-            time=self.sim.now,
-            cpu_utilization=self.nm.cpu_utilization(),
-            memory_utilization=self.nm.memory_utilization(),
-            running_containers=self.nm.running_containers,
-            rx_utilization=rx,
-            tx_utilization=tx,
-        )
-
-    def _publish(self, sample: NodeStats) -> None:
-        if self.sink is not None:
-            self.sink(sample)
-            return
-        tel = self.sim.telemetry
-        if tel is not None and tel.wants("node"):
-            from repro.telemetry.events import NodeSampled
-
-            tel.emit(NodeSampled(time=sample.time, stats=sample))
-
-    def _loop(self) -> Generator[Event, object, None]:
-        while self._running:
-            self._publish(self.sample())
-            yield self.sim.timeout(self.interval)
+    def _loop(
+        self, node_managers: List["NodeManager"]
+    ) -> Generator[Event, object, None]:
+        while True:
+            # Departure is permanent; the timer ends with its last node.
+            node_managers = [nm for nm in node_managers if not nm.node.departed]
+            if not node_managers:
+                return
+            tel = self.sim.telemetry
+            if tel is not None and tel.wants("node"):
+                for stats in self.sample(node_managers):
+                    tel.emit(NodeSampled(time=stats.time, stats=stats))
+            yield self.sim.timeout(DEFAULT_SAMPLE_INTERVAL)

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Mapping, Tuple
 
-from repro.monitor.statistics import NodeStats, TaskStats
+if TYPE_CHECKING:  # pragma: no cover - the monitors import these events
+    from repro.monitor.statistics import NodeStats, TaskStats
 
 #: Subscription keys, in the order exporters present them.
 CATEGORIES: Tuple[str, ...] = (

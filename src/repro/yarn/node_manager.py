@@ -36,11 +36,11 @@ class KillReason:
 
 
 class NodeManager:
-    """Runs containers on one node and samples its resource state.
+    """Runs containers on one node and reports its resource state.
 
-    MRONLINE's slave components (monitor + configurator threads) hook in
-    here; see :class:`repro.monitor.slave_monitor.SlaveMonitor` and
-    :class:`repro.core.configurator.SlaveConfigurator`.
+    MRONLINE's slave monitor reads each node manager's utilization and
+    running containers on every tick; see
+    :class:`repro.monitor.slave_monitor.SlaveMonitor`.
     """
 
     def __init__(

@@ -116,6 +116,27 @@ class TestMonitoring:
         _sim, cluster = small_cluster()
         assert cluster.network.tx_utilization(cluster.nodes[0]) == 0.0
 
+    def test_nic_utilizations_match_per_link_reads(self):
+        sim, cluster = small_cluster(uplink=60 * MB)
+        net = cluster.network
+        joined = cluster.add_node(rack=1)
+        n0, n1, n2, n3 = cluster.nodes[:4]
+        # Overlapping flows: a shared RX, cross-rack uplinks, a capped
+        # flow, an aggregated fetch and traffic from the joined node.
+        net.transfer(n0, n1, 10**10)
+        net.transfer(n2, n1, 10**10, cap=30 * MB)
+        net.transfer(n0, n3, 10**10)
+        net.transfer(joined, n0, 10**10)
+        net.fetch_into(n2, 10**10)
+        net.freeze_node_nic(n3.node_id)
+        sim.run(until=0.5)
+        nodes = [joined, n3, n1, n0, n2]
+        pairs = net.nic_utilizations(nodes)
+        # Bit for bit, not approximately: float == is exact.
+        assert pairs == [(net.rx_utilization(n), net.tx_utilization(n)) for n in nodes]
+        assert any(0.0 < u < 1.0 for pair in pairs for u in pair)
+        assert net.nic_utilizations([]) == []
+
 
 class TestTopology:
     def test_paper_cluster_shape(self):

@@ -16,16 +16,16 @@ class TestSimCluster:
             SimCluster(scheduler="capacity")
 
     def test_monitors_collect_node_samples(self):
-        sc = SimCluster(
-            seed=0,
-            cluster_spec=ClusterSpec(num_slaves=2, racks=(2,)),
-            monitor_interval=1.0,
-        )
+        sc = SimCluster(seed=0, cluster_spec=ClusterSpec(num_slaves=2, racks=(2,)))
         case = terasort_case(0.5)
         from repro.workloads.suite import make_job_spec
 
         sc.run_job(make_job_spec(case, sc.hdfs))
-        assert len(sc.monitor.node_samples) > 0
+        samples = sc.monitor.node_samples
+        ticks = int(sc.sim.now // 5.0) + 1
+        assert [(s.time, s.node_id) for s in samples] == [
+            (5.0 * k, node_id) for k in range(ticks) for node_id in (0, 1)
+        ]
         assert len(sc.monitor.task_stats) == case.num_maps + case.num_reducers
 
 

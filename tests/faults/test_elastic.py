@@ -320,6 +320,41 @@ class TestMonitorUnderChurn:
             assert 0.0 <= mon.mean_memory_utilization(since=since) <= 1.0
 
 
+    def test_each_join_samples_on_its_own_timer(self):
+        # Joined nodes are sampled from the instant they join, on one
+        # timer per join; a departed node's samples stop.
+        sc = SimCluster(
+            seed=0,
+            cluster_spec=ClusterSpec(num_slaves=4, racks=(2, 2)),
+            fault_tolerance=FaultToleranceSettings(),
+        )
+        seen = []
+        sc.telemetry.subscribe(seen.append, categories=("node", "sim"))
+        plan = FaultPlan(
+            (
+                Fault(time=1.3, kind="node_join", node_id=0),
+                Fault(time=7.9, kind="node_join", node_id=2),
+                Fault(time=12.0, kind="node_decommission", node_id=4),
+            )
+        )
+        am, result = run_with_faults(sc, plan)
+        assert result.succeeded
+        timers = [
+            ev for ev in seen
+            if ev.kind == "process_start" and ev.name == "slave-monitor"
+        ]
+        # One timer per join (the seed nodes' timer started with the cluster).
+        assert [ev.time for ev in timers] == [1.3, 7.9]
+        times = {}
+        for ev in seen:
+            if ev.kind == "node_sample":
+                times.setdefault(ev.stats.node_id, []).append(ev.time)
+        departed_at = sc.monitor.departed_nodes[4]
+        assert times[4][0] == 1.3 and times[4][-1] <= departed_at
+        assert times[5][:2] == [7.9, 7.9 + 5.0]
+        assert times[0][:2] == [0.0, 5.0]
+
+
 class TestTunerCapacityAwareness:
     """Tentpole: capacity-shifted waves are excluded from the search."""
 

@@ -237,36 +237,55 @@ class TestCentralMonitor:
         assert mon.hot_nodes() == [3]
 
 
+def sampled_cluster(num_slaves=1):
+    """A bus-attached simulator, its nodes' managers and the ``node`` feed."""
+    from repro.telemetry import TelemetryBus
+
+    sim = Simulator()
+    bus = TelemetryBus(clock=lambda: sim.now)
+    sim.attach_telemetry(bus)
+    cluster = Cluster(sim, ClusterSpec(num_slaves=num_slaves, racks=(num_slaves,)))
+    nms = [NodeManager(sim, node) for node in cluster.nodes]
+    seen = []
+    bus.subscribe(seen.append, categories=("node",))
+    return sim, cluster, nms, seen
+
+
 class TestSlaveMonitor:
     def test_periodic_sampling(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
-        nm = NodeManager(sim, cluster.nodes[0])
-        samples = []
-        mon = SlaveMonitor(sim, nm, samples.append, interval=2.0, network=cluster.network)
-        mon.start()
+        sim, cluster, nms, seen = sampled_cluster(num_slaves=2)
+        SlaveMonitor(sim, cluster.network).start(nms)
+        sim.run(until=12.0)
+        # Every tick samples each node, in node order, on one 5 s grid.
+        assert [(ev.time, ev.stats.node_id) for ev in seen] == [
+            (0.0, 0), (0.0, 1), (5.0, 0), (5.0, 1), (10.0, 0), (10.0, 1),
+        ]
+
+    def test_one_timer_per_start(self):
+        sim, cluster, nms, seen = sampled_cluster(num_slaves=3)
+        mon = SlaveMonitor(sim, cluster.network)
+        mon.start(nms[:2])
+        sim.run(until=1.5)
+        mon.start(nms[2:])  # a later start keeps its own instant
         sim.run(until=7.0)
-        assert len(samples) == 4  # t = 0, 2, 4, 6
-        assert all(s.node_id == 0 for s in samples)
+        assert [(ev.time, ev.stats.node_id) for ev in seen] == [
+            (0.0, 0), (0.0, 1), (1.5, 2), (5.0, 0), (5.0, 1), (6.5, 2),
+        ]
+        # Two processes, each woken once: four events, not one per node.
+        assert sim.events_executed == 4
 
-    def test_stop_ends_loop(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
-        nm = NodeManager(sim, cluster.nodes[0])
-        samples = []
-        mon = SlaveMonitor(sim, nm, samples.append, interval=2.0)
-        mon.start()
-        sim.run(until=3.0)
-        mon.stop()
-        sim.run(until=20.0)
-        assert len(samples) <= 3
-
-    def test_invalid_interval(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
-        nm = NodeManager(sim, cluster.nodes[0])
-        with pytest.raises(ValueError):
-            SlaveMonitor(sim, nm, lambda s: None, interval=0.0)
+    def test_departed_node_stops_sampling(self):
+        sim, cluster, nms, seen = sampled_cluster(num_slaves=2)
+        SlaveMonitor(sim, cluster.network).start(nms)
+        sim.run(until=6.0)
+        cluster.nodes[1].depart()
+        sim.run(until=12.0)
+        assert [(ev.time, ev.stats.node_id) for ev in seen] == [
+            (0.0, 0), (0.0, 1), (5.0, 0), (5.0, 1), (10.0, 0),
+        ]
+        cluster.nodes[0].depart()
+        sim.run()  # the timer ends with its last node: the calendar drains
+        assert len(seen) == 5
 
     def test_sample_reflects_cpu_load(self):
         sim = Simulator()
@@ -275,9 +294,9 @@ class TestSlaveMonitor:
         nm = NodeManager(sim, node)
         node.compute(10_000.0, max_cores=4.0)
         sim.run(until=0.1)
-        mon = SlaveMonitor(sim, nm, lambda s: None, network=cluster.network)
-        s = mon.sample()
+        (s,) = SlaveMonitor(sim, cluster.network).sample([nm])
         assert s.cpu_utilization == pytest.approx(0.5)
+        assert (s.node_id, s.time) == (0, 0.1)
 
 
 class TestMonitorsOnTheBus:
@@ -295,25 +314,15 @@ class TestMonitorsOnTheBus:
         assert mon.mean_cpu_utilization() == pytest.approx(0.3)
 
     def test_slave_monitor_publishes_to_bus_without_sink(self):
-        from repro.telemetry import TelemetryBus
-
-        sim = Simulator()
-        bus = TelemetryBus(clock=lambda: sim.now)
-        sim.attach_telemetry(bus)
-        cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
-        nm = NodeManager(sim, cluster.nodes[0])
-        seen = []
-        bus.subscribe(seen.append, categories=("node",))
-        mon = SlaveMonitor(sim, nm, sink=None, interval=2.0, network=cluster.network)
-        mon.start()
-        sim.run(until=5.0)
-        assert len(seen) == 3  # t = 0, 2, 4
+        sim, cluster, nms, seen = sampled_cluster()
+        SlaveMonitor(sim, cluster.network).start(nms)
+        sim.run(until=11.0)
+        assert len(seen) == 3  # t = 0, 5, 10
         assert all(ev.category == "node" for ev in seen)
 
     def test_slave_monitor_without_bus_or_sink_is_silent(self):
         sim = Simulator()
         cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
         nm = NodeManager(sim, cluster.nodes[0])
-        mon = SlaveMonitor(sim, nm, sink=None, interval=2.0)
-        mon.start()
-        sim.run(until=5.0)  # nothing to assert beyond "does not raise"
+        SlaveMonitor(sim, cluster.network).start([nm])
+        sim.run(until=11.0)  # nothing to assert beyond "does not raise"
