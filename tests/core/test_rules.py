@@ -19,7 +19,6 @@ from repro.core.rules import (
     VcoreRule,
     default_rules,
 )
-from repro.core.rules.dependencies import DependencyRule, violations
 from repro.core.tuner import MAP_TUNABLE, REDUCE_TUNABLE
 from repro.mapreduce.jobspec import TaskId, TaskType
 from repro.monitor.statistics import TaskStats
@@ -303,22 +302,6 @@ class TestOomBackoff:
         ctx = ctx_for(TaskType.REDUCE, window)
         changes = OomBackoffRule().conservative_update(ctx, Configuration())
         assert changes[P.REDUCE_MEMORY_MB] > 1024
-
-
-class TestDependencyRule:
-    def test_reports_violations(self):
-        cfg = Configuration({P.MAP_MEMORY_MB: 512, P.IO_SORT_MB: 1600})
-        assert violations(cfg)
-
-    def test_rule_returns_clamp_deltas(self):
-        cfg = Configuration({P.MAP_MEMORY_MB: 512, P.IO_SORT_MB: 1600})
-        ctx = ctx_for(TaskType.MAP, [stats()])
-        changes = DependencyRule().conservative_update(ctx, cfg)
-        assert P.IO_SORT_MB in changes
-
-    def test_feasible_config_no_changes(self):
-        ctx = ctx_for(TaskType.MAP, [stats()])
-        assert DependencyRule().conservative_update(ctx, Configuration()) == {}
 
 
 def test_default_rules_order_starts_with_oom_backoff():
