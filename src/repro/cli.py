@@ -771,6 +771,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.workers is not None and args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
+    if args.workers is None:
+        from repro.experiments.parallel import resolve_workers
+
+        try:
+            resolve_workers()  # a bad REPRO_WORKERS fails here, not mid-run
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     # Backend routing: the simulated experiments only run on `sim`, the
     # real-execution A/B only on `local`; `--backend` makes the choice
     # explicit and rejects impossible pairings instead of ignoring them.

@@ -66,13 +66,20 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     """Resolve the worker count: explicit arg > ``REPRO_WORKERS`` > CPUs."""
     if explicit is not None:
         workers = int(explicit)
-    else:
-        workers = int(os.environ.get(WORKERS_ENV, "0") or "0")
-        if workers == 0:
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+        if workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {workers}")
+        return workers
+    raw = os.environ.get(WORKERS_ENV, "")
+    try:
+        workers = int(raw or "0")
+    except ValueError:
+        workers = -1  # not a number: rejected with the negatives below
+    if workers < 0:
+        raise ValueError(
+            f"{WORKERS_ENV} must be a worker count >= 1 (or 0 for all CPUs), "
+            f"got {raw!r}"
+        )
+    return workers or os.cpu_count() or 1
 
 
 class WorkerCrashError(RuntimeError):

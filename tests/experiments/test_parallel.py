@@ -240,9 +240,12 @@ class TestWorkerResolution:
         assert resolve_workers() == (os.cpu_count() or 1)
 
     def test_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv(par.WORKERS_ENV, "-2")
+        for raw in ("-2", "abc"):
+            monkeypatch.setenv(par.WORKERS_ENV, raw)
+            with pytest.raises(ValueError, match=par.WORKERS_ENV):
+                resolve_workers()
         with pytest.raises(ValueError):
-            resolve_workers()
+            resolve_workers(0)
 
     def test_workers_1_never_builds_a_pool(self, monkeypatch):
         """REPRO_WORKERS=1 must take the exact in-process path."""

@@ -23,6 +23,14 @@ class TestParser:
     def test_invalid_replicas(self):
         assert main(["--replicas", "0", "list"]) == 2
 
+    @pytest.mark.parametrize("raw", ["abc", "-2"])
+    def test_invalid_workers_env(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        assert main(["digest"]) == 2
+        assert "REPRO_WORKERS" in capsys.readouterr().err
+        # An explicit --workers wins over the environment knob.
+        assert main(["--workers", "1", "list"]) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
