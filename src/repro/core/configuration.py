@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Mapping, Optional
 
 from repro.core import parameters as P
-from repro.core.parameters import PARAMETER_SPACE, ParameterSpace
+from repro.core.parameters import DEFAULTS, PARAMETER_SPACE
 
 #: Fraction of container memory available as JVM heap (-Xmx is
 #: conventionally set to ~80% of the container grant).
@@ -29,30 +29,34 @@ HEAP_FRACTION = 0.8
 MAX_SORT_BUFFER_HEAP_FRACTION = 0.75
 
 
+def _clamped(values: Mapping[str, float]) -> Dict[str, float]:
+    """*values* with each Table-2 entry clamped to its range."""
+    return {
+        name: PARAMETER_SPACE.spec(name).clamp(float(value))
+        if name in PARAMETER_SPACE
+        else value
+        for name, value in values.items()
+    }
+
+
 class Configuration:
-    """A complete job/task configuration (name -> value, with defaults)."""
+    """A complete job/task configuration (name -> value, with defaults).
 
-    __slots__ = ("_values", "_space")
+    Table-2 values are clamped once, when they enter through the
+    constructor or :meth:`updated`; other names pass through verbatim.
+    The one in-place change is :meth:`hot_swap`.
+    """
 
-    def __init__(
-        self,
-        values: Optional[Mapping[str, float]] = None,
-        space: Optional[ParameterSpace] = None,
-    ) -> None:
-        self._space = space or PARAMETER_SPACE
-        self._values: Dict[str, float] = self._space.defaults()
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Optional[Mapping[str, float]] = None) -> None:
+        self._values: Dict[str, float] = dict(DEFAULTS)
         if values:
-            for name, value in values.items():
-                self[name] = value
+            self._values.update(_clamped(values))
 
     # -- mapping protocol ---------------------------------------------------
     def __getitem__(self, name: str) -> float:
         return self._values[name]
-
-    def __setitem__(self, name: str, value: float) -> None:
-        if name in self._space:
-            value = self._space.spec(name).clamp(float(value))
-        self._values[name] = value
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
@@ -74,18 +78,25 @@ class Configuration:
     def as_dict(self) -> Dict[str, float]:
         return dict(self._values)
 
-    def copy(self) -> "Configuration":
-        return Configuration(self._values, space=self._space)
-
     def updated(self, changes: Mapping[str, float]) -> "Configuration":
-        cfg = self.copy()
-        for name, value in changes.items():
-            cfg[name] = value
+        """A new configuration: this one with *changes* applied.
+
+        Stored values are already clamped, so only *changes* are.
+        """
+        cfg = Configuration.__new__(Configuration)
+        cfg._values = {**self._values, **_clamped(changes)}
         return cfg
 
-    @property
-    def space(self) -> ParameterSpace:
-        return self._space
+    def hot_swap(self, changes: Mapping[str, float]) -> None:
+        """Write the category-3 (hot-swappable) subset of *changes* in place.
+
+        A running task reads these parameters from this object at its
+        next decision point (S2.2); every other entry of *changes* is
+        ignored here.
+        """
+        for name, value in changes.items():
+            if name in PARAMETER_SPACE and PARAMETER_SPACE.spec(name).hot_swappable:
+                self._values[name] = PARAMETER_SPACE.spec(name).clamp(float(value))
 
     # -- convenience accessors (bytes, cores) -------------------------------
     MB = 1024 * 1024
@@ -119,28 +130,31 @@ class Configuration:
 
 
 def enforce_dependencies(config: Configuration) -> Configuration:
-    """Return a copy of *config* with inter-parameter constraints applied.
+    """Return *config* with inter-parameter constraints applied.
 
     The hill climber samples parameters independently; this clamp maps
     any sampled point to the nearest *feasible* configuration, exactly
-    the role the dependency rules play in Section 5.
+    the role the dependency rules play in Section 5.  The result is
+    always a new object, never *config* itself.
     """
-    cfg = config.copy()
+    changes: Dict[str, float] = {}
     # Sort buffer must fit (with headroom) inside the map-task heap.
     max_sort_mb = int(
-        cfg[P.MAP_MEMORY_MB] * HEAP_FRACTION * MAX_SORT_BUFFER_HEAP_FRACTION
+        config[P.MAP_MEMORY_MB] * HEAP_FRACTION * MAX_SORT_BUFFER_HEAP_FRACTION
     )
-    if cfg[P.IO_SORT_MB] > max_sort_mb:
-        cfg[P.IO_SORT_MB] = max(1, max_sort_mb)
-    # Shuffle merge trigger cannot exceed the shuffle buffer itself.
-    if cfg[P.SHUFFLE_MERGE_PERCENT] > cfg[P.SHUFFLE_INPUT_BUFFER_PERCENT]:
-        cfg[P.SHUFFLE_MERGE_PERCENT] = cfg[P.SHUFFLE_INPUT_BUFFER_PERCENT]
+    if config[P.IO_SORT_MB] > max_sort_mb:
+        changes[P.IO_SORT_MB] = max(1, max_sort_mb)
+    # Shuffle merge trigger cannot exceed the shuffle buffer itself (both
+    # share one range, so the buffer value needs no further clamp).
+    merge = config[P.SHUFFLE_MERGE_PERCENT]
+    if merge > config[P.SHUFFLE_INPUT_BUFFER_PERCENT]:
+        merge = changes[P.SHUFFLE_MERGE_PERCENT] = config[P.SHUFFLE_INPUT_BUFFER_PERCENT]
     # memory.limit.percent is a fraction of the shuffle buffer; a single
     # segment admitted to memory must not exceed the merge trigger or the
     # merge could never fire.
-    if cfg[P.SHUFFLE_MEMORY_LIMIT_PERCENT] > cfg[P.SHUFFLE_MERGE_PERCENT]:
-        cfg[P.SHUFFLE_MEMORY_LIMIT_PERCENT] = cfg[P.SHUFFLE_MERGE_PERCENT]
-    return cfg
+    if config[P.SHUFFLE_MEMORY_LIMIT_PERCENT] > merge:
+        changes[P.SHUFFLE_MEMORY_LIMIT_PERCENT] = merge
+    return config.updated(changes)
 
 
 def is_feasible(config: Configuration) -> bool:

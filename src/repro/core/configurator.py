@@ -12,10 +12,11 @@ the paper's listing verbatim).  Resolution order for a launching task:
 4. the job's submitted base configuration.
 
 Running tasks keep a *live* reference to their Configuration object;
-``set_task_parameters`` on a running task applies category-3
-(hot-swappable) parameters in place, which the task processes read at
-their next decision point -- the paper's "can be changed on the fly and
-become effective immediately".
+``set_task_parameters`` on a running task hot-swaps category-3
+parameters into it (:meth:`Configuration.hot_swap`), which the task
+processes read at their next decision point -- the paper's "can be
+changed on the fly and become effective immediately".  Every other
+change derives a new configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.configuration import Configuration, enforce_dependencies
-from repro.core.parameters import PARAMETER_SPACE, ParameterSpace
+from repro.core.parameters import PARAMETER_SPACE
 from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType
 
 AssignmentListener = Callable[[str, TaskId, Configuration, object], None]
@@ -33,8 +34,7 @@ AssignmentListener = Callable[[str, TaskId, Configuration, object], None]
 class DynamicConfigurator:
     """Centralized configuration distribution with task-level granularity."""
 
-    def __init__(self, space: Optional[ParameterSpace] = None) -> None:
-        self.space = space or PARAMETER_SPACE
+    def __init__(self) -> None:
         self._jobs: Dict[str, JobSpec] = {}
         self._job_config: Dict[str, Configuration] = {}
         self._task_overrides: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -51,18 +51,8 @@ class DynamicConfigurator:
     # ------------------------------------------------------------------
     def register_job(self, spec: JobSpec) -> None:
         self._jobs[spec.job_id] = spec
-        self._job_config[spec.job_id] = spec.base_config.copy()
+        self._job_config[spec.job_id] = spec.base_config
         self._task_overrides.setdefault(spec.job_id, {})
-
-    def complete_job(self, job_id: str) -> None:
-        """Drop per-job state (the live-task registry in particular)."""
-        self._jobs.pop(job_id, None)
-        self._job_config.pop(job_id, None)
-        self._task_overrides.pop(job_id, None)
-        for key in [k for k in self._queues if k[0] == job_id]:
-            del self._queues[key]
-        for tid in [t for t in self._live if t.startswith(f"task_{job_id}_")]:
-            del self._live[tid]
 
     def job_config(self, job_id: str) -> Configuration:
         return self._job_config[job_id]
@@ -73,7 +63,7 @@ class DynamicConfigurator:
     def get_configurable_job_parameters(self, job_id: str) -> List[str]:
         """Parameters settable for the job's current and future tasks."""
         self._require_job(job_id)
-        return list(self.space.names)
+        return list(PARAMETER_SPACE.names)
 
     def get_configurable_task_parameters(self, job_id: str, task_id: TaskId) -> List[str]:
         """Parameters settable for one task.
@@ -83,18 +73,14 @@ class DynamicConfigurator:
         """
         self._require_job(job_id)
         if str(task_id) in self._live:
-            return [s.name for s in self.space if s.hot_swappable]
-        return list(self.space.names)
+            return [s.name for s in PARAMETER_SPACE if s.hot_swappable]
+        return list(PARAMETER_SPACE.names)
 
     def set_job_parameters(self, job_id: str, kv: Mapping[str, float]) -> int:
         """Update the job-level configuration; returns parameters applied."""
         self._require_job(job_id)
-        config = self._job_config[job_id]
-        applied = 0
-        for name, value in kv.items():
-            config[name] = value
-            applied += 1
-        return applied
+        self._job_config[job_id] = self._job_config[job_id].updated(kv)
+        return len(kv)
 
     def set_task_parameters(
         self,
@@ -114,7 +100,7 @@ class DynamicConfigurator:
             applied = self.set_job_parameters(job_id, kv)
             for tid, live in list(self._live.items()):
                 if tid.startswith(f"task_{job_id}_"):
-                    self._apply_hot(live, kv)
+                    live.hot_swap(kv)
             return applied
         tid = str(task_id)
         overrides = self._task_overrides[job_id].setdefault(tid, {})
@@ -124,7 +110,7 @@ class DynamicConfigurator:
             applied += 1
         live = self._live.get(tid)
         if live is not None:
-            self._apply_hot(live, kv)
+            live.hot_swap(kv)
         return applied
 
     # camelCase aliases, exactly as Table 1 lists them.
@@ -132,11 +118,6 @@ class DynamicConfigurator:
     getConfigurableTaskParameters = get_configurable_task_parameters
     setJobParameters = set_job_parameters
     setTaskParameters = set_task_parameters
-
-    def _apply_hot(self, live: Configuration, kv: Mapping[str, float]) -> None:
-        for name, value in kv.items():
-            if name in self.space and self.space.spec(name).hot_swappable:
-                live[name] = value
 
     # ------------------------------------------------------------------
     # Wave queues (aggressive tuning)
@@ -193,22 +174,18 @@ class DynamicConfigurator:
         else:
             queue = self._queues.get((spec.job_id, task_id.task_type))
             if queue:
-                sampled, meta = queue.popleft()
-                config = sampled.copy()
+                config, meta = queue.popleft()
                 self._pinned.add(tid)
             else:
-                config = self._job_config[spec.job_id].copy()
+                config = self._job_config[spec.job_id]
                 self._pinned.discard(tid)
+        # A new object: the live configuration never aliases the job
+        # configuration or a queued sample.
         config = enforce_dependencies(config)
         self._live[tid] = config
         for listener in self.assignment_listeners:
             listener(spec.job_id, task_id, config, meta)
         return config
-
-    #: The app master may use configurations from this provider without
-    #: re-clamping them (re-clamping would copy the object and sever the
-    #: live reference that hot-swapping relies on).
-    provides_feasible_configs = True
 
     #: Container-sizing parameters fixed once the grant is made.
     _GRANT_PARAMS = (
@@ -233,10 +210,8 @@ class DynamicConfigurator:
         tid = str(task_id)
         if tid in self._pinned:
             return requested
-        fresh = self._job_config[spec.job_id].copy()
-        for name in self._GRANT_PARAMS:
-            fresh[name] = requested[name]
-        fresh = enforce_dependencies(fresh)
+        grant = {name: requested[name] for name in self._GRANT_PARAMS}
+        fresh = enforce_dependencies(self._job_config[spec.job_id].updated(grant))
         self._live[tid] = fresh
         return fresh
 

@@ -8,14 +8,14 @@ existing site file to seed a search / run a what-if against it.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import Dict, Union
 
 from repro.core.configuration import Configuration
-from repro.core.parameters import PARAMETER_SPACE, ParameterSpace
+from repro.core.parameters import PARAMETER_SPACE
 
 
-def _format_value(name: str, value: float, space: ParameterSpace) -> str:
-    if name in space and space.spec(name).kind == "int":
+def _format_value(name: str, value: float) -> str:
+    if name in PARAMETER_SPACE and PARAMETER_SPACE.spec(name).kind == "int":
         return str(int(round(value)))
     if float(value).is_integer():
         return str(int(value))
@@ -32,26 +32,22 @@ def to_hadoop_xml(
     for name in sorted(config):
         prop = ET.SubElement(root, "property")
         ET.SubElement(prop, "name").text = name
-        ET.SubElement(prop, "value").text = _format_value(
-            name, float(config[name]), config.space
-        )
+        ET.SubElement(prop, "value").text = _format_value(name, float(config[name]))
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
 
-def from_hadoop_xml(
-    payload: str, space: Optional[ParameterSpace] = None
-) -> Configuration:
+def from_hadoop_xml(payload: str) -> Configuration:
     """Parse a Hadoop site file into a :class:`Configuration`.
 
     Unknown properties are carried along verbatim (Hadoop files mix
     tuning parameters with unrelated settings); known parameters are
-    clamped to their Table-2 ranges on assignment.
+    clamped to their Table-2 ranges.
     """
     root = ET.fromstring(payload)
     if root.tag != "configuration":
         raise ValueError(f"expected <configuration> root, got <{root.tag}>")
-    config = Configuration(space=space or PARAMETER_SPACE)
+    values: Dict[str, Union[float, str]] = {}
     for prop in root.findall("property"):
         name_el = prop.find("name")
         value_el = prop.find("value")
@@ -60,11 +56,11 @@ def from_hadoop_xml(
         name = name_el.text.strip()
         raw = (value_el.text or "").strip()
         try:
-            config[name] = float(raw)
+            values[name] = float(raw)
         except ValueError:
             # Non-numeric Hadoop settings ride along untouched.
-            config[name] = raw  # type: ignore[assignment]
-    return config
+            values[name] = raw
+    return Configuration(values)  # type: ignore[arg-type]
 
 
 def save_hadoop_xml(config: Configuration, path: str, **kwargs) -> None:
@@ -72,6 +68,6 @@ def save_hadoop_xml(config: Configuration, path: str, **kwargs) -> None:
         fh.write(to_hadoop_xml(config, **kwargs))
 
 
-def load_hadoop_xml(path: str, space: Optional[ParameterSpace] = None) -> Configuration:
+def load_hadoop_xml(path: str) -> Configuration:
     with open(path) as fh:
-        return from_hadoop_xml(fh.read(), space=space)
+        return from_hadoop_xml(fh.read())

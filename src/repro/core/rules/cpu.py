@@ -58,7 +58,7 @@ class _IncrementalRule(TuningRule):
             ctx.memo[memo_stop] = True
             return {}
         ctx.memo[memo_t] = mean_t
-        spec = config.space.spec(self.param)
+        spec = P.PARAMETER_SPACE.spec(self.param)
         target = spec.clamp(float(config[self.param]) + self.increment)
         if target <= float(config[self.param]):
             return {}
@@ -101,7 +101,7 @@ class VcoreRule(TuningRule):
         mean_t = ctx.mean(s.duration for s in ok)
         memo_t = "vcores.last_duration"
         last = ctx.memo.get(memo_t)
-        spec = config.space.spec(param)
+        spec = P.PARAMETER_SPACE.spec(param)
         current = float(config[param])
         if mean_util >= CPU_SATURATED:
             # Keep increasing while execution time improves.

@@ -55,7 +55,7 @@ class OomBackoffRule(TuningRule):
         if not ctx.oom_failures():
             return {}
         param = _memory_param(ctx.task_type)
-        mem_spec = config.space.spec(param)
+        mem_spec = P.PARAMETER_SPACE.spec(param)
         target = mem_spec.clamp(
             math.ceil(float(config[param]) * self.GROWTH / 64.0) * 64
         )
@@ -63,7 +63,7 @@ class OomBackoffRule(TuningRule):
         if target > config[param]:
             changes[param] = float(target)
         if ctx.task_type is TaskType.MAP:
-            sort_spec = config.space.spec(P.IO_SORT_MB)
+            sort_spec = P.PARAMETER_SPACE.spec(P.IO_SORT_MB)
             trimmed = sort_spec.clamp(float(config[P.IO_SORT_MB]) * 0.8)
             if trimmed < config[P.IO_SORT_MB]:
                 changes[P.IO_SORT_MB] = float(trimmed)
@@ -130,10 +130,7 @@ class ContainerMemoryRule(TuningRule):
         # Estimate the real need from observed peak working sets.
         need = max(s.working_set_bytes for s in ok) * ESTIMATE_MARGIN
         current = float(config[param])
-        target_mb = math.ceil(need / MB / 64.0) * 64
-        spec = config.space.spec(param) if param in config.space else None
-        if spec is not None:
-            target_mb = spec.clamp(target_mb)
+        target_mb = P.PARAMETER_SPACE.spec(param).clamp(math.ceil(need / MB / 64.0) * 64)
         mean_util = ctx.mean(s.memory_utilization for s in ok)
         if mean_util <= UNDER_UTILIZED and target_mb < current:
             # Under-utilized: try the lower value with high probability.
@@ -203,7 +200,7 @@ class SortBufferRule(TuningRule):
         if est_mb <= 0:
             return {}
         changes: Dict[str, float] = {}
-        spec = config.space.spec(P.IO_SORT_MB)
+        spec = P.PARAMETER_SPACE.spec(P.IO_SORT_MB)
         target = spec.clamp(math.ceil(est_mb / 10.0) * 10)
         # The buffer and the map function share the heap: leave room for
         # the user code's (gray-box estimated) working set.
@@ -211,7 +208,7 @@ class SortBufferRule(TuningRule):
         heap_mb = float(config[P.MAP_MEMORY_MB]) * HEAP_FRACTION
         budget = heap_mb * self.HEAP_BUDGET - fixed_mb
         if target > budget:
-            mem_spec = config.space.spec(P.MAP_MEMORY_MB)
+            mem_spec = P.PARAMETER_SPACE.spec(P.MAP_MEMORY_MB)
             need_mb = math.ceil(
                 (target + fixed_mb) / self.HEAP_BUDGET / HEAP_FRACTION / 64.0
             ) * 64
@@ -339,11 +336,11 @@ class ReduceBufferRule(TuningRule):
             return {}
         changes: Dict[str, float] = {}
         heap_mb = float(config[P.REDUCE_MEMORY_MB]) * HEAP_FRACTION
-        ibp_spec = config.space.spec(P.SHUFFLE_INPUT_BUFFER_PERCENT)
+        ibp_spec = P.PARAMETER_SPACE.spec(P.SHUFFLE_INPUT_BUFFER_PERCENT)
         # Size the shuffle buffer to hold the whole input when possible;
         # grow the container if the current heap cannot.
         if est_mb > heap_mb * ibp_spec.high:
-            mem_spec = config.space.spec(P.REDUCE_MEMORY_MB)
+            mem_spec = P.PARAMETER_SPACE.spec(P.REDUCE_MEMORY_MB)
             need = mem_spec.clamp(
                 math.ceil(est_mb / ibp_spec.high / HEAP_FRACTION / 64.0) * 64
             )
@@ -356,14 +353,14 @@ class ReduceBufferRule(TuningRule):
             # Everything fits: merge trigger equals the buffer, and the
             # reduce phase may retain the segments in memory.
             merge = ibp
-            rib_spec = config.space.spec(P.REDUCE_INPUT_BUFFER_PERCENT)
+            rib_spec = P.PARAMETER_SPACE.spec(P.REDUCE_INPUT_BUFFER_PERCENT)
             rib = rib_spec.clamp(min(rib_spec.high, est_mb / heap_mb))
             changes[P.REDUCE_INPUT_BUFFER_PERCENT] = rib
         else:
             ibp = ibp_spec.high
             merge = max(ibp_spec.low, ibp - self.MERGE_GAP)
         changes[P.SHUFFLE_INPUT_BUFFER_PERCENT] = ibp
-        changes[P.SHUFFLE_MERGE_PERCENT] = config.space.spec(
+        changes[P.SHUFFLE_MERGE_PERCENT] = P.PARAMETER_SPACE.spec(
             P.SHUFFLE_MERGE_PERCENT
         ).clamp(merge)
         changes[P.MERGE_INMEM_THRESHOLD] = 0.0

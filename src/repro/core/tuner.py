@@ -859,13 +859,12 @@ class OnlineTuner:
         job = self._jobs[job_id]
         base = job.spec.base_config
         if self.strategy is TuningStrategy.AGGRESSIVE:
-            config = base.copy()
+            changes: Dict[str, float] = {}
             for state in job.search_states.values():
                 best = state.climber.best_config(base)
-                for name in state.space.names:
-                    config[name] = best[name]
-            return enforce_dependencies(config)
-        return enforce_dependencies(self.configurator.job_config(job_id).copy())
+                changes.update((name, best[name]) for name in state.space.names)
+            return enforce_dependencies(base.updated(changes))
+        return enforce_dependencies(self.configurator.job_config(job_id))
 
     def finalize_job(self, job_id: str, result: object = None) -> Configuration:
         """Record the session's outcome in the knowledge base."""

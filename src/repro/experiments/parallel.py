@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
+from repro.core.parameters import DEFAULTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.sim import SimBackend
@@ -229,11 +230,10 @@ def serialize_config(
     """Reduce a configuration to its sorted non-default entries."""
     if config is None:
         return None
-    defaults = config.space.defaults()
     return tuple(
         (name, value)
         for name, value in sorted(config.as_dict().items())
-        if defaults.get(name) != value
+        if DEFAULTS.get(name) != value
     )
 
 

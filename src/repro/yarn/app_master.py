@@ -111,14 +111,25 @@ class FaultToleranceSettings:
 class ConfigProvider(Protocol):
     """Source of per-task configurations (Table-1 seam)."""
 
-    def task_config(self, spec: JobSpec, task_id: TaskId) -> Configuration: ...
+    def task_config(self, spec: JobSpec, task_id: TaskId) -> Configuration:
+        """A feasible configuration for *task_id*; it sizes the container ask."""
+
+    def task_launch_config(
+        self, spec: JobSpec, task_id: TaskId, requested: Configuration
+    ) -> Configuration:
+        """The configuration the task runs once its container is granted."""
 
 
 class BaseConfigProvider:
     """Every task runs the job's base configuration (vanilla YARN)."""
 
     def task_config(self, spec: JobSpec, task_id: TaskId) -> Configuration:
-        return spec.base_config
+        return enforce_dependencies(spec.base_config)
+
+    def task_launch_config(
+        self, spec: JobSpec, task_id: TaskId, requested: Configuration
+    ) -> Configuration:
+        return requested
 
 
 class LaunchGate:
@@ -492,24 +503,6 @@ class MRAppMaster:
     # ------------------------------------------------------------------
     # Task configuration
     # ------------------------------------------------------------------
-    def _task_config(self, task_id: TaskId) -> Configuration:
-        cfg = self.provider.task_config(self.spec, task_id)
-        if getattr(self.provider, "provides_feasible_configs", False):
-            return cfg
-        return enforce_dependencies(cfg)
-
-    def _launch_config(self, task_id: TaskId, requested: Configuration) -> Configuration:
-        """Refresh the configuration when the container actually starts.
-
-        Providers with a launch-time view (the dynamic configurator's
-        slave side) may hand the task fresher values than what sized the
-        container request; others keep the requested configuration.
-        """
-        refresh = getattr(self.provider, "task_launch_config", None)
-        if refresh is None:
-            return requested
-        return refresh(self.spec, task_id, requested)
-
     def _resolve_config(self, run: _TaskRun, attempt: _Attempt) -> Configuration:
         if attempt.config is not None:
             # Speculative backups reuse the primary's exact configuration
@@ -519,7 +512,7 @@ class MRAppMaster:
             # The safe fallback: the job's base configuration, clamped.
             return enforce_dependencies(self.spec.base_config)
         if run.tier1_config is None:
-            run.tier1_config = self._task_config(run.task_id)
+            run.tier1_config = self.provider.task_config(self.spec, run.task_id)
         return run.tier1_config
 
     # ------------------------------------------------------------------
@@ -604,7 +597,9 @@ class MRAppMaster:
         attempt.container = container
         if not attempt.speculative:
             tokens.release()
-            attempt.config = self._launch_config(run.task_id, config)
+            # The provider may hand the task fresher values than those
+            # that sized the container request.
+            attempt.config = self.provider.task_launch_config(self.spec, run.task_id, config)
         return container
 
     def _launch(

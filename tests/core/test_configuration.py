@@ -1,5 +1,8 @@
 """Tests for configurations and dependency clamps."""
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,26 +27,38 @@ class TestConfiguration:
         assert cfg[P.IO_SORT_MB] == 400
 
     def test_setting_clamps_to_spec_range(self):
-        cfg = Configuration()
-        cfg[P.IO_SORT_MB] = 10**9
-        assert cfg[P.IO_SORT_MB] == PARAMETER_SPACE.spec(P.IO_SORT_MB).high
+        high = PARAMETER_SPACE.spec(P.IO_SORT_MB).high
+        assert Configuration({P.IO_SORT_MB: 10**9})[P.IO_SORT_MB] == high
+        assert Configuration().updated({P.IO_SORT_MB: 10**9})[P.IO_SORT_MB] == high
 
     def test_unknown_keys_pass_through(self):
-        cfg = Configuration()
-        cfg["custom.app.param"] = 7
-        assert cfg["custom.app.param"] == 7
+        assert Configuration({"custom.app.param": 7})["custom.app.param"] == 7
+        derived = Configuration().updated({"custom.app.param": "text"})
+        assert derived["custom.app.param"] == "text"
 
-    def test_copy_is_independent(self):
+    def test_derived_config_is_independent(self):
         a = Configuration()
-        b = a.copy()
-        b[P.IO_SORT_MB] = 500
+        b = a.updated({P.IO_SORT_MB: 500})
+        b.hot_swap({P.SORT_SPILL_PERCENT: 0.99})
         assert a[P.IO_SORT_MB] == 100
+        assert a[P.SORT_SPILL_PERCENT] == 0.8
 
     def test_updated_returns_new_object(self):
         a = Configuration()
         b = a.updated({P.IO_SORT_MB: 300})
         assert a[P.IO_SORT_MB] == 100
         assert b[P.IO_SORT_MB] == 300
+
+    def test_hot_swap_writes_only_category_3(self):
+        cfg = Configuration()
+        cfg.hot_swap({P.SORT_SPILL_PERCENT: 2.0, P.MAP_MEMORY_MB: 2048, "custom": 1})
+        assert cfg[P.SORT_SPILL_PERCENT] == PARAMETER_SPACE.spec(P.SORT_SPILL_PERCENT).high
+        assert cfg[P.MAP_MEMORY_MB] == 1024
+        assert "custom" not in cfg
+
+    def test_no_other_mutation_api(self):
+        for name in ("__setitem__", "copy", "space"):
+            assert not hasattr(Configuration(), name)
 
     def test_equality_by_values(self):
         assert Configuration() == Configuration()
@@ -59,6 +74,49 @@ class TestConfiguration:
         cfg = Configuration({P.IO_SORT_MB: 250})
         again = Configuration(cfg.as_dict())
         assert again == cfg
+
+
+#: Inputs every parameter must survive besides its own two bounds.
+EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def entering_value(spec):
+    """Values as they enter a configuration (always through ``float``)."""
+    return st.one_of(
+        st.sampled_from(EDGE_VALUES + (float(spec.low), float(spec.high))), st.floats()
+    )
+
+
+def typed_items(cfg):
+    return [(name, type(value), repr(value)) for name, value in cfg.as_dict().items()]
+
+
+class TestClampIdempotence:
+    """Clamping a stored value again changes nothing, so ``updated`` may skip it."""
+
+    @pytest.mark.parametrize("spec", list(PARAMETER_SPACE), ids=lambda spec: spec.name)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_clamp_is_idempotent(self, spec, data):
+        once = spec.clamp(data.draw(entering_value(spec)))
+        again = spec.clamp(float(once))
+        assert again == once
+        assert type(again) is type(once)
+        assert repr(again) == repr(once)
+
+    @given(
+        values=st.fixed_dictionaries(
+            {"custom.app.param": st.integers()},
+            optional={spec.name: entering_value(spec) for spec in PARAMETER_SPACE},
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_derived_config_keeps_every_value(self, values):
+        cfg = Configuration(values)
+        expected = typed_items(cfg)
+        assert typed_items(cfg.updated({})) == expected
+        # Clamping every stored value again, as rebuilding does, is a no-op.
+        assert typed_items(Configuration(cfg.as_dict())) == expected
 
 
 class TestDependencies:

@@ -86,6 +86,18 @@ class TestTable1Api:
         assert live0[P.SORT_SPILL_PERCENT] == 0.95
         assert live1[P.SORT_SPILL_PERCENT] == 0.95
 
+    def test_live_configs_alias_nothing(self, setup):
+        cfgr, spec = setup
+        live0 = cfgr.task_config(spec, spec.map_task_id(0))
+        live1 = cfgr.task_config(spec, spec.map_task_id(1))
+        cfgr.set_task_parameters(
+            spec.job_id, {P.SORT_SPILL_PERCENT: 0.99}, task_id=spec.map_task_id(0)
+        )
+        assert live0[P.SORT_SPILL_PERCENT] == 0.99
+        assert live1[P.SORT_SPILL_PERCENT] == 0.8
+        assert cfgr.job_config(spec.job_id)[P.SORT_SPILL_PERCENT] == 0.8
+        assert spec.base_config[P.SORT_SPILL_PERCENT] == 0.8
+
 
 class TestWaveQueues:
     def test_queue_pop_order(self, setup):
@@ -172,13 +184,6 @@ class TestLaunchRefresh:
 
 
 class TestJobLifecycle:
-    def test_complete_job_drops_state(self, setup):
-        cfgr, spec = setup
-        cfgr.task_config(spec, spec.map_task_id(0))
-        cfgr.complete_job(spec.job_id)
-        with pytest.raises(KeyError):
-            cfgr.set_job_parameters(spec.job_id, {P.IO_SORT_MB: 1})
-
     def test_two_jobs_independent(self):
         cfgr = DynamicConfigurator()
         spec1, spec2 = make_spec("a"), make_spec("b")
