@@ -7,8 +7,9 @@ existing site file to seed a search / run a what-if against it.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.core.configuration import Configuration
 from repro.core.parameters import PARAMETER_SPACE
@@ -37,12 +38,27 @@ def to_hadoop_xml(
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
 
+def _parse_value(name: str, raw: str) -> Union[float, str]:
+    """A Table-2 property's number; other properties' number or text."""
+    try:
+        value: Optional[float] = float(raw)
+    except ValueError:
+        value = None
+    if name not in PARAMETER_SPACE:
+        # Other Hadoop settings ride along untouched.
+        return raw if value is None else value
+    if value is None or math.isnan(value):
+        raise ValueError(f"{name}: expected a number, got {raw!r}")
+    return value
+
+
 def from_hadoop_xml(payload: str) -> Configuration:
     """Parse a Hadoop site file into a :class:`Configuration`.
 
     Unknown properties are carried along verbatim (Hadoop files mix
     tuning parameters with unrelated settings); known parameters are
-    clamped to their Table-2 ranges.
+    clamped to their Table-2 ranges, and a value that is not a number
+    (or is NaN) raises a :class:`ValueError` naming the property.
     """
     root = ET.fromstring(payload)
     if root.tag != "configuration":
@@ -54,12 +70,7 @@ def from_hadoop_xml(payload: str) -> Configuration:
         if name_el is None or value_el is None or not name_el.text:
             raise ValueError("malformed <property>: needs <name> and <value>")
         name = name_el.text.strip()
-        raw = (value_el.text or "").strip()
-        try:
-            values[name] = float(raw)
-        except ValueError:
-            # Non-numeric Hadoop settings ride along untouched.
-            values[name] = raw
+        values[name] = _parse_value(name, (value_el.text or "").strip())
     return Configuration(values)  # type: ignore[arg-type]
 
 

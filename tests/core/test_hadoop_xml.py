@@ -1,5 +1,8 @@
 """Tests for Hadoop XML configuration interchange."""
 
+import math
+import re
+
 import pytest
 
 from repro.core import parameters as P
@@ -51,6 +54,24 @@ class TestImport:
         cfg = from_hadoop_xml(xml)
         assert cfg["dfs.replication"] == 3.0
         assert cfg["mapreduce.job.name"] == "my job"
+
+    def test_unknown_properties_never_rejected(self):
+        xml = """<configuration>
+          <property><name>yarn.nodemanager.vmem-pmem-ratio</name><value>nan</value></property>
+          <property><name>mapreduce.map.java.opts</name><value>-Xmx100m</value></property>
+        </configuration>"""
+        cfg = from_hadoop_xml(xml)
+        assert math.isnan(cfg["yarn.nodemanager.vmem-pmem-ratio"])
+        assert cfg["mapreduce.map.java.opts"] == "-Xmx100m"
+
+    @pytest.mark.parametrize("raw", ["100m", "", "nan", "NaN"])
+    def test_malformed_known_value_names_the_property(self, raw):
+        xml = f"""<configuration>
+          <property><name>{P.SHUFFLE_PARALLELCOPIES}</name><value>7</value></property>
+          <property><name>{P.IO_SORT_MB}</name><value>{raw}</value></property>
+        </configuration>"""
+        with pytest.raises(ValueError, match=re.escape(P.IO_SORT_MB)):
+            from_hadoop_xml(xml)
 
     def test_known_parameters_clamped(self):
         xml = """<configuration>
