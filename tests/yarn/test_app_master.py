@@ -4,12 +4,12 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core import parameters as P
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, is_feasible
 from repro.experiments.harness import SimCluster
 from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import WaveGate
+from repro.yarn.app_master import BaseConfigProvider, WaveGate
 
 MB = 1024**2
 
@@ -111,6 +111,22 @@ class TestJobExecution:
         map_end_small = max(s.end_time for s in r_small.stats_of(TaskType.MAP))
         map_end_big = max(s.end_time for s in r_big.stats_of(TaskType.MAP))
         assert map_end_big > map_end_small
+
+
+class TestBaseConfigProvider:
+    def test_tasks_run_the_clamped_base_config(self):
+        sc = small_cluster()
+        infeasible = Configuration({P.MAP_MEMORY_MB: 1024, P.IO_SORT_MB: 1600})
+        spec = small_spec(sc, config=infeasible)
+        provider, tid = BaseConfigProvider(), spec.map_task_id(0)
+        requested = provider.task_config(spec, tid)
+        assert is_feasible(requested)
+        assert requested is not spec.base_config
+        assert provider.task_launch_config(spec, tid, requested) is requested
+        result = sc.run_job(spec)
+        assert result.succeeded
+        sort_mb = {s.config[P.IO_SORT_MB] for s in result.stats_of(TaskType.MAP)}
+        assert sort_mb == {requested[P.IO_SORT_MB]}
 
 
 class TestWaveGate:
