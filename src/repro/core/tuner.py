@@ -423,7 +423,8 @@ class OnlineTuner:
                 self.configurator.job_config(job_id)[P.SHUFFLE_PARALLELCOPIES]
             )
             if current > cap:
-                self.configurator.set_task_parameters(
+                # Category 2: nothing to hot-swap into running tasks.
+                self.configurator.set_job_parameters(
                     job_id, {P.SHUFFLE_PARALLELCOPIES: cap}
                 )
 

@@ -6,9 +6,10 @@ newly available segment batch through an aggregated network flow whose
 rate is bounded by ``shuffle.parallelcopies`` copier streams.  The
 merge behaviour follows :func:`plan_reduce_merge`.
 
-``shuffle.merge.percent``, ``merge.inmem.threshold`` and
-``parallelcopies`` are read from the live configuration at each use, so
-category-3 (hot-swappable) updates land mid-task.
+``shuffle.merge.percent`` and ``merge.inmem.threshold`` are read from
+the live configuration at each use, so category-3 (hot-swappable)
+updates land mid-task.  ``parallelcopies`` is category 2: an attempt
+reads it once, when it starts.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _shuffle_with_recovery(
     ctx: TaskContext,
     reduce_index: int,
     node: Node,
-    config: Configuration,
+    copies: int,
     copier_link: Link,
     task_id: TaskId,
     attempt: int,
@@ -156,10 +157,6 @@ def _shuffle_with_recovery(
             if catalog.has_output(m) and penalized.get(catalog.node_of(m), 0.0) <= now
         ]
         if ready:
-            # parallelcopies is hot-swappable: it bounds both the
-            # copier pool's aggregate rate and the fetch fan-out.
-            copies = max(1, int(config[P.SHUFFLE_PARALLELCOPIES]))
-            copier_link.capacity = copies * SHUFFLE_STREAM_BW
             batch = ready[:copies]
             procs = [
                 sim.process(fetch_segment(m), name=f"{task_id}.fetch.m{m}")
@@ -271,13 +268,16 @@ def run_reduce_task(
     # ------------------------------------------------------------------
     # Phase 1: shuffle.  One aggregated fetch per availability round.
     # ------------------------------------------------------------------
-    copier_link = Link(f"{task_id}.copiers", SHUFFLE_STREAM_BW)
+    # parallelcopies bounds both the copier pool's aggregate rate and
+    # the fetch fan-out.
+    copies = max(1, int(config[P.SHUFFLE_PARALLELCOPIES]))
+    copier_link = Link(f"{task_id}.copiers", copies * SHUFFLE_STREAM_BW)
     shuffle_start = sim.now
     if ctx.fetch is not None:
         # Gray-failure fetch path: per-source fetches with timeout,
         # retry/backoff, penalty box, and AM failure reports.
         fetched_bytes, num_segments = yield from _shuffle_with_recovery(
-            ctx, reduce_index, node, config, copier_link, task_id, attempt, stats
+            ctx, reduce_index, node, copies, copier_link, task_id, attempt, stats
         )
     else:
         cursor = 0
@@ -289,10 +289,6 @@ def run_reduce_task(
                 batch = ctx.catalog.batch_bytes_for_reducer(fresh, reduce_index)
                 num_segments += len(fresh)
                 if batch > 0:
-                    # parallelcopies is hot-swappable: refresh the copier
-                    # pool's aggregate service rate each round.
-                    copies = max(1, int(config[P.SHUFFLE_PARALLELCOPIES]))
-                    copier_link.capacity = copies * SHUFFLE_STREAM_BW
                     yield ctx.cluster.network.fetch_into(
                         node, batch, extra_links=[copier_link], label=f"{tag}.shuffle"
                     )
