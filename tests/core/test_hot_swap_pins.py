@@ -42,13 +42,13 @@ WITHOUT_HOT_SWAP = {
 }
 
 
-def run_digest(name: str) -> str:
+def conservative_digest(name: str) -> str:
     return execute_request(RunRequest.build(name, 1, tuning="conservative")).digest()
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_hot_swap_pin(name):
-    assert run_digest(name) == PINS[name]
+    assert conservative_digest(name) == PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(WITHOUT_HOT_SWAP))
@@ -57,9 +57,9 @@ def test_pins_depend_on_hot_swaps(name, monkeypatch):
         return self.set_job_parameters(job_id, kv)
 
     monkeypatch.setattr(DynamicConfigurator, "set_task_parameters", job_level_only)
-    assert run_digest(name) == WITHOUT_HOT_SWAP[name]
+    assert conservative_digest(name) == WITHOUT_HOT_SWAP[name]
 
 
 if __name__ == "__main__" and "--record" in sys.argv:
     for name in sorted(PINS):
-        print(f'    "{name}": (\n        "{run_digest(name)}"\n    ),')
+        print(f'    "{name}": (\n        "{conservative_digest(name)}"\n    ),')
