@@ -23,15 +23,20 @@ rewrite of ``_fill_rates``; the churn workload (six links, half the
 flows capped) is too small to resolve that rewrite.  If a gate fails, a
 kernel change regressed the hot paths; see ``docs/performance.md``.
 
-Determinism guard: both kernels must execute the *same number of
-events* on the same workload -- a cheap cross-check that the optimized
-kernel changed no behaviour (the byte-level check lives in
-``tests/sim/test_kernel_equivalence.py``).
+Determinism guards: on flow churn both kernels must produce the same
+ordered stream of ``(label, completion time, returned duration)`` for
+every transfer.  The event counts may differ, because the optimized
+scheduler cancels a superseded wakeup where the legacy one fires it as
+a stale no-op.  The semaphore kernels must execute the same number of
+events.  The byte-level check lives in
+``tests/sim/test_kernel_equivalence.py``.  Every gate alternates the
+optimized and legacy runs and keeps the best of each, so host-speed
+drift hits both alike.
 """
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
@@ -39,7 +44,8 @@ from repro.sim.resources import _EPS, Flow, FlowScheduler, Link, Semaphore, _fil
 
 from benchmarks.bench_common import record_bench
 
-#: Required optimized/legacy events-per-second ratio on flow churn.
+#: Required legacy/optimized wall-time ratio on flow churn, over the
+#: identical completion stream.
 FLOW_CHURN_MIN_SPEEDUP = 1.5
 
 #: Required previous/current solve-time ratio on network-shaped
@@ -267,21 +273,26 @@ class LegacySemaphore:
 def _run_flow_churn(scheduler_cls, n_transfers=4000, concurrency=48, n_links=6):
     """Concurrent multi-link transfers plus monitor-style polling.
 
-    Returns ``(events_executed, wall_seconds)``.  The RNG drives only
-    workload *generation* and is identically seeded for both kernels,
-    so the two runs simulate the same event stream.
+    Returns ``(wall_seconds, (events_executed, stream))``, where
+    *stream* lists ``(label, completion time, returned duration)`` for
+    every transfer in completion order.  The RNG drives only workload
+    *generation* and is identically seeded for both kernels, so the two
+    runs simulate the same transfers.
     """
     sim = Simulator()
     sched = scheduler_cls(sim)
     links = [Link(f"l{i}", 100.0) for i in range(n_links)]
     rng = random.Random(1234)
+    stream = []
 
     def worker(wid):
         for k in range(n_transfers // concurrency):
             picks = rng.sample(links, rng.randint(1, 3))
             amount = 50.0 + 150.0 * rng.random()
             cap = None if rng.random() < 0.5 else 20.0 + 40.0 * rng.random()
-            yield sched.transfer(picks, amount, cap=cap, label=f"w{wid}.{k}")
+            label = f"w{wid}.{k}"
+            duration = yield sched.transfer(picks, amount, cap=cap, label=label)
+            stream.append((label, sim.now, duration))
 
     def monitor():
         while True:
@@ -294,7 +305,7 @@ def _run_flow_churn(scheduler_cls, n_transfers=4000, concurrency=48, n_links=6):
     sim.process(monitor())
     start = time.perf_counter()
     sim.run(until=10_000.0)
-    return sim.events_executed, time.perf_counter() - start
+    return time.perf_counter() - start, (sim.events_executed, stream)
 
 
 def _network_snapshots(n_snapshots=200, n_nodes=18, n_flows=70, seed=4321):
@@ -350,6 +361,7 @@ def _solve_all(fill, snapshots):
 
 
 def _run_semaphore_contention(semaphore_cls, n_workers=60_000, permits=8):
+    """Returns ``(wall_seconds, events_executed)``."""
     sim = Simulator()
     sem = semaphore_cls(sim, permits)
 
@@ -362,47 +374,55 @@ def _run_semaphore_contention(semaphore_cls, n_workers=60_000, permits=8):
         sim.process(worker())
     start = time.perf_counter()
     sim.run()
-    return sim.events_executed, time.perf_counter() - start
+    return time.perf_counter() - start, sim.events_executed
 
 
-def _best_events_per_sec(run, *args):
-    """Best-of-N events/sec (and the event count, asserted stable)."""
-    best = 0.0
-    events: Optional[int] = None
-    for _ in range(BEST_OF):
-        n, wall = run(*args)
-        if events is None:
-            events = n
-        else:
-            assert n == events, "benchmark workload is nondeterministic"
-        best = max(best, n / wall)
-    return events, best
+def _alternate_best_of(run, legacy, optimized):
+    """Alternate ``run(legacy)`` and ``run(optimized)``, ``BEST_OF`` each.
+
+    *run* returns ``(wall_seconds, outcome)``, and each kernel must
+    repeat its outcome on every run.  Returns ``(best legacy wall, best
+    optimized wall, legacy outcome, optimized outcome)``.
+    """
+    walls = [float("inf"), float("inf")]
+    outcomes = [None, None]
+    for i in range(BEST_OF):
+        for k, kernel in enumerate((legacy, optimized)):
+            wall, outcome = run(kernel)
+            assert i == 0 or outcome == outcomes[k], "benchmark workload is nondeterministic"
+            walls[k] = min(walls[k], wall)
+            outcomes[k] = outcome
+    return walls[0], walls[1], outcomes[0], outcomes[1]
 
 
 # ----------------------------------------------------------------------
 # Gated benchmarks
 # ----------------------------------------------------------------------
 def test_flow_churn_speedup_gate():
-    events_new, new_eps = _best_events_per_sec(_run_flow_churn, FlowScheduler)
-    events_old, old_eps = _best_events_per_sec(_run_flow_churn, LegacyFlowScheduler)
-    assert events_new == events_old, (
-        "optimized kernel executed a different number of events than the "
-        f"legacy kernel on the same workload: {events_new} != {events_old}"
+    best_old, best_new, (events_old, stream_old), (events_new, stream_new) = (
+        _alternate_best_of(_run_flow_churn, LegacyFlowScheduler, FlowScheduler)
     )
-    speedup = new_eps / old_eps
+    assert stream_new == stream_old, (
+        "optimized kernel completed the transfers differently from the legacy "
+        "kernel on the same workload"
+    )
+    speedup = best_old / best_new
     record_bench(
         "sim_kernel_flow_churn",
-        wall_time_s=events_new / new_eps,
+        wall_time_s=best_new,
         events_executed=events_new,
         extra={
-            "events_per_sec_legacy": round(old_eps, 1),
+            "transfers": len(stream_new),
+            "events_executed_legacy": events_old,
+            "events_per_sec_legacy": round(events_old / best_old, 1),
+            "wall_time_s_legacy": round(best_old, 6),
             "speedup_vs_legacy": round(speedup, 2),
         },
     )
     assert speedup >= FLOW_CHURN_MIN_SPEEDUP, (
         f"flow-churn speedup {speedup:.2f}x fell below the "
         f"{FLOW_CHURN_MIN_SPEEDUP}x regression gate "
-        f"({new_eps:,.0f} vs {old_eps:,.0f} events/s)"
+        f"({best_new:.3f} s vs {best_old:.3f} s legacy)"
     )
 
 
@@ -439,16 +459,17 @@ def test_network_solve_speedup_gate():
 
 
 def test_semaphore_contention_speedup_gate():
-    events_new, new_eps = _best_events_per_sec(_run_semaphore_contention, Semaphore)
-    events_old, old_eps = _best_events_per_sec(_run_semaphore_contention, LegacySemaphore)
+    best_old, best_new, events_old, events_new = _alternate_best_of(
+        _run_semaphore_contention, LegacySemaphore, Semaphore
+    )
     assert events_new == events_old
-    speedup = new_eps / old_eps
+    speedup = best_old / best_new
     record_bench(
         "sim_kernel_semaphore",
-        wall_time_s=events_new / new_eps,
+        wall_time_s=best_new,
         events_executed=events_new,
         extra={
-            "events_per_sec_legacy": round(old_eps, 1),
+            "events_per_sec_legacy": round(events_old / best_old, 1),
             "speedup_vs_legacy": round(speedup, 2),
         },
     )

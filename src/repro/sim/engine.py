@@ -105,6 +105,27 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
+    def reserve_seq(self) -> int:
+        """Take the next sequence number now, for an event pushed later.
+
+        An event pushed under it by :meth:`schedule_reserved` sorts
+        among same-time events as if it had been scheduled at the moment
+        of the reservation.
+        """
+        self._seq += 1
+        return self._seq
+
+    def schedule_reserved(self, event: "Event", when: float, seq: int) -> None:
+        """Schedule *event* at absolute time *when* under a reserved *seq*."""
+        if not when >= self._now:  # also rejects NaN
+            raise SimulationError(
+                f"schedule_reserved({when!r}) is in the past (now={self._now})"
+            )
+        if event.scheduled:
+            raise SimulationError(f"event {event!r} is already scheduled")
+        event.scheduled = True
+        heapq.heappush(self._queue, (when, 0, seq, event))
+
     def timeout(self, delay: float, value: Any = None) -> "Timeout":
         """Return a :class:`Timeout` event firing after *delay* seconds."""
         return _event_classes()[1](self, delay, value)

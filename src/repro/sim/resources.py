@@ -7,10 +7,15 @@ per-flow rate cap; the scheduler allocates rates by progressive-filling
 **max-min fairness**, the standard model for bandwidth sharing on
 disks, NICs, and (approximately) time-shared CPUs.
 
-Whenever a flow is added or completes, the scheduler advances every
-active flow by the elapsed time at its previous rate, recomputes the
-max-min allocation, and schedules a completion event for the earliest
-finisher.  Stale completion events are invalidated by a token counter.
+Whenever a flow is added, completes or is cancelled, or a link capacity
+changes, the scheduler advances every active flow by the elapsed time at
+its previous rate, cancels its pending wakeup and reserves the next
+calendar sequence number.  It then solves once, at a settle point: at
+once when nothing else is queued at this instant, otherwise in a settle
+event at ``(now, seq)`` that the next mutation cancels.  The completion
+event for the earliest finisher takes the reserved number, so it keeps
+the heap key a solve at every mutation would give it (the ordering
+argument is in ``docs/performance.md``).
 
 Hot-path notes
 --------------
@@ -202,7 +207,8 @@ class FlowScheduler:
         #: out when their count reaches zero.
         self._link_counts: Dict[Link, int] = {}
         self._last_update: float = 0.0
-        self._token: int = 0  # invalidates stale completion events
+        #: The pending settle or completion event; a mutation cancels it.
+        self._wakeup: Optional[Event] = None
         #: Mutation epoch: bumped whenever the active-flow set or a link
         #: capacity changes.  ``_rates_epoch`` records the epoch the
         #: current ``Flow.rate`` values were computed at, so read paths
@@ -226,12 +232,20 @@ class FlowScheduler:
         Zero-sized transfers complete on the next calendar step.  A
         negative or NaN *amount* or *cap* is rejected before any state
         changes: a negative cap would hand its links' capacity to the
-        other flows, and a NaN amount would never complete.
+        other flows, and a NaN amount would never complete.  So is a cap
+        of at most ``_EPS``: such a flow could never progress, and the
+        error would otherwise surface later, from an unrelated event.
         """
         if not amount >= 0:
             raise SimulationError(f"transfer amount must be >= 0, got {amount}")
-        if cap is not None and not cap >= 0:
-            raise SimulationError(f"transfer cap must be >= 0, got {cap}")
+        if cap is not None:
+            if not cap >= 0:
+                raise SimulationError(f"transfer cap must be >= 0, got {cap}")
+            if cap <= _EPS:
+                raise SimulationError(
+                    f"transfer cap must be > {_EPS}, got {cap}: "
+                    "none can make progress at such a cap"
+                )
         done = self.sim.event()
         if amount <= _EPS:
             done.succeed(0.0)
@@ -342,31 +356,58 @@ class FlowScheduler:
             self._rates_epoch = self._epoch
 
     def _reschedule(self) -> None:
-        """Recompute rates and schedule the next completion."""
-        self._token += 1
-        token = self._token
+        """Supersede the pending wakeup and settle now or later this instant.
+
+        The completion event takes the sequence number reserved here,
+        the one an eager solve would give it.  While another event is
+        queued at this instant, the solve waits in a settle event at
+        ``(now, seq)``: a mutation popping before it cancels it and
+        reserves again, so only the last mutation before it solves.
+        """
+        wakeup = self._wakeup
+        if wakeup is not None:
+            wakeup.cancel()
+            self._wakeup = None
+        if not self._flows:
+            return
+        sim = self.sim
+        seq = sim.reserve_seq()
+        queue = sim._queue
+        if queue and queue[0][0] == sim.now:
+            settle = Event(sim)
+            settle.callbacks.append(lambda _ev: self._settle(seq))
+            sim.schedule_reserved(settle, sim.now, seq)
+            self._wakeup = settle
+        else:
+            self._settle(seq)
+
+    def _settle(self, seq: int) -> None:
+        """Solve, then schedule the soonest completion under *seq*."""
+        self._wakeup = None
         self._refresh_rates()
-        soonest: Optional[Flow] = None
-        soonest_t = float("inf")
+        soonest_t = _INF
         for f in self._flows:
             r = f.rate
             if r > _EPS:
                 t = f.remaining / r
                 if t < soonest_t:
                     soonest_t = t
-                    soonest = f
-        if soonest is None:
-            if self._flows:
-                raise SimulationError(
-                    f"scheduler {self.name!r} has {len(self._flows)} flows but none "
-                    "can make progress (all rates zero)"
-                )
-            return
-        self.sim.call_at(self.sim.now + soonest_t, lambda: self._on_completion(token))
+        if soonest_t == _INF:
+            raise SimulationError(
+                f"scheduler {self.name!r} has {len(self._flows)} flows but none "
+                "can make progress (all rates zero)"
+            )
+        sim = self.sim
+        now = sim.now
+        when = now + soonest_t
+        done = Event(sim)
+        done.callbacks.append(self._on_completion)
+        # ``now + (when - now)`` is the float ``call_at(when)`` pushes.
+        sim.schedule_reserved(done, now + (when - now), seq)
+        self._wakeup = done
 
-    def _on_completion(self, token: int) -> None:
-        if token != self._token:
-            return  # stale wakeup; a newer reschedule superseded it
+    def _on_completion(self, _ev: Event) -> None:
+        self._wakeup = None
         self._advance()
         flows = self._flows
         finished = [f for f in flows if f.remaining <= f.done_below]

@@ -117,3 +117,39 @@ def test_event_cannot_fire_twice():
     sim.run()
     with pytest.raises(SimulationError):
         ev.succeed(2)
+
+
+def test_event_under_reserved_seq_pops_before_later_schedules():
+    sim = Simulator()
+    fired = []
+    seq = sim.reserve_seq()
+    later = sim.timeout(1.0, value="scheduled after the reservation")
+    later.add_callback(lambda e: fired.append(e.value))
+    reserved = sim.event()
+    reserved.value = "pushed late under the reserved seq"
+    reserved.add_callback(lambda e: fired.append(e.value))
+    sim.schedule_reserved(reserved, 1.0, seq)
+    sim.run()
+    assert fired == [
+        "pushed late under the reserved seq",
+        "scheduled after the reservation",
+    ]
+
+
+@pytest.mark.parametrize("when", [1.0, float("nan")])
+def test_schedule_reserved_rejects_past_time(when):
+    sim = Simulator()
+    sim.timeout(5.0)
+    sim.run()
+    ev = sim.event()
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.schedule_reserved(ev, when, sim.reserve_seq())
+    assert not ev.scheduled
+    assert sim.pending_events == 0
+
+
+def test_schedule_reserved_rejects_scheduled_event():
+    sim = Simulator()
+    ev = sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="already scheduled"):
+        sim.schedule_reserved(ev, 2.0, sim.reserve_seq())

@@ -189,6 +189,27 @@ class TestFlowScheduler:
         with pytest.raises(Exception, match="none\\s+can make progress"):
             sched.transfer([link], 10.0, cap=0.0)
 
+    def test_zero_cap_flow_rejected_mid_run_beside_a_progressing_flow(self):
+        # Admitted, the stalled flow would ride along silently and the
+        # error would surface later, from the sibling's completion.
+        sim, sched = make()
+        link = Link("disk", 100.0)
+        sibling = sched.transfer([link], 100.0)
+        sim.run(until=0.5)
+        with pytest.raises(SimulationError, match="none can make progress"):
+            sched.transfer([link], 10.0, cap=0.0)
+        assert sched.active_flows == 1
+        assert sched._link_counts == {link: 1}
+        assert sim.run_until_complete(sibling) == pytest.approx(1.0)
+        assert sim.now == pytest.approx(1.0)
+
+    def test_capacity_too_small_for_any_progress_raises_at_settle(self):
+        sim, sched = make()
+        link = Link("disk", 100.0)
+        sched.transfer([link], 10.0)
+        with pytest.raises(SimulationError, match="none\\s+can make progress"):
+            sched.set_link_capacity(link, 1e-13)
+
     @pytest.mark.parametrize("cap", [-5.0, float("nan")])
     def test_negative_or_nan_cap_rejected_before_any_state_change(self, cap):
         # Admitted, a -5 cap on a capacity-10 link would hand the

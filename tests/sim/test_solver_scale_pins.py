@@ -8,7 +8,11 @@ longer absorbed by rounding, so the allocator's epsilon comparisons
 decide which flows freeze together.  A rewrite of the allocator must
 leave both digests unchanged.
 
-Print the current values with::
+Each run also caps how often its network scheduler solves.  A scheduler
+solves once per settle point, not at every mutation as the eager
+scheduler before it did; here that reads ~0.6x the eager count.
+
+Print the current digests and network solve counts with::
 
     PYTHONPATH=src python -m tests.sim.test_solver_scale_pins --record
 """
@@ -18,6 +22,8 @@ import sys
 import pytest
 
 from repro.experiments.parallel import RunRequest, execute_request
+from repro.sim import resources
+from repro.sim.resources import FlowScheduler
 
 #: Shuffle-heavy TeraSort under a degraded link, a flaky link and a rack
 #: partition, tuned conservatively (the shape of the ``shuffle-faults``
@@ -46,6 +52,34 @@ PINS = {
 }
 
 
+#: ``_fill_rates`` calls of the ``net`` scheduler per run (seed 1) when
+#: every scheduler mutation solved at once.
+EAGER_NET_SOLVES = {"faulted_shuffle": 5228, "wide_shuffle": 4703}
+
+#: Ceiling on the network solves, as a fraction of the eager count.
+MAX_SOLVE_RATIO = 0.7
+
+
+def count_solves(monkeypatch) -> dict:
+    """Count ``_fill_rates`` calls by the name of the scheduler making them."""
+    calls: dict = {}
+    fill = resources._fill_rates
+    refresh = FlowScheduler._refresh_rates
+    owner = [None]
+
+    def counting_fill(active, counts):
+        calls[owner[0]] = calls.get(owner[0], 0) + 1
+        fill(active, counts)
+
+    def tagged_refresh(self):
+        owner[0] = self.name
+        refresh(self)
+
+    monkeypatch.setattr(resources, "_fill_rates", counting_fill)
+    monkeypatch.setattr(FlowScheduler, "_refresh_rates", tagged_refresh)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_solver_heavy_run_digest_is_pinned(name):
     request, expected = PINS[name]
@@ -54,6 +88,21 @@ def test_solver_heavy_run_digest_is_pinned(name):
     assert outcome.digest() == expected, f"{name} drifted from its pinned digest"
 
 
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_network_solves_stay_under_ceiling(name, monkeypatch):
+    request, _expected = PINS[name]
+    solves = count_solves(monkeypatch)
+    assert execute_request(request).succeeded
+    ceiling = MAX_SOLVE_RATIO * EAGER_NET_SOLVES[name]
+    assert solves["net"] <= ceiling, (
+        f"{name}: {solves['net']} network solves, over the ceiling of {ceiling:.0f} "
+        f"({MAX_SOLVE_RATIO}x the eager scheduler's {EAGER_NET_SOLVES[name]})"
+    )
+
+
 if __name__ == "__main__" and "--record" in sys.argv:
     for name, (request, _expected) in sorted(PINS.items()):
-        print(name, execute_request(request).digest())
+        with pytest.MonkeyPatch.context() as mp:
+            solves = count_solves(mp)
+            digest = execute_request(request).digest()
+        print(name, digest, "net solves:", solves["net"])
