@@ -68,7 +68,16 @@ class Event:
         self.cancelled = True
 
     def fire(self) -> None:
-        """Invoke callbacks.  Called by the simulator only."""
+        """Invoke callbacks.
+
+        The simulator calls this when it pops the event.  The one other
+        caller is ``MRAppMaster._recheck_headroom``, on a parked
+        reducer's event that was never scheduled.  The recheck runs in
+        the calendar slot of the first of the per-reducer wakeups it
+        replaces, and no other event could sort between those wakeups,
+        so firing the event in place runs its callbacks where its own
+        wakeup would have.
+        """
         if self.triggered:
             raise SimulationError(f"{self!r} fired twice")
         self.triggered = True
@@ -161,23 +170,30 @@ class Process(Event):
         self._waiting_on = target
         target.add_callback(self._resume)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self.triggered:
-            return
+    def _detach(self) -> None:
+        """Stop waiting: the event waited on may still fire; ignore it."""
         waiting = self._waiting_on
         self._waiting_on = None
         if waiting is not None and not waiting.triggered:
-            # Detach: the interrupted event may still fire later; ignore it.
             try:
                 waiting.callbacks.remove(self._resume)
             except ValueError:
                 pass
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at its wait point."""
+        if self.triggered:
+            return
+        self._detach()
         kicker = Timeout(self.sim, 0.0)
 
         def _throw(_ev: Event) -> None:
             if self.triggered:
                 return
+            # The process may have moved to a new wait point since the
+            # call: its start kick ran it to a first yield, or an
+            # earlier interrupt's handler yielded again.
+            self._detach()
             try:
                 target = self.generator.throw(Interrupt(cause))
             except StopIteration as stop:

@@ -44,8 +44,10 @@ byte-identical across the optimization (see
 Complexity per recompute is ``O(levels * (live links + remaining
 flows + capped flows) + sum of path lengths)``: each water level scans
 the links that still carry an unfrozen flow and splits the unfrozen
-flows once, and each flow's links are charged once, when it freezes.
-At least one flow freezes per level.  A network solve on the
+flows once, and each flow's links are charged at most once, when it
+freezes.  A bottleneck link leaves the live set without a charge, and
+the last level charges nothing, since no link is read after it.  At
+least one flow freezes per level.  A network solve on the
 shuffle-heavy benchmark workload averages ~72 flows over ~38 live
 links in ~5 levels.  Schedulers in this repository are kept node-local
 (per-disk, per-CPU) or cluster-global (network) so the active flow
@@ -62,6 +64,7 @@ from repro.sim.events import Event
 
 _EPS = 1e-12
 _INF = float("inf")
+_NO_LINKS: frozenset = frozenset()
 
 
 class Link:
@@ -117,6 +120,8 @@ def _fill_rates(active: List[Flow], counts: Dict[Link, int]) -> None:
     (link -> number of active flows crossing it, every count positive)
     is consumed as the set of live links: a link leaves it when its
     last flow freezes, and its leftover capacity is never read again.
+    So a bottleneck link leaves it before the subtraction, and the
+    last level subtracts nothing.
     Each iteration either freezes all flows whose cap is below the
     current water level, or freezes every flow crossing a bottleneck
     link, so the loop terminates in at most ``len(active)`` iterations.
@@ -147,6 +152,7 @@ def _fill_rates(active: List[Flow], counts: Dict[Link, int]) -> None:
                 f.rate = min(f.cap, water)
             capped = [f for f in capped if not f.cap <= threshold]
             rest = [f for f in active if not f.cap <= threshold]
+            bottlenecks = _NO_LINKS
         else:
             # Freeze every flow crossing a bottleneck link.
             bottlenecks = {
@@ -161,9 +167,17 @@ def _fill_rates(active: List[Flow], counts: Dict[Link, int]) -> None:
                     f.rate = water
             if capped:
                 capped = [f for f in capped if bottlenecks.isdisjoint(f.links)]
+        if not rest:
+            return  # the last level: nothing reads counts or cap_left again
+        # Every flow crossing a bottleneck froze just now, so each
+        # bottleneck's count would reach zero within this level.
+        for link in bottlenecks:
+            del counts[link]
         for f in frozen:
             r = f.rate
             for link in f.links:
+                if link in bottlenecks:
+                    continue
                 n = counts[link] - 1
                 if n:
                     counts[link] = n

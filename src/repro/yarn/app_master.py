@@ -421,7 +421,11 @@ class MRAppMaster:
         self._permanent_failures = 0
         self._reduces_started = False
         self._reduce_mem_outstanding = 0
-        self._headroom_waiters: List[Event] = []
+        #: Reducers parked on the ramp-up limit, in park order:
+        #: ``(event, memory_bytes, limit)``.  ``limit`` is the one
+        #: computed when the reducer parked; a node that joins later
+        #: raises the cluster's memory but not a parked reducer's limit.
+        self._headroom_waiters: List[Tuple[Event, int, float]] = []
         self._started = False
         #: Per-node environmental failure counts and the resulting
         #: application-level blacklist (Hadoop's AM blacklisting).
@@ -1055,24 +1059,54 @@ class MRAppMaster:
     def _await_reduce_headroom(
         self, memory_bytes: int
     ) -> Generator[Event, object, None]:
-        """Reduce ramp-up: cap reducers' memory share while maps remain."""
+        """Reduce ramp-up: cap reducers' memory share while maps remain.
+
+        A blocked reducer parks once; :meth:`_recheck_headroom` resumes
+        it when it fits.
+        """
         limit = REDUCE_RAMPUP_LIMIT * self.cluster.total_yarn_memory
-        while (
-            self._maps_remaining() > 0
-            and self._reduce_mem_outstanding + memory_bytes > limit
-        ):
+        if self._headroom_blocked(memory_bytes, limit):
             ev = self.sim.event()
-            self._headroom_waiters.append(ev)
+            self._headroom_waiters.append((ev, memory_bytes, limit))
             yield ev
         self._reduce_mem_outstanding += memory_bytes
+
+    def _headroom_blocked(self, memory_bytes: int, limit: float) -> bool:
+        return (
+            self._maps_remaining() > 0
+            and self._reduce_mem_outstanding + memory_bytes > limit
+        )
 
     def _maps_remaining(self) -> int:
         return self.dataflow.num_maps - self._completed_maps
 
     def _poke_headroom(self) -> None:
-        waiters, self._headroom_waiters = self._headroom_waiters, []
-        for ev in waiters:
-            ev.succeed()
+        """Recheck every parked reducer in one event at this instant."""
+        if not self._headroom_waiters:
+            return
+        batch, self._headroom_waiters = self._headroom_waiters, []
+        recheck = self.sim.event()
+        recheck.callbacks.append(lambda _ev: self._recheck_headroom(batch))
+        recheck.succeed()
+
+    def _recheck_headroom(self, batch: List[Tuple[Event, int, float]]) -> None:
+        """Resume the parked reducers that now fit, in park order.
+
+        This stands in for one wakeup event per parked reducer.  Those
+        held consecutive sequence numbers at one instant, so nothing
+        else ran between them; the recheck holds the first of them and
+        runs the same tests in the same order.  A resumed reducer
+        charges its memory and asks for its container (``fire`` runs
+        it in place) before the next entry is tested.
+        """
+        for entry in batch:
+            ev, memory_bytes, limit = entry
+            if not ev.callbacks:
+                continue  # interrupted while parked
+            if self._headroom_blocked(memory_bytes, limit):
+                self._headroom_waiters.append(entry)
+            else:
+                ev.fire()
 
     # ------------------------------------------------------------------
     # Speculative execution (LATE-style)

@@ -36,13 +36,11 @@ class FairScheduler(SchedulerBase):
             {r.app_id for r in self._pending},
             key=lambda a: (self._app_share(a), a),
         )
-        for app_id in apps:
-            requests = sorted(
+        return self._first_fit(
+            request
+            for app_id in apps
+            for request in sorted(
                 (r for r in self._pending if r.app_id == app_id),
                 key=lambda r: (r.priority, r.request_id),
             )
-            for request in requests:
-                node = self.find_node(request)
-                if node is not None:
-                    return self._take(request, node)
-        return None
+        )

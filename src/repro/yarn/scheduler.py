@@ -10,7 +10,7 @@ in which pending request gets the next available slot.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
@@ -174,6 +174,26 @@ class SchedulerBase:
         """Pick one (request, node) assignment, or None if nothing fits."""
         raise NotImplementedError
 
+    def _first_fit(
+        self, requests: Iterable[ContainerRequest]
+    ) -> Optional[Tuple[ContainerRequest, Node]]:
+        """Place the first of *requests*, in policy order, that fits a node.
+
+        Whether :meth:`find_node` finds a node depends only on the
+        request's resource and blacklist, and nothing changes during a
+        pass, so a shape that missed once is not probed again.
+        """
+        missed: Set[Tuple[Resource, Tuple[int, ...]]] = set()
+        for request in requests:
+            shape = (request.resource, request.blacklisted_nodes)
+            if shape in missed:
+                continue
+            node = self.find_node(request)
+            if node is not None:
+                return self._take(request, node)
+            missed.add(shape)
+        return None
+
     def _take(self, request: ContainerRequest, node: Node) -> Tuple[ContainerRequest, Node]:
         self._pending.remove(request)
         self.requested_sizes[request.resource] -= 1
@@ -189,8 +209,6 @@ class FifoScheduler(SchedulerBase):
     """
 
     def assign_once(self) -> Optional[Tuple[ContainerRequest, Node]]:
-        for request in sorted(self._pending, key=lambda r: (r.priority, r.request_id)):
-            node = self.find_node(request)
-            if node is not None:
-                return self._take(request, node)
-        return None
+        return self._first_fit(
+            sorted(self._pending, key=lambda r: (r.priority, r.request_id))
+        )

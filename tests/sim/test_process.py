@@ -115,6 +115,66 @@ def test_interrupt_wakes_process():
     assert ("interrupted", "wakeup", 2.0) in log
 
 
+def test_interrupt_before_first_resume_detaches_the_first_wait():
+    """An interrupt issued before the start kick lands at the first
+    yield; the event that yield waits on must not resume the process."""
+    sim = Simulator()
+
+    def sleeper():
+        yield sim.timeout(5.0)
+
+    p = sim.process(sleeper())
+    p.interrupt("x")
+    sim.run()
+    assert p.failed and isinstance(p.exception, Interrupt)
+    assert p.exception.cause == "x"
+    assert sim.now == 5.0
+
+
+def test_interrupt_before_first_resume_then_cleanup_wait():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(5.0, value="first")
+        except Interrupt:
+            got = yield sim.timeout(10.0, value="cleanup")
+            log.append((sim.now, got))
+
+    p = sim.process(sleeper())
+    p.interrupt("x")
+    sim.run()
+    assert log == [(10.0, "cleanup")]
+    assert p.ok
+
+
+def test_second_interrupt_lands_at_the_handlers_wait():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(5.0)
+        except Interrupt as first:
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt as second:
+                log.append((sim.now, first.cause, second.cause))
+
+    p = sim.process(sleeper())
+
+    def interrupter():
+        yield sim.timeout(1.0)
+        p.interrupt("a")
+        p.interrupt("b")
+
+    sim.process(interrupter())
+    sim.run()
+    assert log == [(1.0, "a", "b")]
+    assert p.ok
+
+
 def test_interrupt_after_completion_is_noop():
     sim = Simulator()
 

@@ -10,9 +10,12 @@ leave both digests unchanged.
 
 Each run also caps how often its network scheduler solves.  A scheduler
 solves once per settle point, not at every mutation as the eager
-scheduler before it did; here that reads ~0.6x the eager count.
+scheduler before it did; here that reads ~0.6x the eager count.  The
+wide run parks reducers on the reduce ramp-up limit, so it also caps
+its executed events: an attempt settle rechecks every parked reducer in
+one event, where it once woke each in its own; that reads ~0.63x.
 
-Print the current digests and network solve counts with::
+Print the current digests, network solve counts and event counts with::
 
     PYTHONPATH=src python -m tests.sim.test_solver_scale_pins --record
 """
@@ -21,6 +24,7 @@ import sys
 
 import pytest
 
+from repro.backends.sim import SimBackend
 from repro.experiments.parallel import RunRequest, execute_request
 from repro.sim import resources
 from repro.sim.resources import FlowScheduler
@@ -59,6 +63,13 @@ EAGER_NET_SOLVES = {"faulted_shuffle": 5228, "wide_shuffle": 4703}
 #: Ceiling on the network solves, as a fraction of the eager count.
 MAX_SOLVE_RATIO = 0.7
 
+#: ``sim.events_executed`` of the wide run (seed 1) when a settle woke
+#: each parked reducer in its own event.
+WAKEUP_EVENTS = 41872
+
+#: Ceiling on the wide run's events, as a fraction of that count.
+MAX_EVENT_RATIO = 0.8
+
 
 def count_solves(monkeypatch) -> dict:
     """Count ``_fill_rates`` calls by the name of the scheduler making them."""
@@ -78,6 +89,20 @@ def count_solves(monkeypatch) -> dict:
     monkeypatch.setattr(resources, "_fill_rates", counting_fill)
     monkeypatch.setattr(FlowScheduler, "_refresh_rates", tagged_refresh)
     return calls
+
+
+def count_events(monkeypatch) -> list:
+    """Record ``events_executed`` of each simulator a SimBackend waits on."""
+    events: list = []
+    wait = SimBackend.wait
+
+    def counting_wait(self, handle):
+        result = wait(self, handle)
+        events.append(self.cluster.sim.events_executed)
+        return result
+
+    monkeypatch.setattr(SimBackend, "wait", counting_wait)
+    return events
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -100,9 +125,22 @@ def test_network_solves_stay_under_ceiling(name, monkeypatch):
     )
 
 
+def test_parked_reducers_cost_one_event_per_settle(monkeypatch):
+    request, _expected = PINS["wide_shuffle"]
+    events = count_events(monkeypatch)
+    assert execute_request(request).succeeded
+    (executed,) = events
+    ceiling = MAX_EVENT_RATIO * WAKEUP_EVENTS
+    assert executed <= ceiling, (
+        f"wide_shuffle: {executed} events, over the ceiling of {ceiling:.0f} "
+        f"({MAX_EVENT_RATIO}x the {WAKEUP_EVENTS} of a wakeup per parked reducer)"
+    )
+
+
 if __name__ == "__main__" and "--record" in sys.argv:
     for name, (request, _expected) in sorted(PINS.items()):
         with pytest.MonkeyPatch.context() as mp:
             solves = count_solves(mp)
+            events = count_events(mp)
             digest = execute_request(request).digest()
-        print(name, digest, "net solves:", solves["net"])
+        print(name, digest, "net solves:", solves["net"], "events:", events[0])

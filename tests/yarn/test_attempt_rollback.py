@@ -9,6 +9,7 @@ rest, and every task must have committed exactly once.
 """
 
 from collections import Counter
+from typing import Optional
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core.configuration import Configuration
 from repro.experiments.harness import SimCluster
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import FaultToleranceSettings, WaveGate
+from repro.yarn.app_master import FaultToleranceSettings, LaunchGate, WaveGate
 from repro.yarn.node_manager import KillReason
 
 MB = 1024**2
@@ -45,11 +46,16 @@ class Job:
     at 5% slowstart outgrow the reduce ramp-up limit while maps remain.
     """
 
-    def __init__(self, maps: int = MAPS, reduces: int = REDUCES) -> None:
+    def __init__(
+        self, maps: int = MAPS, reduces: int = REDUCES, slaves: int = 4,
+        reduce_mb: int = 4096, slowstart: float = 0.05, map_wave: Optional[int] = 24,
+    ) -> None:
         self.maps, self.reduces = maps, reduces
         self.sc = SimCluster(
             seed=0,
-            cluster_spec=ClusterSpec(num_slaves=4, racks=(2, 2)),
+            cluster_spec=ClusterSpec(
+                num_slaves=slaves, racks=(slaves // 2, slaves - slaves // 2)
+            ),
             start_monitors=False,
             fault_tolerance=FaultToleranceSettings(),
         )
@@ -61,9 +67,12 @@ class Job:
         )
         spec = JobSpec(
             name="t", workload=profile, input_path="/in", num_reducers=reduces,
-            base_config=Configuration({P.REDUCE_MEMORY_MB: 4096}), slowstart=0.05,
+            base_config=Configuration({P.REDUCE_MEMORY_MB: reduce_mb}), slowstart=slowstart,
         )
-        self.gate = WaveGate(map_wave_size=24, reduce_wave_size=reduces)
+        self.gate = (
+            LaunchGate() if map_wave is None
+            else WaveGate(map_wave_size=map_wave, reduce_wave_size=reduces)
+        )
         self.admits, self.tokens, self.grants = [], [], []
         self.gate.admit = recording(self.gate.admit, self.admits)
         self.am = self.sc.submit(spec, gate=self.gate)
@@ -78,6 +87,35 @@ class Job:
                 waiting = attempt.runner._waiting_on if attempt.runner else None
                 if waiting is not None and not attempt.settled:
                     yield run, attempt, waiting
+
+    def kill_reduce_at_launch(self, nth: int = 1) -> list:
+        """Kill the *nth* reduce container launched while maps remain.
+
+        The kill is queued before the task's start kick, so it lands
+        before the task process first runs.  Returns the list it records
+        ``(time, run, attempt)`` in.
+        """
+        am, sim = self.am, self.sc.sim
+        launched, killed = [], []
+
+        def kill(container):
+            ((run, attempt),) = [
+                (run, a) for run in am._runs.values() for a in run.running
+                if a.container is container
+            ]
+            killed.append((sim.now, run, attempt))
+            am._kill_attempt(attempt, KILL)
+
+        for nm in self.sc.node_managers.values():
+            def launch(container, task, launch=nm.launch):
+                if "_r_" in str(container.tag) and am._maps_remaining() > 0:
+                    launched.append(container)
+                    if len(launched) == nth:
+                        sim.call_at(sim.now, lambda: kill(container))
+                return launch(container, task)
+
+            nm.launch = launch
+        return killed
 
     def step_until(self, stage):
         for _ in range(500_000):
@@ -105,7 +143,9 @@ STAGES = {
     "admission-scheduled": lambda job, ev: _in(job.admits, ev) and undelivered(ev),
     "token-queued": lambda job, ev: _in(job.tokens, ev) and queued(ev),
     "token-scheduled": lambda job, ev: _in(job.tokens, ev) and undelivered(ev),
-    "reduce-headroom": lambda job, ev: _in(job.am._headroom_waiters, ev),
+    "reduce-headroom": lambda job, ev: _in(
+        [parked for parked, _mem, _limit in job.am._headroom_waiters], ev
+    ),
     "grant-queued": lambda job, ev: _in(job.grants, ev) and queued(ev),
     "grant-scheduled": lambda job, ev: _in(job.grants, ev) and undelivered(ev),
 }
@@ -115,8 +155,9 @@ def assert_at_rest(job, result):
     am, rm = job.am, job.sc.rm
     assert result.succeeded
     for ttype in (TaskType.MAP, TaskType.REDUCE):
-        assert job.gate.outstanding(ttype) == 0
-        assert job.gate._states[ttype].queue == []
+        if isinstance(job.gate, WaveGate):
+            assert job.gate.outstanding(ttype) == 0
+            assert job.gate._states[ttype].queue == []
         sem = am._request_tokens[ttype]
         assert sem.in_use == 0 and not sem._waiters
     assert rm._grants == {}  # no request left pending for the app
@@ -159,6 +200,18 @@ def test_node_lost_between_grant_and_launch():
     assert stats.failed and stats.failure_kind == "node_lost"
     assert stats.node_id == node_id
     assert "lost before launch" in stats.failure_reason
+    assert_at_rest(job, result)
+
+
+def test_container_killed_in_the_instant_it_launches():
+    """The interrupt lands at the task's first wait, and the event that
+    wait was on must not resume the finished task later."""
+    job = Job()
+    killed = job.kill_reduce_at_launch()
+    result = job.sc.sim.run_until_complete(job.am.completion)
+    ((_time, run, attempt),) = killed
+    stats = stats_of(result, run, attempt)
+    assert stats.failed and stats.failure_kind == "preempted"
     assert_at_rest(job, result)
 
 

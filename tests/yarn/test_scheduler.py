@@ -186,3 +186,44 @@ class TestFairScheduler:
         sched = FairScheduler(make_cluster())
         with pytest.raises(ValueError):
             sched.add_app("a", weight=0)
+
+
+@pytest.mark.parametrize("policy", [FifoScheduler, FairScheduler])
+class TestFirstFitPass:
+    """The first-fit pass both policies share (``SchedulerBase._first_fit``)."""
+
+    def test_one_probe_per_missing_shape(self, policy, monkeypatch):
+        cluster = make_cluster()
+        for n in cluster.nodes:
+            n.reserve(n.yarn_memory_total - 1024 * 1024**2, 1)
+        sched = policy(cluster)
+        sched.add_app("a")
+        sched.add_app("b")
+        for i in range(12):
+            sched.enqueue(request(app=("a", "b")[i % 2], mb=2048))
+        probes = []
+        find_node = sched.find_node
+
+        def counting_find_node(r):
+            probes.append(r)
+            return find_node(r)
+
+        monkeypatch.setattr(sched, "find_node", counting_find_node)
+        assert sched.assign_once() is None
+        assert len(probes) == 1  # every request has the shape that missed
+
+    def test_blacklisted_miss_does_not_hide_the_same_size(self, policy):
+        cluster = make_cluster()
+        for n in cluster.nodes[1:]:
+            n.reserve(n.yarn_memory_total, 1)
+        sched = policy(cluster)
+        sched.add_app("a")
+        blocked = ContainerRequest(
+            app_id="a", resource=Resource.of_mb(1024, 1), blacklisted_nodes=(0,)
+        )
+        free = request(mb=1024)
+        sched.enqueue(blocked)
+        sched.enqueue(free)
+        assert sched.find_node(blocked) is None
+        picked, node = sched.assign_once()
+        assert picked is free and node.node_id == 0
