@@ -15,7 +15,7 @@ Layering (bottom-up):
 - :mod:`repro.core` -- **MRONLINE itself**: parameter space, gray-box
   hill climbing, tuning rules, dynamic configurator, online tuner
 - :mod:`repro.workloads` -- the paper's Table-3 benchmark suite
-- :mod:`repro.baselines` -- default / offline-guide / Gunther / random
+- :mod:`repro.baselines` -- offline-guide / Gunther / Starfish
 - :mod:`repro.experiments` -- per-figure evaluation protocols
 """
 

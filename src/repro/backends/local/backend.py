@@ -588,15 +588,12 @@ class LocalProcessBackend:
                 else:
                     self._accumulate(counters, task_type, report)
                 task_stats.append(stats)
-                # The stats stream: bus first (monitor and exporters),
-                # then direct listeners (the tuner) -- the app master's
-                # emission order.
-                if self.telemetry.wants("stats"):
-                    self.telemetry.emit(
-                        TaskStatsRecorded(time=stats.end_time, stats=stats)
-                    )
-                else:
-                    self.monitor.on_task_stats(stats)
+                # The stats stream: bus first (this backend's monitor
+                # always subscribes, exporters may), then direct
+                # listeners (the tuner) -- the app master's emission order.
+                self.telemetry.emit(
+                    TaskStatsRecorded(time=stats.end_time, stats=stats)
+                )
                 for listener in handle.stats_listeners:
                     listener(stats)
                 self._pump()

@@ -4,15 +4,17 @@
 :class:`~repro.experiments.harness.SimCluster`: construction forwards
 the exact constructor arguments in the exact order, submission routes
 through ``SimCluster.submit``, and the tuner attachment delegates to
-:meth:`OnlineTuner.submit` verbatim.  Nothing here consumes an extra
-random draw or schedules an extra event, so every pinned run digest
-(fault-free, network-fault, elastic) is byte-identical to the
-pre-protocol wiring -- the CI determinism gates prove it on every push.
+:meth:`OnlineTuner.submit` verbatim.  The job handle is the
+:class:`~repro.yarn.app_master.MRAppMaster` itself.  Nothing here
+consumes an extra random draw or schedules an extra event, so every
+pinned run digest (fault-free, network-fault, elastic) is
+byte-identical to the pre-protocol wiring -- the CI determinism gates
+prove it on every push.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.experiments.harness import SimCluster
 from repro.mapreduce.jobspec import JobSpec
@@ -21,35 +23,16 @@ from repro.yarn.app_master import ConfigProvider, JobResult, LaunchGate, MRAppMa
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import ClusterSpec
     from repro.monitor.central_monitor import CentralMonitor
-    from repro.monitor.statistics import TaskStats
     from repro.telemetry.bus import TelemetryBus
     from repro.yarn.app_master import FaultToleranceSettings
-
-
-class SimJobHandle:
-    """A submitted simulated job: wraps its app master."""
-
-    def __init__(self, am: MRAppMaster) -> None:
-        self.am = am
-        self.spec: JobSpec = am.spec
-
-    @property
-    def stats_listeners(self) -> List[Callable[["TaskStats"], None]]:
-        return self.am.stats_listeners
-
-    def add_completion_callback(
-        self, callback: Callable[[JobResult], None]
-    ) -> None:
-        self.am.completion.add_callback(lambda ev: callback(ev.value))
 
 
 class SimBackend:
     """Execute jobs on the deterministic discrete-event simulator.
 
-    Accepts either a pre-built :class:`SimCluster` (``cluster=``) or the
-    ``SimCluster`` constructor keywords.  All cluster surface --
-    ``hdfs``, ``rm``, ``inject_faults`` -- stays reachable through
-    :attr:`cluster` for protocols that need simulator specifics.
+    Takes the :class:`SimCluster` constructor keywords.  All cluster
+    surface -- ``hdfs``, ``rm``, ``inject_faults`` -- stays reachable
+    through :attr:`cluster` for protocols that need simulator specifics.
     """
 
     name = "sim"
@@ -61,19 +44,15 @@ class SimBackend:
         scheduler: str = "fifo",
         start_monitors: bool = True,
         fault_tolerance: Optional["FaultToleranceSettings"] = None,
-        cluster: Optional[SimCluster] = None,
     ) -> None:
         self.seed = seed
-        if cluster is not None:
-            self.cluster = cluster
-        else:
-            self.cluster = SimCluster(
-                seed=seed,
-                cluster_spec=cluster_spec,
-                scheduler=scheduler,
-                start_monitors=start_monitors,
-                fault_tolerance=fault_tolerance,
-            )
+        self.cluster = SimCluster(
+            seed=seed,
+            cluster_spec=cluster_spec,
+            scheduler=scheduler,
+            start_monitors=start_monitors,
+            fault_tolerance=fault_tolerance,
+        )
 
     # -- convenience passthroughs ---------------------------------------
     @property
@@ -102,12 +81,11 @@ class SimBackend:
         spec: JobSpec,
         config_provider: Optional[ConfigProvider] = None,
         gate: Optional[LaunchGate] = None,
-    ) -> SimJobHandle:
-        am = self.cluster.submit(spec, config_provider=config_provider, gate=gate)
-        return SimJobHandle(am)
+    ) -> MRAppMaster:
+        return self.cluster.submit(spec, config_provider=config_provider, gate=gate)
 
-    def wait(self, handle: SimJobHandle) -> JobResult:
-        return self.cluster.sim.run_until_complete(handle.am.completion)
+    def wait(self, handle: MRAppMaster) -> JobResult:
+        return self.cluster.sim.run_until_complete(handle.completion)
 
     def run_job(
         self,
@@ -117,12 +95,12 @@ class SimBackend:
     ) -> JobResult:
         return self.wait(self.submit(spec, config_provider=config_provider, gate=gate))
 
-    def attach_tuner(self, tuner, spec: JobSpec) -> SimJobHandle:
+    def attach_tuner(self, tuner, spec: JobSpec) -> MRAppMaster:
         # Delegate to the tuner's SimCluster-native wiring: it reads the
         # input size off HDFS, registers stats/completion listeners, and
         # hooks elastic capacity changes -- all in the historical order,
         # which the pinned tuned-run digests depend on.
-        return SimJobHandle(tuner.submit(self.cluster, spec))
+        return tuner.submit(self.cluster, spec)
 
     def close(self) -> None:
         """Nothing to release: the simulator has no external resources."""

@@ -1,21 +1,20 @@
 """Comparison baselines for the evaluation.
 
-* :mod:`repro.baselines.default_config` -- the stock YARN defaults.
+The stock YARN defaults are a bare
+:class:`~repro.core.configuration.Configuration`, and uniform random
+search is :mod:`repro.core.optimizers.random_search`.
+
 * :mod:`repro.baselines.offline_guide` -- the static expert
   configuration an administrator derives from a vendor tuning guide
   (the paper compares against Cloudera's guide).
 * :mod:`repro.baselines.gunther` -- a genetic-algorithm offline tuner
   in the style of Gunther [25], one full test run per configuration.
-* :mod:`repro.baselines.random_search` -- uniform random search, the
-  sampling-quality foil for LHS.
 * :mod:`repro.baselines.starfish` -- a Starfish-style profile + what-if
   + cost-based-optimizer pipeline [15].
 """
 
-from repro.baselines.default_config import default_configuration
 from repro.baselines.gunther import GeneticTuner, GuntherSettings
 from repro.baselines.offline_guide import offline_guide_config
-from repro.baselines.random_search import random_configurations
 from repro.baselines.starfish import (
     AnalyticWhatIfEngine,
     CostBasedOptimizer,
@@ -29,8 +28,6 @@ __all__ = [
     "GeneticTuner",
     "GuntherSettings",
     "JobProfile",
-    "default_configuration",
     "offline_guide_config",
-    "random_configurations",
     "starfish_tune",
 ]

@@ -36,9 +36,11 @@ runs actual mapper/reducer worker processes over a local corpus on the
 from __future__ import annotations
 
 import argparse
+import importlib
+import math
 import statistics
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -384,11 +386,22 @@ def cmd_serve(args) -> int:
 
     from repro.recovery import ServiceKilled
 
+    backend = args.backend or "sim"
     fault_plan = None
     if args.fault_plan:
-        with open(args.fault_plan) as fh:
-            fault_plan = fh.read()
-    backend = args.backend or "sim"
+        if backend != "sim":
+            print(
+                "--fault-plan is simulator-only; the local backend meets "
+                "real crashes, not injected ones",
+                file=sys.stderr,
+            )
+            return 2
+        try:
+            with open(args.fault_plan) as fh:
+                fault_plan = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"--fault-plan: cannot read {args.fault_plan}: {err}", file=sys.stderr)
+            return 2
     if backend == "sim":
         try:
             config = ServiceConfig(
@@ -468,6 +481,44 @@ def cmd_list(args) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _positive_float(text: str) -> float:
+    """argparse type: a positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _one_of(what: str, module: str, name: str) -> Callable[[str], object]:
+    """A check that an item is in ``module.name`` (imported on first use)."""
+
+    def check(item: str) -> None:
+        allowed = tuple(getattr(importlib.import_module(module), name))
+        if item not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {item!r}, want one of {', '.join(allowed)}"
+            )
+
+    return check
+
+
+def _csv(check: Callable[[str], object]) -> Callable[[str], str]:
+    """argparse type: comma-separated items that each pass *check*.
+
+    The raw string comes back unchanged; the subcommand splits it.
+    """
+
+    def parse(text: str) -> str:
+        for item in text.split(","):
+            check(item)
+        return text
+
+    return parse
+
+
 def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Define the flags every subcommand understands.
 
@@ -520,6 +571,7 @@ def _add_faults_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument(
         "--kinds",
         default=d if suppress else None,
+        type=_csv(_one_of("fault kind", "repro.faults", "FAULT_KINDS")),
         help="comma-separated fault kinds to inject (e.g. link_flaky,rack_partition);"
         " default: the legacy node/container levels",
     )
@@ -571,14 +623,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="terasort")
 
     p = sub.add_parser("jobsize", help="Figure 13 sweep", parents=[shared])
-    p.add_argument("--sizes", default="2,6,10,20,60,100", help="comma-separated GB")
+    p.add_argument(
+        "--sizes",
+        default="2,6,10,20,60,100",
+        type=_csv(_positive_float),
+        help="comma-separated GB",
+    )
 
     sub.add_parser("multitenant", help="Figures 14-16 protocol", parents=[shared])
 
     p = sub.add_parser(
         "whatif", help="category-1 what-if advisor (Terasort)", parents=[shared]
     )
-    p.add_argument("--size-gb", type=float, default=20.0)
+    p.add_argument("--size-gb", type=_positive_float, default=20.0)
 
     p = sub.add_parser(
         "digest",
@@ -602,6 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--levels",
         default="none,low,high",
+        type=_csv(_one_of("fault level", "repro.experiments.faults", "FAULT_LEVELS")),
         help="comma-separated fault levels (subset of none,low,high)",
     )
     p.add_argument(
@@ -623,6 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--levels",
         default="none,low,high",
+        type=_csv(_one_of("churn level", "repro.experiments.elastic", "ELASTIC_LEVELS")),
         help="comma-separated churn levels (subset of none,low,high)",
     )
     p.add_argument(

@@ -95,10 +95,6 @@ class Cluster:
     def live_yarn_memory(self) -> int:
         return sum(n.yarn_memory_total for n in self.nodes if n.alive)
 
-    @property
-    def live_yarn_vcores(self) -> int:
-        return sum(n.yarn_vcores_total for n in self.nodes if n.alive)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Cluster {len(self.nodes)} slaves, {len(self.spec.racks)} racks>"
 

@@ -116,10 +116,6 @@ class GrayBoxHillClimber(WaveOptimizer):
     def finished(self) -> bool:
         return self.phase is SearchPhase.DONE
 
-    @property
-    def current_cost(self) -> Optional[float]:
-        return self._current.cost if self._current else None
-
     def _best_sample(self) -> Optional[Sample]:
         # The incumbent is the *validated* best (it survives within-wave
         # re-evaluation); raw best-ever may be a lucky noise draw.

@@ -177,10 +177,6 @@ class WaveOptimizer:
         #: a plain-data info dict.  Backends stay simulation-agnostic;
         #: the tuner bridges these onto the telemetry bus.
         self.decision_listeners: List[Callable[[str, Dict[str, object]], None]] = []
-        #: Incumbent reinstated by :meth:`restore`; consulted only when
-        #: the subclass has no best sample of its own yet, so it cannot
-        #: perturb a never-restored optimizer.
-        self._restored_best: Optional[Sample] = None
 
     def _notify(self, decision: str, **info: object) -> None:
         if self.decision_listeners:
@@ -195,11 +191,11 @@ class WaveOptimizer:
         return self._done
 
     def best_point(self) -> Optional[np.ndarray]:
-        best = self._best_sample() or self._restored_best
+        best = self._best_sample()
         return None if best is None else best.point.copy()
 
     def best_cost(self) -> Optional[float]:
-        best = self._best_sample() or self._restored_best
+        best = self._best_sample()
         return None if best is None else best.cost
 
     def best_config(self, base: Optional[Configuration] = None) -> Configuration:
@@ -315,18 +311,17 @@ class WaveOptimizer:
         return len(self._infeasible_points)
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore (crash recovery)
+    # Checkpoint (the recovery journal's record of a search)
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, object]:
         """A JSON-safe snapshot of the shared search state.
 
         Valid between waves: the in-flight batch is deliberately
         excluded (a crash voids it anyway -- see the tuner's
-        degraded-mode rollback), and sample ids are process-global, so
-        a restored optimizer hands out fresh ids.  What survives is
-        everything the recovery journal needs to reason about the
-        search: counters, the best-cost trajectory, the rule-tightened
-        sampling bounds, and the infeasible regions.
+        degraded-mode rollback).  The recovery journal writes one per
+        finished session: counters, the best-cost trajectory, the
+        incumbent, the rule-tightened sampling bounds, and the
+        infeasible regions.  Nothing reads it back into an optimizer.
         """
         return {
             "samples_proposed": int(self.samples_proposed),
@@ -352,49 +347,6 @@ class WaveOptimizer:
             "incumbent_cost": self.best_cost(),
         }
 
-    def restore(self, state: Dict[str, object]) -> None:
-        """Reinstate a :meth:`checkpoint` snapshot onto this optimizer.
-
-        The optimizer must be freshly constructed (no batch in flight);
-        the next :meth:`propose` draws a new wave inside the restored
-        bounds, avoiding the restored infeasible regions.
-        """
-        if self._batch:
-            raise RuntimeError("cannot restore over an in-flight batch")
-        self.samples_proposed = int(state["samples_proposed"])
-        self.observations = int(state["observations"])
-        self.waves_started = int(state["waves_started"])
-        wave_of_best = state["wave_of_best"]
-        self.wave_of_best = None if wave_of_best is None else int(wave_of_best)
-        best = state["best_observed"]
-        self._best_observed = None if best is None else float(best)
-        self.cost_trajectory = [
-            (int(n), float(c)) for n, c in state["cost_trajectory"]
-        ]
-        self.bounds.lo = np.asarray(state["bounds_lo"], dtype=float)
-        self.bounds.hi = np.asarray(state["bounds_hi"], dtype=float)
-        self._infeasible_points = [
-            np.asarray(p, dtype=float) for p in state["infeasible_points"]
-        ]
-        self.infeasible_marks = int(state["infeasible_marks"])
-        self._done = bool(state["done"])
-        if self._done and hasattr(self, "phase"):
-            # Backends that track termination through a phase machine
-            # (the gray-box hill climber) report ``finished`` off it.
-            self.phase = SearchPhase.DONE
-        point = state.get("incumbent_point")
-        if point is None:
-            self._restored_best = None
-        else:
-            cost = state.get("incumbent_cost")
-            self._restored_best = Sample(
-                sample_id=next_sample_id(),
-                point=np.asarray(point, dtype=float),
-                phase=SearchPhase.LOCAL,
-                costs=[] if cost is None else [float(cost)],
-                incumbent=True,
-            )
-
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
@@ -408,8 +360,7 @@ class WaveOptimizer:
         raise NotImplementedError
 
     def _has_incumbent(self) -> bool:
-        return self._best_sample() is not None or self._restored_best is not None
+        return self._best_sample() is not None
 
     def _incumbent_cost(self) -> Optional[float]:
-        best = self._best_sample() or self._restored_best
-        return None if best is None else best.cost
+        return self.best_cost()

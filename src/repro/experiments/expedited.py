@@ -166,8 +166,3 @@ def run_expedited_over_seeds(
         for seed, result in zip(missing, computed):
             _case_cache[(case.name, seed, hill_climb, optimizer)] = result
     return [_case_cache[(case.name, s, hill_climb, optimizer)] for s in seeds]
-
-
-def aggregate(results: List[ExpeditedCaseResult], attr: str) -> float:
-    values = [getattr(r, attr) for r in results]
-    return sum(values) / len(values) if values else 0.0

@@ -116,27 +116,6 @@ class SimCluster:
                 horizon=horizon,
                 **counts,
             )
-        elastic = None
-        if plan.has_elastic_faults:
-            # A fully wired membership manager: joined nodes are sampled
-            # (when this harness runs monitors) from the instant they
-            # join, so the central monitor tracks the live set.
-            from repro.faults.elastic import ElasticCluster
-
-            elastic = ElasticCluster(
-                self.sim,
-                self.cluster,
-                self.node_managers,
-                self.rm,
-                slave_monitor=self.slave_monitor,
-            )
-        control = None
-        if plan.has_control_faults:
-            # A control-plane manager wired to this harness's central
-            # monitor; tuners register themselves on submit().
-            from repro.faults.control import ControlPlaneState
-
-            control = ControlPlaneState(self.sim, monitor=self.monitor)
         self.fault_injector = FaultInjector(
             self.sim,
             self.cluster,
@@ -144,8 +123,8 @@ class SimCluster:
             self.rm,
             plan,
             fetch_rng=self.rngs.stream("faults", "fetch"),
-            elastic=elastic,
-            control=control,
+            monitor=self.monitor,
+            slave_monitor=self.slave_monitor,
         )
         self.fault_injector.start()
         return plan

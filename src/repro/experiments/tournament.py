@@ -198,12 +198,6 @@ class TournamentReport:
     results: List[TournamentResult]
     rows: List[TournamentRow]
 
-    def rows_for(self, case_name: str) -> List[TournamentRow]:
-        return [r for r in self.rows if r.case_name == case_name]
-
-    def backend_rows(self, backend: str) -> List[TournamentRow]:
-        return [r for r in self.rows if r.backend == backend]
-
 
 def _samples_to_target(
     result: TournamentResult,

@@ -24,8 +24,11 @@ Faults act through the same surfaces real hardware does:
   network, which switches reducers onto the per-fetch recovery path;
 * elastic churn (``node_decommission`` / ``node_join`` /
   ``spot_preempt``) goes through an
-  :class:`~repro.faults.elastic.ElasticCluster` manager, likewise armed
-  only when the plan contains an elastic kind.
+  :class:`~repro.faults.elastic.ElasticCluster` manager and the
+  control-plane kinds through a
+  :class:`~repro.faults.control.ControlPlaneState`.
+  :meth:`FaultInjector.start` is the one place either is built, and
+  only when the plan contains one of its kinds.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Cluster
     from repro.faults.control import ControlPlaneState
     from repro.faults.elastic import ElasticCluster
+    from repro.monitor.central_monitor import CentralMonitor
+    from repro.monitor.slave_monitor import SlaveMonitor
     from repro.sim.engine import Simulator
     from repro.yarn.resource_manager import ResourceManager
 
@@ -56,8 +61,8 @@ class FaultInjector:
         rm: "ResourceManager",
         plan: FaultPlan,
         fetch_rng: Optional[np.random.Generator] = None,
-        elastic: Optional["ElasticCluster"] = None,
-        control: Optional["ControlPlaneState"] = None,
+        monitor: Optional["CentralMonitor"] = None,
+        slave_monitor: Optional["SlaveMonitor"] = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -65,15 +70,14 @@ class FaultInjector:
         self.rm = rm
         self.plan = plan
         self.fetch_rng = fetch_rng
-        #: Elastic membership manager; a caller with monitor wiring (the
-        #: harness) passes a fully hooked-up one, otherwise a bare
-        #: manager is built on demand in :meth:`start` when the plan
-        #: actually contains elastic kinds.
-        self.elastic = elastic
-        #: Control-plane fault manager; same deal as ``elastic`` -- the
-        #: harness passes one wired to its monitor/tuner, and a bare one
-        #: is built on demand when the plan contains a control kind.
-        self.control = control
+        #: The harness's monitors, wired into the managers :meth:`start`
+        #: builds: joined nodes get sampled, control faults black out.
+        self.monitor = monitor
+        self.slave_monitor = slave_monitor
+        #: Built by :meth:`start` when the plan has an elastic (resp. a
+        #: control) kind; ``None`` otherwise.
+        self.elastic: Optional["ElasticCluster"] = None
+        self.control: Optional["ControlPlaneState"] = None
         #: ``(time, description)`` log of faults actually applied.
         self.applied: List[Tuple[float, str]] = []
         #: Planned faults skipped because their target was already dead.
@@ -97,16 +101,17 @@ class FaultInjector:
             rng = self.fetch_rng if self.fetch_rng is not None else np.random.default_rng(0)
             self.cluster.network.faults = NetworkFaultState(rng)
             self._network_mode = True
-        if self.plan.has_elastic_faults and self.elastic is None:
+        if self.plan.has_elastic_faults:
             from repro.faults.elastic import ElasticCluster
 
             self.elastic = ElasticCluster(
-                self.sim, self.cluster, self.node_managers, self.rm
+                self.sim, self.cluster, self.node_managers, self.rm,
+                slave_monitor=self.slave_monitor,
             )
-        if self.plan.has_control_faults and self.control is None:
+        if self.plan.has_control_faults:
             from repro.faults.control import ControlPlaneState
 
-            self.control = ControlPlaneState(self.sim)
+            self.control = ControlPlaneState(self.sim, monitor=self.monitor)
         ordered = [self.node_managers[nid] for nid in sorted(self.node_managers)]
         self.rm.start_failure_detection(ordered)
         for fault in self.plan.faults:

@@ -282,8 +282,9 @@ def plan_to_json(plan: FaultPlan) -> str:
 def plan_from_json(text: str) -> FaultPlan:
     """Parse a :func:`plan_to_json` document back into a plan.
 
-    Validation happens in :class:`Fault`'s ``__post_init__``, so a
-    hand-edited document with out-of-range fields fails loudly.
+    Every malformed document raises :class:`ValueError`: bad JSON, a
+    missing or unknown field, or a mistyped or out-of-range value
+    (:class:`Fault`'s ``__post_init__`` checks the ranges).
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("faults"), list):
@@ -296,7 +297,10 @@ def plan_from_json(text: str) -> FaultPlan:
         unknown = set(rec) - known
         if unknown:
             raise ValueError(f"unknown fault fields {sorted(unknown)}")
-        faults.append(Fault(**rec))
+        try:
+            faults.append(Fault(**rec))
+        except TypeError as err:  # a missing field or a mistyped value
+            raise ValueError(f"bad fault record {rec!r}: {err}") from None
     return FaultPlan(tuple(faults))
 
 

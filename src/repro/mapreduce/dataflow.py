@@ -32,7 +32,6 @@ class JobDataflow:
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.spec = spec
-        self.input_file = input_file
         rng = rng if rng is not None else np.random.default_rng(0)
         profile = spec.workload
 
@@ -67,14 +66,6 @@ class JobDataflow:
     # ------------------------------------------------------------------
     def map_input_bytes(self, map_index: int) -> float:
         return float(self.split_bytes[map_index])
-
-    def map_input_records(self, map_index: int) -> int:
-        # Input record size is irrelevant to tuning; derive from the map
-        # output record count and selectivity for consistent counters.
-        profile = self.spec.workload
-        if profile.map_output_ratio <= 0:
-            return int(self.split_bytes[map_index] / 100.0)
-        return int(self.map_output_records[map_index] / max(profile.map_output_ratio, 1e-9))
 
     def map_output(self, map_index: int) -> tuple[float, int]:
         """(bytes, records) emitted by map *map_index* before the combiner."""

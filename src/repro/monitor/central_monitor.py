@@ -1,16 +1,17 @@
 """The central monitor: aggregates task and node statistics.
 
 The slave monitors push per-node :class:`NodeStats` samples here; app
-masters push :class:`TaskStats` on task completion.  The tuner reads
-both through query methods -- it never touches simulator internals.
+masters push :class:`TaskStats` on task completion.  The tuner does not
+read the monitor: it takes each attempt's :class:`TaskStats` straight
+from the app master and quarantines fetch-inflated samples itself.
+Reports, benchmarks and tests read the aggregates kept here.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.mapreduce.jobspec import TaskType
 from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
 from repro.sim.engine import Simulator
 from repro.telemetry.events import CapacityChange, NodeSampled, TaskStatsRecorded
@@ -35,16 +36,10 @@ class CentralMonitor:
         self.node_samples: List[NodeStats] = []
         self.cpu_timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
         self.mem_timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
-        #: Subscribers notified of every completed task (the tuner).
-        self.task_listeners: List[Callable[[TaskStats], None]] = []
-        #: Per-job count of fetch-retry-inflated measurements; these are
-        #: flagged so the tuner's cost evaluation can discount them.
-        self.fetch_inflated_count: Dict[str, int] = defaultdict(int)
-        #: Elastic membership: node_id -> time it left / joined.  Fed by
+        #: Elastic membership: node_id -> time it left.  Fed by
         #: ``capacity_change`` telemetry so aggregation tracks the live
         #: set instead of averaging over ghosts.
         self.departed_nodes: Dict[int, float] = {}
-        self.joined_nodes: Dict[int, float] = {}
         #: Blackout windows ``(node_id-or-None, start, end)`` opened by
         #: injected monitor outages / stats gaps.  Node samples inside
         #: an applicable window are dropped on ingestion.
@@ -68,18 +63,12 @@ class CentralMonitor:
             self.on_capacity_change(event.node_id, event.action, event.time)
 
     def on_capacity_change(self, node_id: int, action: str, time: float) -> None:
-        """Track elastic membership so queries follow the live set."""
+        """Track departures so the utilization means follow the live set."""
         if action == "depart":
             self.departed_nodes.setdefault(node_id, time)
-        elif action == "join":
-            self.joined_nodes.setdefault(node_id, time)
 
     def on_task_stats(self, stats: TaskStats) -> None:
         self.task_stats.append(stats)
-        if stats.fetch_retries > 0:
-            self.fetch_inflated_count[stats.task_id.job_id] += 1
-        for listener in self.task_listeners:
-            listener(stats)
 
     def begin_gap(
         self, start: float, end: float, node_id: Optional[int] = None
@@ -111,19 +100,6 @@ class CentralMonitor:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def stats_for_job(self, job_id: str, task_type: Optional[TaskType] = None) -> List[TaskStats]:
-        out = [s for s in self.task_stats if s.task_id.job_id == job_id]
-        if task_type is not None:
-            out = [s for s in out if s.task_type is task_type]
-        return out
-
-    def fetch_inflated_fraction(self, job_id: str) -> float:
-        """Fraction of *job_id*'s measurements inflated by fetch retries."""
-        total = sum(1 for s in self.task_stats if s.task_id.job_id == job_id)
-        if total == 0:
-            return 0.0
-        return self.fetch_inflated_count[job_id] / total
-
     def mean_cpu_utilization(self, since: float = 0.0) -> float:
         return self._mean_over(self.cpu_timelines, since)
 
@@ -147,14 +123,3 @@ class CentralMonitor:
                 continue
             values.append(timelines[node_id].mean(since, until=departed))
         return sum(values) / len(values) if values else 0.0
-
-    def hot_nodes(self, cpu_threshold: float = 0.9) -> List[int]:
-        """Nodes whose latest CPU sample exceeds *cpu_threshold* (hot spots)."""
-        hot = []
-        for node_id, tl in self.cpu_timelines.items():
-            if node_id in self.departed_nodes:
-                continue  # a ghost's stale last sample is not a hot spot
-            latest = tl.latest()
-            if latest is not None and latest >= cpu_threshold:
-                hot.append(node_id)
-        return sorted(hot)

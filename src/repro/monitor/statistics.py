@@ -205,6 +205,3 @@ class UtilizationTimeline:
         for (t0, v0), (t1, _v1) in zip(pairs, pairs[1:]):
             total += v0 * (t1 - t0)
         return total / span
-
-    def latest(self) -> Optional[float]:
-        return self.values[-1] if self.values else None

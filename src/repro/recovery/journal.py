@@ -102,20 +102,6 @@ class JournalState:
         """The (tenant, arrival-index) pairs already on disk."""
         return {(job.tenant, job.index) for job in self.jobs}
 
-    def next_arrival_index(self, tenant: str) -> int:
-        """First arrival index of *tenant* with no journaled completion.
-
-        Jobs complete out of arrival order under fair-share dispatch,
-        so this is a lower bound on outstanding work, not a cursor.
-        """
-        indices = sorted(j.index for j in self.jobs if j.tenant == tenant)
-        nxt = 0
-        for index in indices:
-            if index != nxt:
-                break
-            nxt += 1
-        return nxt
-
 
 def read_journal(path: str) -> JournalState:
     """Parse *path* into a :class:`JournalState` (torn tail tolerated)."""
@@ -153,9 +139,6 @@ class ServiceJournal:
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh: Optional[TextIO] = None
-        #: Records appended by *this* process (excludes the recovered
-        #: prefix) -- what ``kill_after_jobs`` counts against.
-        self.appended = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -219,7 +202,6 @@ class ServiceJournal:
         self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self.appended += 1
 
     def record_job(self, job: CompletedJob) -> None:
         self._append({"kind": "job", **asdict(job)})

@@ -108,6 +108,13 @@ class ServiceConfig:
             raise ValueError("kill_after_jobs must be >= 0")
         if self.kill_after_jobs and not self.journal_path:
             raise ValueError("kill_after_jobs requires journal_path")
+        if self.fault_plan is not None:
+            from repro.faults import plan_from_json
+
+            try:
+                plan_from_json(self.fault_plan)
+            except ValueError as err:
+                raise ValueError(f"invalid fault_plan: {err}") from None
 
     def fingerprint(self) -> str:
         """sha256 identity of the run the journal binds itself to.

@@ -69,7 +69,7 @@ def teragen_dataset(size_gb: float) -> DatasetSpec:
     The 100 GB instance yields 752 blocks, matching Table 3's Terasort
     row (the paper uses the same map count for Freebase and Terasort).
     """
-    if size_gb <= 0:
+    if not size_gb > 0:  # NaN fails this test too
         raise ValueError("size_gb must be positive")
     num_blocks = max(1, round(size_gb * GB / DEFAULT_BLOCK_SIZE))
     label = f"{size_gb:g}".replace(".", "_")

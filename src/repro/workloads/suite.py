@@ -62,14 +62,6 @@ class BenchmarkCase:
     def num_maps(self) -> int:
         return self.dataset.num_blocks
 
-    def job_spec(
-        self,
-        fs: HdfsFileSystem,
-        base_config: Optional[Configuration] = None,
-        slowstart: float = 0.05,
-    ) -> JobSpec:
-        return make_job_spec(self, fs, base_config=base_config, slowstart=slowstart)
-
 
 def make_job_spec(
     case: BenchmarkCase,

@@ -310,7 +310,7 @@ class _TaskRun:
 
     __slots__ = (
         "task_id", "task_type", "index", "attempt_counter", "running",
-        "winner", "last_failure", "config_failures", "env_failures",
+        "winner", "config_failures", "env_failures",
         "permanent", "done", "tier1_config", "inbox", "waiter",
         "relaunch_on_settle",
     )
@@ -323,7 +323,6 @@ class _TaskRun:
         #: Live attempts: added when spawned, removed when settled.
         self.running: List[_Attempt] = []
         self.winner: Optional[TaskStats] = None
-        self.last_failure: Optional[TaskStats] = None
         self.config_failures = 0
         self.env_failures = 0
         self.permanent = False
@@ -488,6 +487,11 @@ class MRAppMaster:
                 name=f"{self.spec.job_id}-speculator",
             )
         return self.completion
+
+    def add_completion_callback(self, callback: Callable[[JobResult], None]) -> None:
+        """Call *callback* with the :class:`JobResult` when the job ends
+        (the app master is the ``sim`` backend's job handle)."""
+        self.completion.add_callback(lambda ev: callback(ev.value))
 
     def _slowstart_threshold(self) -> int:
         import math
@@ -914,7 +918,6 @@ class MRAppMaster:
             speculative=True,
             wave=winner.wave if winner is not None else -1,
         )
-        run.last_failure = stats
         self._record(stats)
         self._note_attempt_failure(stats)
         if run.env_failures > self.ft.max_env_retries:
@@ -959,7 +962,6 @@ class MRAppMaster:
     def _handle_failure(
         self, run: _TaskRun, attempt: _Attempt, stats: TaskStats
     ) -> None:
-        run.last_failure = stats
         if attempt.speculative:
             if (
                 attempt.migration
@@ -978,7 +980,7 @@ class MRAppMaster:
                 # its own settlement drives the policy below.)
                 return
         if stats.failure_kind in ENVIRONMENTAL_KINDS:
-            if any(a.migration and not a.settled for a in run.running):
+            if any(a.migration for a in run.running):
                 # A grace-window migration already covers this task:
                 # the doomed primary's death needs no crash-style
                 # re-execution (and burns no environmental budget).

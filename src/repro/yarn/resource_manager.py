@@ -9,7 +9,7 @@ heartbeat latency so allocation never reenters the caller.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Sequence
+from typing import Dict, Generator, Sequence
 
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.topology import Cluster
@@ -88,14 +88,6 @@ class ResourceManager:
 
     def is_node_lost(self, node_id: int) -> bool:
         return node_id in self._lost_nodes or node_id in self._departed_nodes
-
-    @property
-    def lost_nodes(self) -> List[int]:
-        return sorted(self._lost_nodes)
-
-    @property
-    def departed_nodes(self) -> List[int]:
-        return sorted(self._departed_nodes)
 
     # ------------------------------------------------------------------
     # Elastic membership

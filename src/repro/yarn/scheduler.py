@@ -122,9 +122,6 @@ class SchedulerBase:
         """
         self._draining_nodes.add(node_id)
 
-    def is_node_draining(self, node_id: int) -> bool:
-        return node_id in self._draining_nodes
-
     def schedulable_nodes(self) -> List[Node]:
         """Nodes eligible for new placements (neither lost nor draining)."""
         return [

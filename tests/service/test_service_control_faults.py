@@ -71,6 +71,11 @@ class TestServiceControlFaults:
         resumed = run_service(make_config(journal_path=journal))
         assert resumed.digest() == reference.digest()
 
+    @pytest.mark.parametrize("text", ["", "not json", '{"faults": [{"kind": "nope"}]}'])
+    def test_invalid_fault_plan_rejected_at_construction(self, text):
+        with pytest.raises(ValueError, match="invalid fault_plan"):
+            make_config(fault_plan=text)
+
     def test_fault_plan_changes_fingerprint(self):
         assert (
             make_config().fingerprint()

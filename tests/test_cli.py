@@ -179,6 +179,86 @@ class TestBackendFlag:
         assert args.slots is None
 
 
+class TestArgumentValidation:
+    """Bad values exit 2 at parse time, naming the flag, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["whatif", "--size-gb", "0"],
+            ["whatif", "--size-gb", "-5"],
+            ["whatif", "--size-gb", "nan"],
+            ["whatif", "--size-gb", "inf"],
+            ["jobsize", "--sizes", "2,x"],
+            ["jobsize", "--sizes", "0"],
+            ["faults", "--levels", "none,extreme"],
+            ["faults", "--kinds", "nope"],
+            ["--kinds", "link_flaky,nope", "faults"],
+            ["elastic", "--levels", "bogus"],
+        ],
+    )
+    def test_bad_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {next(a for a in argv if a.startswith('--'))}" in err
+
+    def test_good_values_parse_unchanged(self):
+        args = build_parser().parse_args(
+            ["faults", "--levels", "none,high", "--kinds", "link_flaky,node_join"]
+        )
+        assert args.levels == "none,high"
+        assert args.kinds == "link_flaky,node_join"
+        assert build_parser().parse_args(["whatif", "--size-gb", "2.5"]).size_gb == 2.5
+        assert build_parser().parse_args(["elastic"]).levels == "none,low,high"
+
+
+class TestServeFaultPlan:
+    """``serve --fault-plan``: every bad plan exits 2 before a run starts."""
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["serve", "--fault-plan", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        assert main(["serve", "--fault-plan", str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            '{"faults": [{"time": 1.0, "kind": "bogus", "node_id": 0}]}',
+            '{"faults": [{"kind": "tuner_crash"}]}',
+        ],
+        ids=["syntax", "unknown-kind", "missing-fields"],
+    )
+    def test_invalid_plan(self, tmp_path, capsys, monkeypatch, text):
+        import repro.service
+
+        def fail(config):  # pragma: no cover - reached only on a regression
+            raise AssertionError("the stream ran with an invalid plan")
+
+        monkeypatch.setattr(repro.service, "run_service", fail)
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["serve", "--fault-plan", str(path)]) == 2
+        assert "invalid fault_plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"faults": []}', "not json"],
+        ids=["valid", "invalid"],
+    )
+    def test_local_backend_rejects_any_plan(self, tmp_path, capsys, text):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["serve", "--backend", "local", "--fault-plan", str(path)]) == 2
+        assert "simulator-only" in capsys.readouterr().err
+
+
 class TestRealCommand:
     def test_real_small(self, capsys):
         assert (

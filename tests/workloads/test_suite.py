@@ -35,6 +35,11 @@ class TestDatasets:
         with pytest.raises(ValueError):
             teragen_dataset(0)
 
+    @pytest.mark.parametrize("size", [-5.0, float("nan")])
+    def test_teragen_rejects_non_positive_sizes(self, size):
+        with pytest.raises(ValueError, match="size_gb must be positive"):
+            teragen_dataset(size)
+
     def test_bbp_tiny_splits(self):
         ds = bbp_dataset(100)
         assert ds.num_blocks == 100

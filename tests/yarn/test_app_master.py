@@ -6,10 +6,16 @@ from repro.cluster.topology import ClusterSpec
 from repro.core import parameters as P
 from repro.core.configuration import Configuration, is_feasible
 from repro.experiments.harness import SimCluster
+from repro.experiments.parallel import execute_request
 from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import BaseConfigProvider, WaveGate
+from repro.yarn.app_master import BaseConfigProvider, MRAppMaster, WaveGate
+from tests.faults.test_determinism import (
+    ELASTIC_DENSE_DIGEST,
+    ELASTIC_SPARSE_DIGEST,
+    elastic_requests,
+)
 
 MB = 1024**2
 
@@ -186,3 +192,25 @@ class TestMultiJob:
         first_end = results[0].end_time
         second_start = min(s.start_time for s in results[1].task_stats)
         assert second_start < first_end * 0.5
+
+
+class TestFailureHandlingSeesOnlyLiveAttempts:
+    def test_no_settled_attempt_in_running_under_churn(self, monkeypatch):
+        """``_settle`` marks an attempt SETTLED and drops it from
+        ``run.running`` in one step, so ``_handle_failure`` never finds a
+        settled attempt there; its migration check needs no ``settled``
+        test.  The elastic-churn pin scenarios reach that check."""
+        seen = []
+        handle_failure = MRAppMaster._handle_failure
+
+        def checked(self, run, attempt, stats):
+            seen.append([(a.settled, a.migration) for a in run.running])
+            return handle_failure(self, run, attempt, stats)
+
+        monkeypatch.setattr(MRAppMaster, "_handle_failure", checked)
+        sparse, dense = (execute_request(r) for r in elastic_requests())
+        assert sparse.digest() == ELASTIC_SPARSE_DIGEST
+        assert dense.digest() == ELASTIC_DENSE_DIGEST
+        assert seen
+        assert not any(settled for running in seen for settled, _ in running)
+        assert any(migration for running in seen for _, migration in running)
