@@ -2,11 +2,13 @@
 
 The run digests pin what :func:`execute_request` produces.  The other
 drivers -- the expedited and single-run protocols, tournament lanes,
-traced runs and the fault experiment -- build their clusters and tuners
-themselves, so these pins hash their results directly: every field of
-the protocol results, the tournament lanes' search traces and times,
-the traced runs' JSONL digests and the fault experiment's plans and
-digest.  A refactor of the run path must leave every one unchanged.
+traced runs, the fault experiment, the multi-tenant co-runs and the
+what-if advisor -- build their clusters and tuners themselves, so these
+pins hash their results directly: every field of the protocol results,
+the tournament lanes' search traces and times, the traced runs' JSONL
+digests, the fault experiment's plans and digest, and the repr of the
+multi-tenant outcomes and the what-if advice.  A refactor of the run
+path must leave every one unchanged.
 
 Print the current values with::
 
@@ -22,13 +24,16 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.hill_climbing import HillClimbSettings
-from repro.experiments import expedited
+from repro.core.whatif import CategoryOneAdvisor
+from repro.experiments import expedited, multitenant
 from repro.experiments.faults import run_fault_experiment
 from repro.experiments.single_run import run_single_run_case
 from repro.experiments.tournament import TournamentEntry, run_tournament_entry
 from repro.experiments.trace import run_traced_case
 from repro.faults import FAULT_KINDS
+from repro.workloads.datasets import teragen_dataset
 from repro.workloads.suite import case_by_name, shrink_case
+from repro.workloads.terasort import terasort_profile
 
 #: The expedited protocol's hill-climb budget in ``test_protocols.py``.
 TINY_HC = HillClimbSettings(m=6, n=4, global_search_limit=1)
@@ -118,6 +123,19 @@ def faults_pin() -> str:
     return sha((report.plans_json, report.digest))
 
 
+def multitenant_pin() -> str:
+    multitenant._experiment_cache.clear()
+    try:
+        return sha(multitenant.run_multitenant_experiment(1))
+    finally:
+        multitenant._experiment_cache.clear()
+
+
+def whatif_pin() -> str:
+    advisor = CategoryOneAdvisor(seed=1)
+    return sha(advisor.advise(terasort_profile(), teragen_dataset(2.0)))
+
+
 DRIVERS = {
     "expedited": expedited_pin,
     "single-run": single_run_pin,
@@ -126,6 +144,8 @@ DRIVERS = {
     "trace-none": lambda: trace_pin("none"),
     "trace-aggressive": lambda: trace_pin("aggressive"),
     "faults-all-kinds": faults_pin,
+    "multitenant": multitenant_pin,
+    "whatif": whatif_pin,
 }
 
 PINS = {
@@ -149,6 +169,12 @@ PINS = {
     ),
     "faults-all-kinds": (
         "562e6db54dc6394ff56f06b6d0ab90a995cb62ba42cab31cf395f978422470c1"
+    ),
+    "multitenant": (
+        "ddca2e907c7807fca30078161ab31f7543c40d31eb8b16e374d12dfa2f7946a6"
+    ),
+    "whatif": (
+        "c674501e06a605414fcc28ab979e8e02ee21ce3fab3fcce08efcd226bad7c482"
     ),
 }
 

@@ -7,7 +7,9 @@ works by validated replay -- the resume re-executes the deterministic
 trace and cross-checks every completion against the journaled prefix --
 so these tests also pin the failure modes: foreign journals rejected by
 fingerprint, tampered records surfacing as :class:`JournalDivergence`,
-torn final lines repaired instead of poisoning the file.
+torn final lines repaired instead of poisoning the file.  The local
+backend cannot replay wall-clock work, so its resume skips ahead past
+the journaled jobs instead.
 """
 
 import json
@@ -22,7 +24,13 @@ from repro.recovery import (
     ServiceKilled,
     read_journal,
 )
-from repro.service import ServiceConfig, default_tenants, run_service
+from repro.service import (
+    ServiceConfig,
+    TenantSpec,
+    default_tenants,
+    run_service,
+    run_service_local,
+)
 from repro.testing import assert_no_output_leaks
 
 
@@ -102,6 +110,53 @@ class TestKillAndResume:
             for line in fh.read().splitlines():
                 json.loads(line)
         assert_no_output_leaks(str(tmp_path))
+
+
+class TestLocalKillAndResume:
+    @staticmethod
+    def run(journal, **overrides):
+        config = ServiceConfig(
+            tenants=(
+                TenantSpec(
+                    name="solo",
+                    rate=1.0 / 2.0,
+                    profiles=("wordcount",),
+                    slo_seconds=600.0,
+                ),
+            ),
+            jobs_per_tenant=2,
+            seed=1,
+            capacity=1,
+            journal_path=journal,
+            **overrides,
+        )
+        return run_service_local(config, num_splits=2, split_kb=4, num_reducers=1)
+
+    def test_resume_skips_the_journaled_job(self, tmp_path, monkeypatch):
+        from repro.backends.local import LocalProcessBackend
+
+        journal = str(tmp_path / "local.journal")
+        with pytest.raises(ServiceKilled) as exc:
+            self.run(journal, kill_after_jobs=1)
+        assert exc.value.jobs_completed == 1
+        kinds = [r["kind"] for r in read_journal(journal).records]
+        assert kinds == ["header", "job", "tuning", "tuner", "kb"]
+
+        executed = []
+        attach = LocalProcessBackend.attach_tuner
+
+        def counting_attach(backend, tuner, spec):
+            executed.append(spec.name)
+            return attach(backend, tuner, spec)
+
+        monkeypatch.setattr(LocalProcessBackend, "attach_tuner", counting_attach)
+        report = self.run(journal)
+        assert report.jobs_completed == 2
+        assert executed == ["wordcount-solo-1"]
+        # The restored knowledge base warm-starts the second session.
+        assert [r.warm_started for r in report.tuning] == [False, True]
+        resumed_kinds = [r["kind"] for r in read_journal(journal).records]
+        assert resumed_kinds == kinds + ["job", "tuning", "tuner", "kb"]
 
 
 class TestJournalSafety:
