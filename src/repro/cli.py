@@ -27,10 +27,10 @@ resilience report: job time and tuner gain at fault levels none/low/
 high (node crashes, container kills, degraded nodes) against the
 fault-free baseline, ending in its own determinism-gated digest.
 
-Simulated subcommands run on the ``sim`` execution backend; ``real``
-runs actual mapper/reducer worker processes over a local corpus on the
-``local`` backend (``--backend`` selects explicitly; see
-``docs/backends.md``).
+``real`` runs actual mapper/reducer worker processes over a local
+corpus on the ``local`` execution backend; ``serve`` runs on either
+backend (``--backend``, default ``sim``); every other subcommand runs
+on the ``sim`` backend (see ``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -57,17 +57,17 @@ def _seeds(args) -> List[int]:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_table3(args) -> int:
-    from repro.experiments.harness import SimCluster
+    from repro.backends.sim import SimBackend
     from repro.experiments.reporting import format_table
     from repro.mapreduce.dataflow import JobDataflow
     from repro.workloads.suite import make_job_spec, table3_cases
 
     GB = 10**9
-    sc = SimCluster(seed=args.seed, start_monitors=False)
+    hdfs = SimBackend(seed=args.seed, start_monitors=False).hdfs
     rows = []
     for case in table3_cases():
-        spec = make_job_spec(case, sc.hdfs)
-        df = JobDataflow(spec, sc.hdfs.get(spec.input_path), rng=np.random.default_rng(0))
+        spec = make_job_spec(case, hdfs)
+        df = JobDataflow(spec, hdfs.get(spec.input_path), rng=np.random.default_rng(0))
         rows.append(
             [
                 case.name,
@@ -376,6 +376,7 @@ def cmd_real(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from repro.recovery import ServiceKilled
     from repro.service import (
         ServiceConfig,
         TenantSpec,
@@ -384,12 +385,10 @@ def cmd_serve(args) -> int:
         run_service_local,
     )
 
-    from repro.recovery import ServiceKilled
-
-    backend = args.backend or "sim"
+    local = args.backend == "local"
     fault_plan = None
     if args.fault_plan:
-        if backend != "sim":
+        if local:
             print(
                 "--fault-plan is simulator-only; the local backend meets "
                 "real crashes, not injected ones",
@@ -402,60 +401,42 @@ def cmd_serve(args) -> int:
         except (OSError, UnicodeDecodeError) as err:
             print(f"--fault-plan: cannot read {args.fault_plan}: {err}", file=sys.stderr)
             return 2
-    if backend == "sim":
-        try:
-            config = ServiceConfig(
-                tenants=default_tenants(
-                    args.tenants, rate=1.0 / args.interarrival
-                ),
-                jobs_per_tenant=args.jobs,
-                seed=args.seed,
-                capacity=args.capacity,
-                warm_start=not args.cold,
-                journal_path=args.journal,
-                kill_after_jobs=args.kill_after_jobs,
-                fault_plan=fault_plan,
+    try:
+        if local:
+            # Smoke scale on real worker processes: two tenants mixing
+            # the local workloads, sequential dispatch, wall-clock
+            # latencies.
+            mixes = (("wordcount",), ("grep", "inverted-index"))
+            tenants = tuple(
+                TenantSpec(
+                    name=f"tenant-{chr(ord('a') + i)}",
+                    weight=float(len(mixes) - i),
+                    rate=1.0 / 5.0,
+                    profiles=mixes[i],
+                    slo_seconds=300.0,
+                )
+                for i in range(min(args.tenants, len(mixes)))
             )
-        except ValueError as err:
-            print(str(err), file=sys.stderr)
-            return 2
-        try:
-            report = run_service(config)
-        except ServiceKilled as killed:
-            print(f"service killed: {killed}", file=sys.stderr)
-            return 3
-    else:
-        # Smoke scale on real worker processes: two tenants mixing the
-        # local workloads, sequential dispatch, wall-clock latencies.
-        mixes = (("wordcount",), ("grep", "inverted-index"))
-        tenants = tuple(
-            TenantSpec(
-                name=f"tenant-{chr(ord('a') + i)}",
-                weight=float(len(mixes) - i),
-                rate=1.0 / 5.0,
-                profiles=mixes[i % len(mixes)],
-                slo_seconds=300.0,
-            )
-            for i in range(min(args.tenants, 2))
+        else:
+            tenants = default_tenants(args.tenants, rate=1.0 / args.interarrival)
+        config = ServiceConfig(
+            tenants=tenants,
+            jobs_per_tenant=min(args.jobs, 2) if local else args.jobs,
+            seed=args.seed,
+            capacity=1 if local else args.capacity,
+            warm_start=not args.cold,
+            journal_path=args.journal,
+            kill_after_jobs=args.kill_after_jobs,
+            fault_plan=fault_plan,
         )
-        try:
-            config = ServiceConfig(
-                tenants=tenants,
-                jobs_per_tenant=min(args.jobs, 2),
-                seed=args.seed,
-                capacity=1,
-                warm_start=not args.cold,
-                journal_path=args.journal,
-                kill_after_jobs=args.kill_after_jobs,
-            )
-        except ValueError as err:
-            print(str(err), file=sys.stderr)
-            return 2
-        try:
-            report = run_service_local(config)
-        except ServiceKilled as killed:
-            print(f"service killed: {killed}", file=sys.stderr)
-            return 3
+    except ValueError as err:
+        print(str(err), file=sys.stderr)
+        return 2
+    try:
+        report = (run_service_local if local else run_service)(config)
+    except ServiceKilled as killed:
+        print(f"service killed: {killed}", file=sys.stderr)
+        return 3
     print(report.render())
     print(f"service digest: {report.digest()}")
     return 0
@@ -527,19 +508,11 @@ def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     ``repro --workers 4 faults`` and ``repro faults --workers 4`` work
     (the subparser only overrides when the flag is actually given).
     """
-    from repro.backends import BACKEND_NAMES
     from repro.core.optimizers import DEFAULT_OPTIMIZER, OPTIMIZER_BACKENDS
 
     d = argparse.SUPPRESS
     parser.add_argument(
         "--seed", type=int, default=d if suppress else 1, help="base replica seed"
-    )
-    parser.add_argument(
-        "--backend",
-        default=d if suppress else None,
-        choices=BACKEND_NAMES,
-        help="execution backend (default: sim for simulated experiments, "
-        "local for the 'real' subcommand)",
     )
     parser.add_argument(
         "--replicas",
@@ -597,6 +570,9 @@ def _tuning_mode(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.backends import BACKEND_NAMES
+    from repro.backends.local import LOCAL_WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce MRONLINE (HPDC'14) experiments on the simulated cluster.",
@@ -730,6 +706,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[shared],
     )
     p.add_argument(
+        "--backend",
+        default="sim",
+        choices=BACKEND_NAMES,
+        help="execution backend: the simulated cluster, or a smoke-scale "
+        "stream on real local worker processes (default: sim)",
+    )
+    p.add_argument(
         "--tenants", type=int, default=3, help="number of tenants in the stream"
     )
     p.add_argument(
@@ -780,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workload",
         default="wordcount",
-        choices=("wordcount", "grep", "inverted-index"),
+        choices=sorted(LOCAL_WORKLOADS),
         help="local workload to execute",
     )
     p.add_argument(
@@ -838,26 +821,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-    # Backend routing: the simulated experiments only run on `sim`, the
-    # real-execution A/B only on `local`; `--backend` makes the choice
-    # explicit and rejects impossible pairings instead of ignoring them.
-    if args.command == "real":
-        if args.backend == "sim":
-            print(
-                "the 'real' subcommand runs actual worker processes; "
-                "it requires --backend local",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.command == "serve":
-        pass  # the service loop runs on either backend
-    elif args.backend == "local":
-        print(
-            f"subcommand {args.command!r} is simulator-only; "
-            "only 'real' runs on --backend local",
-            file=sys.stderr,
-        )
-        return 2
     return _COMMANDS[args.command](args)
 
 

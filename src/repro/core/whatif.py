@@ -9,10 +9,9 @@ simulator, so a what-if engine can clone the deployment, replay the
 job under candidate category-1 settings, and recommend the best --
 complementing the online tuner, exactly as Section 10 envisions.
 
-The engine deliberately reuses the public experiment harness: each
-candidate evaluation is an ordinary simulated job run, so whatever
-configuration the online tuner recommended can be carried into the
-what-if runs.
+The engine deliberately reuses the simulated backend: each candidate
+evaluation is an ordinary simulated job run, so whatever configuration
+the online tuner recommended can be carried into the what-if runs.
 """
 
 from __future__ import annotations
@@ -102,12 +101,12 @@ class CategoryOneAdvisor:
         base_config: Optional[Configuration] = None,
     ) -> WhatIfOutcome:
         """Run one cloned simulation under *candidate*."""
-        from repro.experiments.harness import SimCluster
+        from repro.backends.sim import SimBackend
 
-        cluster = SimCluster(
+        backend = SimBackend(
             seed=self.seed, cluster_spec=self.cluster_spec, start_monitors=False
         )
-        f = dataset.load(cluster.hdfs)
+        f = dataset.load(backend.hdfs)
         spec = JobSpec(
             name=f"whatif-{profile.name}",
             workload=profile,
@@ -116,7 +115,7 @@ class CategoryOneAdvisor:
             slowstart=candidate.slowstart,
             base_config=base_config or Configuration(),
         )
-        result = cluster.run_job(spec)
+        result = backend.run_job(spec)
         return WhatIfOutcome(candidate, result.duration, result.succeeded)
 
     def advise(

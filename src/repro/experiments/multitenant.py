@@ -15,11 +15,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.backends.sim import SimBackend
 from repro.core.configuration import Configuration
 from repro.core.hill_climbing import HillClimbSettings
 from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
 from repro.experiments.expedited import map_side_spills
-from repro.experiments.harness import SimCluster, checked_duration
+from repro.experiments.harness import checked_duration
 from repro.mapreduce.jobspec import TaskType
 from repro.sim.rng import derive_seed
 from repro.workloads.bbp import bbp_profile
@@ -71,11 +72,11 @@ def co_run(
     bbp_config: Optional[Configuration] = None,
 ) -> MultiTenantOutcome:
     """Run both applications together under fair sharing."""
-    sc = SimCluster(seed=seed, scheduler="fair")
-    ts_spec = make_job_spec(terasort_60gb_case(), sc.hdfs, base_config=terasort_config)
-    bbp_spec = make_job_spec(bbp_case(), sc.hdfs, base_config=bbp_config)
-    ams = [sc.submit(ts_spec), sc.submit(bbp_spec)]
-    ts_result, bbp_result = sc.run_jobs(ams)
+    backend = SimBackend(seed=seed, scheduler="fair")
+    ts_spec = make_job_spec(terasort_60gb_case(), backend.hdfs, base_config=terasort_config)
+    bbp_spec = make_job_spec(bbp_case(), backend.hdfs, base_config=bbp_config)
+    handles = [backend.submit(ts_spec), backend.submit(bbp_spec)]
+    ts_result, bbp_result = [backend.wait(h) for h in handles]
 
     util = RoleUtilization()
     for label, result, task_type in (
@@ -103,16 +104,17 @@ def tune_multitenant(
     seed: int, hill_climb: Optional[HillClimbSettings] = None
 ) -> Tuple[Configuration, Configuration]:
     """Aggressively tune both co-running applications in one session."""
-    sc = SimCluster(seed=seed, scheduler="fair")
-    ts_spec = make_job_spec(terasort_60gb_case(), sc.hdfs)
-    bbp_spec = make_job_spec(bbp_case(), sc.hdfs)
+    backend = SimBackend(seed=seed, scheduler="fair")
+    ts_spec = make_job_spec(terasort_60gb_case(), backend.hdfs)
+    bbp_spec = make_job_spec(bbp_case(), backend.hdfs)
     tuner = OnlineTuner(
         TuningStrategy.AGGRESSIVE,
         settings=TunerSettings(hill_climb=hill_climb or HillClimbSettings()),
         rng=np.random.default_rng(derive_seed(seed, "tuner", "multitenant")),
     )
-    ams = [tuner.submit(sc, ts_spec), tuner.submit(sc, bbp_spec)]
-    sc.run_jobs(ams)
+    handles = [backend.attach_tuner(tuner, ts_spec), backend.attach_tuner(tuner, bbp_spec)]
+    for handle in handles:
+        backend.wait(handle)
     return (
         tuner.recommended_config(ts_spec.job_id),
         tuner.recommended_config(bbp_spec.job_id),

@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.experiments.parallel import map_seeds
 from repro.service.report import ServiceReport
 from repro.service.service import ServiceConfig, default_tenants, run_service
 
@@ -103,10 +104,12 @@ def run_service_experiment(
     jobs_per_tenant: int = 10,
     capacity: int = 3,
     rate: float = 1.0 / 400.0,
-    parallel: bool = False,
     max_workers: Optional[int] = None,
 ) -> ServiceExperimentResult:
-    """Run all three arms; optionally fanned out over the process pool."""
+    """Run all three arms, fanned out over the process pool.
+
+    ``max_workers=1`` runs them in-process, one after another.
+    """
     worker = partial(
         _run_arm,
         seed=seed,
@@ -115,16 +118,9 @@ def run_service_experiment(
         capacity=capacity,
         rate=rate,
     )
-    arm_indices = list(range(len(ARMS)))
-    if parallel:
-        from repro.experiments.parallel import map_seeds
-
-        reports: List[ServiceReport] = map_seeds(
-            worker, arm_indices, max_workers=max_workers
-        )
-    else:
-        reports = [worker(i) for i in arm_indices]
-    warm, cold, default = reports
+    warm, cold, default = map_seeds(
+        worker, list(range(len(ARMS))), max_workers=max_workers
+    )
     default_exec: Dict[str, float] = dict(default.profile_mean_execution)
     deltas = []
     for profile, tuned_mean in warm.profile_mean_execution:

@@ -18,6 +18,10 @@ worker processes at smoke scale: jobs run one at a time in dispatch
 order (the backend owns the machine's process slots), latencies are
 wall-clock, and no digest is pinned -- it proves the service loop works
 off-simulator, not that wall time is reproducible.
+
+Both loops finish every job through one :class:`_Ledger`, which
+records the completion and its tuning session and, with a journal,
+writes them ahead before the loop reacts.
 """
 
 from __future__ import annotations
@@ -151,10 +155,116 @@ class _RunningJob:
 class _ServiceState:
     """Mutable bookkeeping of one in-flight service run."""
 
-    completed: List[CompletedJob] = field(default_factory=list)
     running: Dict[str, _RunningJob] = field(default_factory=dict)
     queued: set = field(default_factory=set)
     preemptions: int = 0
+
+
+class _Ledger:
+    """The completion path both service loops share.
+
+    It mints the tuning sessions, holds the completed jobs and, with a
+    journal, writes each fresh completion ahead -- job record, tuning
+    summary, optimizer checkpoints and the tenant's knowledge-base
+    snapshot -- before the loop reacts to it.  A completion inside the
+    journaled prefix must replay it exactly (same identity, same
+    timestamps).  The ``kill_after_jobs`` crash fires only on *newly*
+    journaled jobs, so a resumed run replays the prefix and then dies N
+    jobs further in (or finishes).
+    """
+
+    def __init__(self, config: ServiceConfig) -> None:
+        from repro.recovery import JournalState, ServiceJournal
+
+        self.config = config
+        self.tuner_service = TunerService(config.seed, warm_start=config.warm_start)
+        self.completed: List[CompletedJob] = []
+        self.journal: Optional[ServiceJournal] = None
+        #: The journaled prefix (empty without a journal or on a fresh one).
+        self.prior = JournalState(fingerprint="")
+        if config.journal_path:
+            self.journal = ServiceJournal(config.journal_path)
+            self.prior = self.journal.open(config.fingerprint())
+        #: Journaled jobs that no completion has replayed yet.
+        self.unreplayed: Dict[Tuple[str, int], CompletedJob] = {
+            (j.tenant, j.index): j for j in self.prior.jobs
+        }
+        self._slo = {t.name: t.slo_seconds for t in config.tenants}
+        self._fresh = 0
+
+    def complete(
+        self,
+        arrival: JobArrival,
+        dispatch: float,
+        completion: float,
+        tuner,
+        job_id: str,
+        preempted_into: bool = False,
+    ) -> CompletedJob:
+        """Record one finished job; return its completion record."""
+        from repro.recovery import JournalDivergence, ServiceKilled
+
+        record = CompletedJob(
+            tenant=arrival.tenant,
+            profile=arrival.profile,
+            index=arrival.index,
+            arrival=arrival.time,
+            dispatch=dispatch,
+            completion=completion,
+            slo_seconds=self._slo[arrival.tenant],
+            warm_started=(
+                tuner is not None and tuner.warm_start_seeds.get(job_id) is not None
+            ),
+            preempted_into=preempted_into,
+        )
+        self.completed.append(record)
+        session = None
+        if tuner is not None:
+            session = self.tuner_service.record_session(
+                arrival.tenant, arrival.profile, arrival.index, tuner, job_id
+            )
+        if self.journal is None:
+            return record
+        prior_record = self.unreplayed.pop((record.tenant, record.index), None)
+        if prior_record is not None:
+            if prior_record != record:
+                raise JournalDivergence(
+                    f"resumed run diverged from journal at "
+                    f"{record.tenant}#{record.index}: journaled "
+                    f"{prior_record}, replayed {record}"
+                )
+            return record
+        self.journal.record_job(record)
+        if session is not None:
+            self.journal.record_tuning(session)
+            self.journal.record_checkpoint(
+                record.tenant,
+                record.profile,
+                record.index,
+                tuner.session_checkpoint(job_id)["searches"],
+            )
+            self.journal.record_knowledge(
+                record.tenant, self.tuner_service.knowledge_base(record.tenant)
+            )
+        self._fresh += 1
+        if self.config.kill_after_jobs and self._fresh >= self.config.kill_after_jobs:
+            raise ServiceKilled(len(self.completed))
+        return record
+
+    def close(self) -> None:
+        if self.journal is not None:
+            self.journal.close()
+
+    def report(self, backend: str, preemptions: int) -> ServiceReport:
+        return build_report(
+            seed=self.config.seed,
+            backend=backend,
+            warm_start=self.config.warm_start,
+            completed=self.completed,
+            tenant_weights={t.name: t.weight for t in self.config.tenants},
+            tuning=self.tuner_service.records,
+            preemptions=preemptions,
+        )
 
 
 def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
@@ -165,6 +275,7 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
     constructed from the config seed.
     """
     from repro.backends.sim import SimBackend
+    from repro.recovery import JournalDivergence
     from repro.telemetry.events import (
         ServiceJobCompleted,
         ServiceJobDispatched,
@@ -184,7 +295,6 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
         sc.inject_faults(plan=plan_from_json(config.fault_plan))
     tenant_specs = {t.name: t for t in config.tenants}
     arrivals = generate_arrivals(config.tenants, config.jobs_per_tenant, config.seed)
-    tuner_service = TunerService(config.seed, warm_start=config.warm_start)
     dispatcher: FairShareDispatcher[JobArrival] = FairShareDispatcher(config.capacity)
     for tenant in config.tenants:
         dispatcher.add_tenant(tenant.name, tenant.weight)
@@ -198,17 +308,8 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
     # recovered run reproduces the uninterrupted report byte-for-byte,
     # and any code/config drift surfaces as JournalDivergence instead
     # of a silently different report.
-    journal = None
-    prior_jobs: Dict[Tuple[str, int], CompletedJob] = {}
-    prior_preemptions: List[Dict[str, object]] = []
-    fresh_jobs = 0
-    if config.journal_path:
-        from repro.recovery import JournalDivergence, ServiceJournal, ServiceKilled
-
-        journal = ServiceJournal(config.journal_path)
-        prior = journal.open(config.fingerprint())
-        prior_jobs = {(j.tenant, j.index): j for j in prior.jobs}
-        prior_preemptions = list(prior.preemptions)
+    ledger = _Ledger(config)
+    prior_preemptions = list(ledger.prior.preemptions)
 
     def emit(event) -> None:
         if bus.wants("service"):
@@ -220,7 +321,7 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
         tuner = None
         warm = False
         if config.tuned:
-            tuner = tuner_service.tuner_for(tenant, arrival.profile, arrival.index)
+            tuner = ledger.tuner_service.tuner_for(tenant, arrival.profile, arrival.index)
             am = tuner.submit(sc, spec, weight=tenant_specs[tenant].weight)
             warm = tuner.warm_start_seeds.get(spec.job_id) is not None
         else:
@@ -254,69 +355,11 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
                 return
             launch(pick[0], pick[1])
 
-    def journal_completion(record, session, job, job_id) -> None:
-        """Validate against the journaled prefix or append-and-fsync.
-
-        A completion inside the recovered prefix must replay exactly
-        (same identity, same timestamps); one beyond it is written
-        ahead -- job record, tuning summary, optimizer checkpoints, and
-        the tenant's knowledge-base snapshot -- before the service
-        reacts to it.  The ``kill_after_jobs`` crash fires only on
-        *newly* journaled jobs, so a resumed run replays the prefix and
-        then dies N jobs further in (or finishes).
-        """
-        nonlocal fresh_jobs
-        key = (record.tenant, record.index)
-        prior_record = prior_jobs.pop(key, None)
-        if prior_record is not None:
-            if prior_record != record:
-                raise JournalDivergence(
-                    f"resumed run diverged from journal at "
-                    f"{record.tenant}#{record.index}: journaled "
-                    f"{prior_record}, replayed {record}"
-                )
-            return
-        journal.record_job(record)
-        if session is not None:
-            journal.record_tuning(session)
-            journal.record_checkpoint(
-                record.tenant,
-                record.profile,
-                record.index,
-                job.tuner.session_checkpoint(job_id)["searches"],
-            )
-            journal.record_knowledge(
-                record.tenant, tuner_service.knowledge_base(record.tenant)
-            )
-        fresh_jobs += 1
-        if config.kill_after_jobs and fresh_jobs >= config.kill_after_jobs:
-            raise ServiceKilled(len(state.completed))
-
     def on_complete(job_id: str, result) -> None:
         job = state.running.pop(job_id)
-        tenant = tenant_specs[job.tenant]
-        record = CompletedJob(
-            tenant=job.tenant,
-            profile=job.arrival.profile,
-            index=job.arrival.index,
-            arrival=job.arrival.time,
-            dispatch=job.dispatch_time,
-            completion=sim.now,
-            slo_seconds=tenant.slo_seconds,
-            warm_started=(
-                job.tuner is not None
-                and job.tuner.warm_start_seeds.get(job_id) is not None
-            ),
-            preempted_into=job.forced,
+        record = ledger.complete(
+            job.arrival, job.dispatch_time, sim.now, job.tuner, job_id, job.forced
         )
-        state.completed.append(record)
-        session = None
-        if job.tuner is not None:
-            session = tuner_service.record_session(
-                job.tenant, job.arrival.profile, job.arrival.index, job.tuner, job_id
-            )
-        if journal is not None:
-            journal_completion(record, session, job, job_id)
         dispatcher.finish(job.tenant)
         emit(
             ServiceJobCompleted(
@@ -329,7 +372,7 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
             )
         )
         bus.increment("service.completed")
-        if len(state.completed) == total:
+        if len(ledger.completed) == total:
             done.succeed()
         else:
             drain()
@@ -361,7 +404,7 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
         )
         sc.rm.set_app_weight(victim_job_id, new_weight)
         state.preemptions += 1
-        if journal is not None:
+        if ledger.journal is not None:
             decision = {
                 "time": sim.now,
                 "tenant": arrival.tenant,
@@ -375,7 +418,7 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
                         f"preemption {prior_decision}, replayed {decision}"
                     )
             else:
-                journal.record_preemption(
+                ledger.journal.record_preemption(
                     sim.now, arrival.tenant, victim_tenant
                 )
         emit(
@@ -416,24 +459,15 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
         if total:
             sim.run_until_complete(done)
     finally:
-        if journal is not None:
-            journal.close()
-    if journal is not None and prior_jobs:
-        leftover = sorted(prior_jobs)
+        ledger.close()
+    if ledger.unreplayed:
+        leftover = sorted(ledger.unreplayed)
         raise JournalDivergence(
             f"{len(leftover)} journaled job(s) never replayed on resume: "
             f"{leftover[:5]}"
         )
 
-    report = build_report(
-        seed=config.seed,
-        backend="sim",
-        warm_start=config.warm_start,
-        completed=state.completed,
-        tenant_weights={t.name: t.weight for t in config.tenants},
-        tuning=tuner_service.records,
-        preemptions=state.preemptions,
-    )
+    report = ledger.report("sim", state.preemptions)
     emit(
         ServiceSteadyState(
             time=sim.now,
@@ -453,7 +487,6 @@ def run_service_local(
     num_splits: int = 6,
     split_kb: int = 8,
     num_reducers: int = 2,
-    workspace: Optional[str] = None,
 ) -> ServiceReport:
     """Smoke-scale service loop on the real local-process backend.
 
@@ -469,10 +502,9 @@ def run_service_local(
     from disk instead of re-executed and the tenant knowledge bases are
     restored so later warm starts still see the pre-crash sessions.
     """
-    import json as _json
+    import json
     import os
-    import shutil
-    import tempfile
+    import time
 
     from repro.backends.local import (
         LocalProcessBackend,
@@ -484,116 +516,46 @@ def run_service_local(
         raise ValueError("fault_plan is simulator-only; the local backend "
                          "meets real crashes, not injected ones")
     arrivals = generate_arrivals(config.tenants, config.jobs_per_tenant, config.seed)
-    tenant_specs = {t.name: t for t in config.tenants}
-    tuner_service = TunerService(config.seed, warm_start=config.warm_start)
-    journal = None
-    journaled_keys: set = set()
-    fresh_jobs = 0
-    clock_floor = 0.0
-    if config.journal_path:
-        from repro.recovery import ServiceJournal, ServiceKilled
-
-        journal = ServiceJournal(config.journal_path)
-        prior = journal.open(config.fingerprint())
-        journaled_keys = prior.completed_keys()
-        clock_floor = max((j.completion for j in prior.jobs), default=0.0)
-        tuner_service.records.extend(prior.tuning)
-        for tenant, entries in prior.knowledge.items():
-            tuner_service.restore_knowledge(tenant, _json.dumps(entries))
-    own_workspace = workspace is None
-    if own_workspace:
-        workspace = tempfile.mkdtemp(prefix="repro-service-")
-    corpus_dir = os.path.join(workspace, "corpus")
-    generate_corpus(
-        corpus_dir, num_splits=num_splits, split_kb=split_kb, seed=config.seed
-    )
-    completed: List[CompletedJob] = []
-    if journal is not None:
-        completed.extend(prior.jobs)
-    backend = LocalProcessBackend(
-        workspace=os.path.join(workspace, "jobs"), seed=config.seed
-    )
+    ledger = _Ledger(config)
+    tuner_service = ledger.tuner_service
+    prior = ledger.prior
+    ledger.completed.extend(prior.jobs)
+    tuner_service.records.extend(prior.tuning)
+    for tenant, entries in prior.knowledge.items():
+        tuner_service.restore_knowledge(tenant, json.dumps(entries))
+    journaled_keys = prior.completed_keys()
+    clock = max((j.completion for j in prior.jobs), default=0.0)
     try:
-        clock = clock_floor
-        for arrival in arrivals:
-            if (arrival.tenant, arrival.index) in journaled_keys:
-                continue  # recovered from the journal, not re-executed
-            # An open stream replayed at full speed: a job "arrives" at
-            # its trace time and starts when the machine frees up.
-            clock = max(clock, arrival.time)
-            spec = local_job_spec(
-                arrival.profile,
-                corpus_dir,
-                num_reducers,
-                name=f"{arrival.profile}-{arrival.tenant}-{arrival.index}",
+        with LocalProcessBackend(seed=config.seed) as backend:
+            corpus_dir = os.path.join(backend.workspace, "corpus")
+            generate_corpus(
+                corpus_dir, num_splits=num_splits, split_kb=split_kb, seed=config.seed
             )
-            import time as _time
-
-            start_wall = _time.monotonic()
-            if config.tuned:
-                tuner = tuner_service.tuner_for(
-                    arrival.tenant, arrival.profile, arrival.index
-                )
-                handle = backend.attach_tuner(tuner, spec)
-            else:
-                tuner = None
-                handle = backend.submit(spec)
-            backend.wait(handle)
-            execution = _time.monotonic() - start_wall
-            dispatch = clock
-            clock += execution
-            record = CompletedJob(
-                tenant=arrival.tenant,
-                profile=arrival.profile,
-                index=arrival.index,
-                arrival=arrival.time,
-                dispatch=dispatch,
-                completion=clock,
-                slo_seconds=tenant_specs[arrival.tenant].slo_seconds,
-                warm_started=(
-                    tuner is not None
-                    and tuner.warm_start_seeds.get(spec.job_id) is not None
-                ),
-            )
-            completed.append(record)
-            session = None
-            if tuner is not None:
-                session = tuner_service.record_session(
-                    arrival.tenant,
+            for arrival in arrivals:
+                if (arrival.tenant, arrival.index) in journaled_keys:
+                    continue  # recovered from the journal, not re-executed
+                # An open stream replayed at full speed: a job "arrives"
+                # at its trace time and starts when the machine frees up.
+                clock = max(clock, arrival.time)
+                spec = local_job_spec(
                     arrival.profile,
-                    arrival.index,
-                    tuner,
-                    spec.job_id,
+                    corpus_dir,
+                    num_reducers,
+                    name=f"{arrival.profile}-{arrival.tenant}-{arrival.index}",
                 )
-            if journal is not None:
-                journal.record_job(record)
-                if session is not None:
-                    journal.record_tuning(session)
-                    journal.record_checkpoint(
-                        arrival.tenant,
-                        arrival.profile,
-                        arrival.index,
-                        tuner.session_checkpoint(spec.job_id)["searches"],
+                start_wall = time.monotonic()
+                tuner = None
+                if config.tuned:
+                    tuner = tuner_service.tuner_for(
+                        arrival.tenant, arrival.profile, arrival.index
                     )
-                    journal.record_knowledge(
-                        arrival.tenant,
-                        tuner_service.knowledge_base(arrival.tenant),
-                    )
-                fresh_jobs += 1
-                if config.kill_after_jobs and fresh_jobs >= config.kill_after_jobs:
-                    raise ServiceKilled(len(completed))
+                    handle = backend.attach_tuner(tuner, spec)
+                else:
+                    handle = backend.submit(spec)
+                backend.wait(handle)
+                dispatch = clock
+                clock += time.monotonic() - start_wall
+                ledger.complete(arrival, dispatch, clock, tuner, spec.job_id)
     finally:
-        backend.close()
-        if journal is not None:
-            journal.close()
-        if own_workspace:
-            shutil.rmtree(workspace, ignore_errors=True)
-    return build_report(
-        seed=config.seed,
-        backend="local",
-        warm_start=config.warm_start,
-        completed=completed,
-        tenant_weights={t.name: t.weight for t in config.tenants},
-        tuning=tuner_service.records,
-        preemptions=0,
-    )
+        ledger.close()
+    return ledger.report("local", preemptions=0)

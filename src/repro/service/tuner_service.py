@@ -19,7 +19,7 @@ claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -71,17 +71,9 @@ class JobTuningRecord:
 class TunerService:
     """Mint per-job tuners; accumulate per-tenant tuning knowledge."""
 
-    def __init__(
-        self,
-        seed: int,
-        warm_start: bool = True,
-        hill_climb: Optional[HillClimbSettings] = None,
-        optimizer: str = "hill_climb",
-    ) -> None:
+    def __init__(self, seed: int, warm_start: bool = True) -> None:
         self.seed = seed
         self.warm_start = warm_start
-        self.hill_climb = hill_climb or SERVICE_HILL_CLIMB
-        self.optimizer = optimizer
         self._knowledge: Dict[str, TuningKnowledgeBase] = {}
         self.records: List[JobTuningRecord] = []
 
@@ -114,9 +106,7 @@ class TunerService:
         return OnlineTuner(
             TuningStrategy.AGGRESSIVE,
             settings=TunerSettings(
-                hill_climb=self.hill_climb,
-                use_knowledge_base=self.warm_start,
-                optimizer=self.optimizer,
+                hill_climb=SERVICE_HILL_CLIMB, use_knowledge_base=self.warm_start
             ),
             rng=rng,
             knowledge_base=self.knowledge_base(tenant),

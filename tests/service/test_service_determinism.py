@@ -80,10 +80,8 @@ class TestRunDeterminism:
 
 class TestSerialVsPool:
     def test_combined_digest_serial_equals_pool(self):
-        serial = run_service_experiment(jobs_per_tenant=4, parallel=False)
-        pooled = run_service_experiment(
-            jobs_per_tenant=4, parallel=True, max_workers=3
-        )
+        serial = run_service_experiment(jobs_per_tenant=4, max_workers=1)
+        pooled = run_service_experiment(jobs_per_tenant=4, max_workers=3)
         assert serial.combined_digest == pooled.combined_digest
         assert serial.warm.render() == pooled.warm.render()
         assert serial.default.render() == pooled.default.render()

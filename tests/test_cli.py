@@ -142,32 +142,33 @@ class TestCommands:
 
 
 class TestBackendFlag:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--backend", "sim", "digest"],
-            ["digest", "--backend", "sim"],
-        ],
-    )
-    def test_backend_flag_accepted_before_and_after_subcommand(self, argv):
-        args = build_parser().parse_args(argv)
-        assert args.backend == "sim"
+    """Only ``serve`` runs on both runtimes, so only it takes ``--backend``."""
 
-    def test_backend_defaults_to_none(self):
-        args = build_parser().parse_args(["digest"])
-        assert args.backend is None
+    @pytest.mark.parametrize("name", ["local", "sim"])
+    def test_serve_accepts_backend(self, name):
+        assert build_parser().parse_args(["serve", "--backend", name]).backend == name
+
+    def test_serve_backend_defaults_to_sim(self):
+        assert build_parser().parse_args(["serve"]).backend == "sim"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["digest", "--backend", "yarn"])
+            build_parser().parse_args(["serve", "--backend", "yarn"])
 
-    def test_local_backend_rejected_for_sim_commands(self, capsys):
-        assert main(["--backend", "local", "list"]) == 2
-        assert "simulator-only" in capsys.readouterr().err
-
-    def test_sim_backend_rejected_for_real(self, capsys):
-        assert main(["real", "--backend", "sim"]) == 2
-        assert "--backend local" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digest", "--backend", "sim"],
+            ["--backend", "local", "list"],
+            ["real", "--backend", "local"],
+        ],
+        ids=["digest", "root", "real"],
+    )
+    def test_backend_rejected_off_serve(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_real_defaults(self):
         args = build_parser().parse_args(["real"])
