@@ -5,6 +5,8 @@ maps run ~0.5-23s, reduces ~23-67s, and every node hosts both kinds,
 so churn events pinned inside those windows reliably hit live work.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,76 @@ class TestPreemptEdges:
         # The reclaim found a corpse: no departure is recorded.
         assert el.departed == []
         assert not sc.cluster.node(0).departed
+
+
+def result_digest(result):
+    return hashlib.sha256(
+        repr(
+            (
+                result.succeeded,
+                result.duration,
+                result.counters.snapshot(),
+                sorted(result.failure_reasons.items()),
+            )
+        ).encode()
+    ).hexdigest()
+
+
+class TestCrashComposesWithChurn:
+    """Heartbeat expiry meets a draining node and a mid-run joiner."""
+
+    def run_traced(self, plan):
+        sc = small_cluster()
+        seen = []
+        sc.telemetry.subscribe(seen.append, categories=("yarn", "node"))
+        _, result = run_with_faults(sc, plan)
+        moves = [
+            (ev.kind, ev.time, ev.node_id)
+            for ev in seen
+            if ev.kind in ("node_lost", "capacity_change")
+        ]
+        return sc, result, moves
+
+    def test_crash_during_drain(self):
+        # The drain's running containers are killed when the crashed
+        # node expires; the last kill settling completes the departure.
+        plan = FaultPlan(
+            (
+                Fault(time=30.0, kind="node_decommission", node_id=2),
+                Fault(time=33.0, kind="node_crash", node_id=2),
+            )
+        )
+        sc, result, moves = self.run_traced(plan)
+        assert result.succeeded
+        assert result.failure_reasons == {"node_lost": 1}
+        assert moves == [("node_lost", 45.0, 2), ("capacity_change", 45.0, 2)]
+        assert sc.fault_injector.elastic.departed == [(2, "decommission")]
+        assert result_digest(result) == (
+            "330689b0d77805f6abd0fc6eb56f36be5b5cb866ca95eb5939aeb325dd0e81cc"
+        )
+
+    def test_crash_of_a_joined_node(self):
+        # The joiner beats on its own 1.3 + 3k grid, so its expiry lands
+        # on the first sweep past 19.3 + 12.
+        plan = FaultPlan(
+            (
+                Fault(time=1.3, kind="node_join", node_id=0),
+                Fault(time=20.0, kind="node_crash", node_id=4),
+                Fault(time=24.0, kind="node_crash", node_id=1),
+            )
+        )
+        sc, result, moves = self.run_traced(plan)
+        assert moves == [
+            ("capacity_change", 1.3, 4),
+            ("node_lost", 33.0, 4),
+            ("node_lost", 36.0, 1),
+        ]
+        assert result.succeeded
+        assert result.failure_reasons == {"node_lost": 1}
+        assert round(result.duration, 3) == 66.910
+        assert result_digest(result) == (
+            "806b86abfe57ee12a5530a77c40a8d2fe5e0243b74c99e234b9760ea9dd87b2b"
+        )
 
 
 class TestBlacklistEscapeAfterDecommission:
