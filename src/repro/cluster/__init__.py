@@ -8,7 +8,7 @@ SATA disk, and a 1 Gbps NIC.
 
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.network import Network
-from repro.cluster.node import Node, NodeResources
+from repro.cluster.node import Node, NodeResources, NodeState
 from repro.cluster.topology import Cluster, ClusterSpec, build_cluster, paper_cluster_spec
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "Network",
     "Node",
     "NodeResources",
+    "NodeState",
     "build_cluster",
     "paper_cluster_spec",
 ]

@@ -14,6 +14,7 @@ pool; the pool never oversubscribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import TYPE_CHECKING, Dict
 
 from repro.sim.engine import SimulationError, Simulator
@@ -31,6 +32,24 @@ GB = 1024 * MB
 #: that any in-flight work effectively never finishes: the failure is
 #: noticed through heartbeat expiry, not through task completion.
 FROZEN_CAPACITY = 1e-9
+
+
+class NodeState(Enum):
+    """A node's cluster membership: whether it may take new work.
+
+    ``ACTIVE`` nodes take new containers.  A ``DRAINING`` node (graceful
+    decommission or spot-preemption notice) finishes what it runs but
+    takes nothing new.  The resource manager declares a node ``LOST``
+    when its heartbeats expire; a node that left through the elastic
+    path is ``DEPARTED``.  A crashed node stays ``ACTIVE`` until the
+    expiry: ``Node.alive`` is the physical fact, this is what the
+    cluster knows.
+    """
+
+    ACTIVE = "active"
+    DRAINING = "draining"
+    LOST = "lost"
+    DEPARTED = "departed"
 
 
 @dataclass(frozen=True)
@@ -93,11 +112,10 @@ class Node:
 
         self.containers: Dict[int, "Container"] = {}
 
-        #: Liveness and health (driven by the fault injector).
+        #: Physical liveness (driven by the fault injector).
         self.alive = True
-        #: True once the node left the cluster through the elastic path
-        #: (graceful decommission or spot reclaim) rather than a crash.
-        self.departed = False
+        #: Membership, the one record every layer reads.
+        self.state = NodeState.ACTIVE
         self.cpu_slowdown = 1.0
         self.disk_slowdown = 1.0
         self._base_cpu_capacity = self.cpu_link.capacity
@@ -125,12 +143,11 @@ class Node:
         """Remove the node from service through the elastic path.
 
         Same frozen-links end state as :meth:`fail` -- the machine is
-        gone either way -- but flagged as an orderly departure so
+        gone either way -- but ``DEPARTED`` rather than ``LOST``, so
         diagnostics can tell a reclaimed node from a crashed one.  The
-        node object stays in ``Cluster.nodes`` (ids double as indices);
-        liveness filters everywhere key off ``alive``.
+        node object stays in ``Cluster.nodes`` (ids double as indices).
         """
-        self.departed = True
+        self.state = NodeState.DEPARTED
         self.fail()
 
     def degrade(self, cpu_factor: float = 1.0, disk_factor: float = 1.0) -> None:

@@ -4,11 +4,12 @@ The :class:`ElasticCluster` manager is the orchestration layer behind
 the three churn fault kinds.  It owns the lifecycle choreography the
 individual components only expose surfaces for:
 
-* ``node_decommission`` -- graceful drain.  The NodeManager stops
-  accepting containers and the scheduler stops placing on the node;
-  running tasks finish undisturbed, and when the last one settles the
-  node deregisters from the RM, drops out of monitor sampling, and its
-  links freeze.  Nothing is ever killed.
+* ``node_decommission`` -- graceful drain.  The node turns
+  ``DRAINING``, so the NodeManager refuses launches and the scheduler
+  places nothing on it; running tasks finish undisturbed, and when the
+  last one settles the node deregisters from the RM, turns
+  ``DEPARTED`` (dropping out of monitor sampling), and its links
+  freeze.  Nothing is ever killed.
 * ``node_join`` -- a new node is built with the next sequential id,
   attached to an existing rack's fabric, given a NodeManager (heart-
   beating immediately when failure detection is armed), sampled by the
@@ -32,8 +33,9 @@ elastic kind, so fault-free and legacy-fault digests are untouched.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.cluster.node import NodeState
 from repro.yarn.node_manager import KillReason, NodeManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,8 +71,6 @@ class ElasticCluster:
         self.joined: List[int] = []
         #: ``(node_id, why)`` for nodes that left, in departure order.
         self.departed: List[Tuple[int, str]] = []
-        #: Nodes with a preemption notice whose kill has not landed yet.
-        self._preempt_pending: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -92,10 +92,9 @@ class ElasticCluster:
         """Start a graceful drain of *node_id*; False if it is moot."""
         node = self.cluster.node(node_id)
         nm = self.node_managers[node_id]
-        if not node.alive or nm.decommissioned or nm.draining:
+        if not node.alive or node.state is not NodeState.ACTIVE:
             return False
-        nm.drain()
-        self.rm.scheduler.mark_node_draining(node_id)
+        node.state = NodeState.DRAINING
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
             from repro.telemetry.events import NodeDecommission
@@ -115,7 +114,7 @@ class ElasticCluster:
             # observer stays registered after departure; it can never
             # fire again because launches are refused from here on.
             def _on_finish(_container: object) -> None:
-                if not nm.node.departed and nm.running_containers == 0:
+                if node.state is not NodeState.DEPARTED and nm.running_containers == 0:
                     self._complete_departure(node_id, "decommission")
 
             nm.on_container_finished.append(_on_finish)
@@ -149,18 +148,14 @@ class ElasticCluster:
     def preempt_notice(self, node_id: int, grace: float) -> bool:
         """Deliver a preemption notice; the kill lands *grace* s later.
 
-        A node that is dead, already draining, or already under notice
-        ignores the (back-to-back) notice entirely.
+        A node that is dead or already draining (a decommission, or an
+        earlier notice) ignores the notice entirely.
         """
         node = self.cluster.node(node_id)
         nm = self.node_managers[node_id]
-        if not node.alive or nm.decommissioned or nm.draining:
+        if not node.alive or node.state is not NodeState.ACTIVE:
             return False
-        if node_id in self._preempt_pending:
-            return False
-        self._preempt_pending.add(node_id)
-        nm.drain()
-        self.rm.scheduler.mark_node_draining(node_id)
+        node.state = NodeState.DRAINING
         deadline = self.sim.now + grace
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
@@ -184,14 +179,12 @@ class ElasticCluster:
         return True
 
     def _preempt_kill(self, node_id: int) -> None:
-        self._preempt_pending.discard(node_id)
         node = self.cluster.node(node_id)
         nm = self.node_managers[node_id]
-        if not node.alive or nm.decommissioned:
-            # Crashed (or otherwise gone) during the grace window; the
-            # reclaim is moot.
+        if not node.alive:
+            # Crashed during the grace window; the reclaim is moot.
             return
-        killed = nm.decommission(
+        killed = nm.kill_all(
             KillReason("preempted", f"spot preemption reclaimed {node.hostname}")
         )
         tel = self.sim.telemetry
@@ -210,8 +203,6 @@ class ElasticCluster:
     def _complete_departure(self, node_id: int, why: str) -> None:
         """Take a drained (or reclaimed) node out of the cluster."""
         node = self.cluster.node(node_id)
-        nm = self.node_managers[node_id]
-        nm.decommissioned = True  # stops the heartbeat loop, refuses launches
         self.rm.deregister_node(node_id)
         node.depart()
         if self.cluster.network.faults is not None:

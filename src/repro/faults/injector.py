@@ -168,8 +168,8 @@ class FaultInjector:
                 network.freeze_node_nic(fault.node_id)
             self._applied(fault, fault.describe())
             return
-        if not node.alive or nm.decommissioned:
-            # The target died before this fault's time arrived.
+        if not node.alive:
+            # The target died (or left) before this fault's time arrived.
             self.skipped.append((self.sim.now, fault.describe()))
             self._emit(fault, False, fault.describe())
             return

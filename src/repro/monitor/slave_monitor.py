@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Iterable, List, Sequence
 
+from repro.cluster.node import NodeState
 from repro.monitor.statistics import NodeStats
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -60,7 +61,9 @@ class SlaveMonitor:
     ) -> Generator[Event, object, None]:
         while True:
             # Departure is permanent; the timer ends with its last node.
-            node_managers = [nm for nm in node_managers if not nm.node.departed]
+            node_managers = [
+                nm for nm in node_managers if nm.node.state is not NodeState.DEPARTED
+            ]
             if not node_managers:
                 return
             tel = self.sim.telemetry

@@ -39,6 +39,7 @@ from typing import Callable, Dict, Generator, List, Optional, Protocol, Set, Tup
 import numpy as np
 
 from repro.cluster.container import Container
+from repro.cluster.node import NodeState
 from repro.cluster.topology import Cluster
 from repro.core import parameters as P
 from repro.core.configuration import Configuration, enforce_dependencies
@@ -615,9 +616,9 @@ class MRAppMaster:
     ) -> Generator[Event, object, TaskStats]:
         """Run the task in its granted container; return its stats."""
         nm = self.node_managers[container.node.node_id]
-        if nm.decommissioned or nm.draining or self.rm.is_node_lost(container.node.node_id):
-            # The node died (or started draining) while the grant was in
-            # flight.
+        if container.node.state is not NodeState.ACTIVE:
+            # The node was lost, left, or started draining while the
+            # grant was in flight.
             return self._synthesize_failure(
                 run, attempt, "node_lost", f"{container.node.hostname} lost before launch"
             )

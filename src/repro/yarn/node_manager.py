@@ -5,16 +5,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.cluster.container import Container, ContainerState
-from repro.cluster.node import Node
+from repro.cluster.node import Node, NodeState
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.network import Network
-    from repro.yarn.resource_manager import ResourceManager
-
-#: How often a live NodeManager reports to the resource manager.
-HEARTBEAT_INTERVAL = 3.0
 
 
 class KillReason:
@@ -52,12 +48,6 @@ class NodeManager:
         self.sim = sim
         self.node = node
         self.network = network
-        self.decommissioned = False
-        #: Graceful-drain state (elastic decommission / preemption
-        #: notice): no new launches are accepted, but running containers
-        #: keep executing and the heartbeat loop stays up until the node
-        #: actually departs.
-        self.draining = False
         self._running: Dict[int, Process] = {}
         self._container_of: Dict[int, Container] = {}
         #: Completed-container observers (e.g. monitors).
@@ -74,13 +64,10 @@ class NodeManager:
             )
         if container.state is not ContainerState.ALLOCATED:
             raise SimulationError(f"cannot launch into {container!r}")
-        if self.decommissioned:
+        if self.node.state is not NodeState.ACTIVE:
             raise SimulationError(
-                f"{self.node.hostname} is decommissioned; cannot launch {container!r}"
-            )
-        if self.draining:
-            raise SimulationError(
-                f"{self.node.hostname} is draining; cannot launch {container!r}"
+                f"{self.node.hostname} is {self.node.state.value}; "
+                f"cannot launch {container!r}"
             )
         container.state = ContainerState.RUNNING
         process = self.sim.process(task, name=f"container-{container.container_id}")
@@ -139,29 +126,6 @@ class NodeManager:
 
     def kill_all(self, reason: KillReason) -> int:
         return self.kill_some(len(self._container_of), reason)
-
-    def decommission(self, reason: KillReason) -> int:
-        """Mark the node unusable and kill everything still running on it."""
-        self.decommissioned = True
-        return self.kill_all(reason)
-
-    def drain(self) -> None:
-        """Stop accepting new containers; running tasks finish undisturbed."""
-        self.draining = True
-
-    # -- heartbeats ---------------------------------------------------------
-    def start_heartbeats(self, rm: "ResourceManager") -> Process:
-        """Report liveness to *rm* every :data:`HEARTBEAT_INTERVAL` seconds.
-
-        The loop stops as soon as the node dies -- a crashed NodeManager
-        simply goes silent, and the RM notices through expiry.
-        """
-        return self.sim.process(self._heartbeat_loop(rm), name=f"{self.node.hostname}-hb")
-
-    def _heartbeat_loop(self, rm: "ResourceManager") -> Generator[Event, object, None]:
-        while self.node.alive and not self.decommissioned:
-            rm.node_heartbeat(self.node.node_id)
-            yield self.sim.timeout(HEARTBEAT_INTERVAL)
 
     @property
     def running_containers(self) -> int:

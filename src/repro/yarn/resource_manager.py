@@ -9,9 +9,10 @@ heartbeat latency so allocation never reenters the caller.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Sequence
+from typing import Dict, Generator, List, Sequence
 
 from repro.cluster.container import Container, ContainerState
+from repro.cluster.node import NodeState
 from repro.cluster.topology import Cluster
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
@@ -23,13 +24,17 @@ from repro.yarn.scheduler import SchedulerBase
 #: land on the next beat on average).
 ALLOCATION_LATENCY = 0.5
 
+#: How often a live NodeManager reports to the resource manager, and
+#: how often the RM sweeps for expired nodes.
+HEARTBEAT_INTERVAL = 3.0
+
 #: A node whose last heartbeat is older than this is declared lost
 #: (Hadoop's ``nm.liveness-monitor.expiry-interval`` scaled down to the
 #: simulator's heartbeat cadence).
 LIVENESS_EXPIRY = 12.0
 
-#: How often the RM sweeps for expired nodes.
-LIVENESS_CHECK_INTERVAL = 3.0
+#: Members that heartbeat while their node is alive.
+_BEATING = (NodeState.ACTIVE, NodeState.DRAINING)
 
 
 class ResourceManager:
@@ -47,8 +52,6 @@ class ResourceManager:
         #: Failure detection state (armed by :meth:`start_failure_detection`).
         self._node_managers: Dict[int, NodeManager] = {}
         self._last_heartbeat: Dict[int, float] = {}
-        self._lost_nodes: Dict[int, float] = {}  # node_id -> time declared lost
-        self._departed_nodes: Dict[int, float] = {}  # node_id -> departure time
         self._failure_detection = False
 
     # ------------------------------------------------------------------
@@ -72,81 +75,84 @@ class ResourceManager:
 
         Off by default: fault-free runs keep an empty calendar tail and
         bit-identical digests.  The fault injector arms this before any
-        fault fires.
+        fault fires.  One timer beats for every given node and then
+        sweeps.
         """
         if self._failure_detection:
             return
         self._failure_detection = True
-        for nm in node_managers:
-            self._node_managers[nm.node.node_id] = nm
-            self._last_heartbeat[nm.node.node_id] = self.sim.now
-            nm.start_heartbeats(self)
-        self.sim.process(self._liveness_sweep(), name="rm-liveness")
+        self._track(list(node_managers), sweep=True, name="rm-liveness")
 
-    def node_heartbeat(self, node_id: int) -> None:
-        self._last_heartbeat[node_id] = self.sim.now
-
-    def is_node_lost(self, node_id: int) -> bool:
-        return node_id in self._lost_nodes or node_id in self._departed_nodes
-
-    # ------------------------------------------------------------------
-    # Elastic membership
-    # ------------------------------------------------------------------
     def register_node_manager(self, nm: NodeManager) -> None:
         """Bring a freshly joined node into RM bookkeeping.
 
-        With failure detection armed the newcomer starts heartbeating
-        immediately; either way a dispatch pass is scheduled so pending
-        requests can land on the new capacity.
+        With failure detection armed the newcomer beats on its own timer
+        from the instant it joins; either way a dispatch pass is
+        scheduled so pending requests can land on the new capacity.
         """
-        node_id = nm.node.node_id
-        if self._failure_detection and node_id not in self._node_managers:
-            self._node_managers[node_id] = nm
-            self._last_heartbeat[node_id] = self.sim.now
-            nm.start_heartbeats(self)
+        if self._failure_detection and nm.node.node_id not in self._node_managers:
+            self._track([nm], sweep=False, name=f"{nm.node.hostname}-hb")
         self._schedule_dispatch()
 
     def deregister_node(self, node_id: int) -> None:
-        """Retire a node that left through the elastic path.
+        """Stop tracking a node that left through the elastic path.
 
-        Heartbeat tracking is dropped *before* the liveness sweep can
-        misread the silence as a crash, and the scheduler excludes the
-        node from every future placement.  Unlike
-        :meth:`_declare_node_lost` nothing is killed here -- graceful
-        departures finish (or migrate) their work first.
+        Heartbeat tracking is dropped *before* the sweep can misread the
+        silence as a crash.  Unlike :meth:`_declare_node_lost` nothing
+        is killed here -- graceful departures finish (or migrate) their
+        work first.
         """
         self._node_managers.pop(node_id, None)
         self._last_heartbeat.pop(node_id, None)
-        if node_id not in self._departed_nodes:
-            self._departed_nodes[node_id] = self.sim.now
-        self.scheduler.mark_node_lost(node_id)
         self._schedule_dispatch()
 
-    def _liveness_sweep(self) -> Generator[Event, object, None]:
+    def _track(self, nms: List[NodeManager], sweep: bool, name: str) -> None:
+        now = self.sim.now
+        for nm in nms:
+            self._node_managers[nm.node.node_id] = nm
+            self._last_heartbeat[nm.node.node_id] = now
+        self.sim.process(self._heartbeats(nms, sweep), name=name)
+
+    def _heartbeats(
+        self, nms: List[NodeManager], sweep: bool
+    ) -> Generator[Event, object, None]:
+        """Every :data:`HEARTBEAT_INTERVAL`, record a heartbeat for each
+        node of *nms* that still beats, then (with *sweep*) expire the
+        silent ones.
+
+        A crashed NodeManager simply goes silent, and the sweep notices
+        through expiry.  A timer without the sweep ends once none of its
+        nodes beats.
+        """
         while True:
-            yield self.sim.timeout(LIVENESS_CHECK_INTERVAL)
-            deadline = self.sim.now - LIVENESS_EXPIRY
-            for node_id in sorted(self._last_heartbeat):
-                if node_id in self._lost_nodes:
-                    continue
-                if self._last_heartbeat[node_id] < deadline:
-                    self._declare_node_lost(node_id)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL)
+            now = self.sim.now
+            beating = False
+            for nm in nms:
+                if nm.node.alive and nm.node.state in _BEATING:
+                    self._last_heartbeat[nm.node.node_id] = now
+                    beating = True
+            if sweep:
+                deadline = now - LIVENESS_EXPIRY
+                for node_id in sorted(self._last_heartbeat):
+                    if (
+                        self._last_heartbeat[node_id] < deadline
+                        and self._node_managers[node_id].node.state is not NodeState.LOST
+                    ):
+                        self._declare_node_lost(node_id)
+            elif not beating:
+                return
 
     def _declare_node_lost(self, node_id: int) -> None:
         """Expire a silent node: no more placements, kill its containers."""
-        if node_id in self._lost_nodes:
-            return
-        self._lost_nodes[node_id] = self.sim.now
+        nm = self._node_managers[node_id]
+        nm.node.state = NodeState.LOST
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
             from repro.telemetry.events import NodeLost
 
             tel.emit(NodeLost(time=self.sim.now, node_id=node_id))
-        self.scheduler.mark_node_lost(node_id)
-        nm = self._node_managers.get(node_id)
-        if nm is not None:
-            hostname = nm.node.hostname
-            nm.decommission(KillReason("node_lost", f"{hostname} heartbeat expired"))
+        nm.kill_all(KillReason("node_lost", f"{nm.node.hostname} heartbeat expired"))
         self._schedule_dispatch()
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.cluster.node import Node
+from repro.cluster.node import Node, NodeState
 from repro.cluster.topology import Cluster
 from repro.yarn.records import ContainerRequest, Resource
 
@@ -29,13 +29,6 @@ class SchedulerBase:
         self._app_weight: Dict[str, float] = {}
         #: app -> currently allocated memory bytes (fair-share bookkeeping).
         self.app_memory_usage: Dict[str, int] = defaultdict(int)
-        #: Nodes the resource manager has declared lost (heartbeat expiry);
-        #: they receive no further containers.
-        self._lost_nodes: Set[int] = set()
-        #: Nodes gracefully draining (decommission / preemption notice):
-        #: still alive and finishing their running work, but excluded
-        #: from every new placement.
-        self._draining_nodes: Set[int] = set()
 
     # ------------------------------------------------------------------
     # App lifecycle
@@ -105,41 +98,20 @@ class SchedulerBase:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def mark_node_lost(self, node_id: int) -> None:
-        """Exclude *node_id* from all future placements."""
-        self._lost_nodes.add(node_id)
-        self._draining_nodes.discard(node_id)
-
-    def is_node_lost(self, node_id: int) -> bool:
-        return node_id in self._lost_nodes
-
-    def mark_node_draining(self, node_id: int) -> None:
-        """Exclude *node_id* from new placements while it drains.
-
-        Unlike :meth:`mark_node_lost` the node is still healthy --
-        running containers finish normally -- but a decommissioning or
-        preemption-noticed node must not receive fresh work.
-        """
-        self._draining_nodes.add(node_id)
-
     def schedulable_nodes(self) -> List[Node]:
-        """Nodes eligible for new placements (neither lost nor draining)."""
-        return [
-            n
-            for n in self.cluster.nodes
-            if n.node_id not in self._lost_nodes
-            and n.node_id not in self._draining_nodes
-        ]
+        """Nodes eligible for new placements: the ``ACTIVE`` ones."""
+        return [n for n in self.cluster.nodes if n.state is NodeState.ACTIVE]
 
     def find_node(self, request: ContainerRequest) -> Optional[Node]:
         """Pick a node for *request*: data-local > rack-local > emptiest.
 
-        Lost and draining nodes are never used.  A request's blacklist
-        is honoured unless it covers every remaining live node, in which
-        case it is ignored entirely (Hadoop's AMs likewise release their
-        blacklist rather than deadlock the job) -- the live set here
-        already excludes lost *and* draining nodes, so blacklisting can
-        never deadlock scheduling even after churn shrinks the cluster.
+        Only ``ACTIVE`` nodes are used.  A request's blacklist is
+        honoured unless it covers every remaining schedulable node, in
+        which case it is ignored entirely (Hadoop's AMs likewise release
+        their blacklist rather than deadlock the job) -- the live set
+        here already excludes lost *and* draining nodes, so blacklisting
+        can never deadlock scheduling even after churn shrinks the
+        cluster.
         """
         res = request.resource
         live = self.schedulable_nodes()

@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.cluster.node import NodeState
 from repro.cluster.topology import ClusterSpec
 from repro.core.configuration import Configuration
 from repro.core.hill_climbing import HillClimbSettings
@@ -70,8 +71,7 @@ class TestDecommission:
         elastic = sc.fault_injector.elastic
         assert elastic.departed == [(2, "decommission")]
         node = sc.cluster.node(2)
-        assert node.departed and not node.alive
-        assert sc.rm.is_node_lost(2)
+        assert node.state is NodeState.DEPARTED and not node.alive
         assert_no_output_leaks(sc.hdfs)
 
     def test_no_new_work_lands_after_drain(self):
@@ -107,7 +107,7 @@ class TestJoin:
         # Ids are sequential: a 4-slave cluster's newcomer is node 4.
         assert len(sc.cluster.nodes) == 5
         newcomer = sc.cluster.node(4)
-        assert newcomer.alive and not newcomer.departed
+        assert newcomer.alive and newcomer.state is NodeState.ACTIVE
         assert newcomer.rack == sc.cluster.node(0).rack
         assert 4 in sc.node_managers
         assert sc.fault_injector.elastic.joined == [4]
@@ -179,9 +179,9 @@ class TestPreemptEdges:
         el = self.elastic(sc)
         assert el.preempt_notice(1, grace=2.0)
         nm = sc.node_managers[1]
-        assert nm.draining and not sc.cluster.node(1).departed
+        assert sc.cluster.node(1).state is NodeState.DRAINING
         sc.sim.run(until=5.0)
-        assert sc.cluster.node(1).departed
+        assert sc.cluster.node(1).state is NodeState.DEPARTED
         assert el.departed == [(1, "spot_preempt")]
         assert nm.kills == {}  # nothing was running, nothing was killed
 
@@ -210,7 +210,7 @@ class TestPreemptEdges:
         sc.sim.run(until=10.0)
         # The reclaim found a corpse: no departure is recorded.
         assert el.departed == []
-        assert not sc.cluster.node(0).departed
+        assert sc.cluster.node(0).state is NodeState.DRAINING
 
 
 def result_digest(result):
@@ -229,17 +229,34 @@ def result_digest(result):
 class TestCrashComposesWithChurn:
     """Heartbeat expiry meets a draining node and a mid-run joiner."""
 
-    def run_traced(self, plan):
+    def run_traced(self, plan, watch):
+        """Run *plan*; also return the membership moves, node *watch*'s
+        state sequence and the heartbeat timers started."""
         sc = small_cluster()
-        seen = []
-        sc.telemetry.subscribe(seen.append, categories=("yarn", "node"))
+        seen, states = [], []
+
+        def on_event(ev):
+            seen.append(ev)
+            if watch < len(sc.cluster.nodes):  # a joiner exists once it joined
+                state = sc.cluster.node(watch).state
+                if not states or states[-1] is not state:
+                    states.append(state)
+
+        sc.telemetry.subscribe(on_event, categories=("yarn", "node", "sim"))
         _, result = run_with_faults(sc, plan)
         moves = [
             (ev.kind, ev.time, ev.node_id)
             for ev in seen
             if ev.kind in ("node_lost", "capacity_change")
         ]
-        return sc, result, moves
+        timers = [
+            (ev.time, ev.name)
+            for ev in seen
+            if ev.kind == "process_start"
+            and (ev.name == "rm-liveness" or ev.name.endswith("-hb"))
+        ]
+        assert timers[0] == (0.0, "rm-liveness")
+        return sc, result, moves, states, timers
 
     def test_crash_during_drain(self):
         # The drain's running containers are killed when the crashed
@@ -250,11 +267,16 @@ class TestCrashComposesWithChurn:
                 Fault(time=33.0, kind="node_crash", node_id=2),
             )
         )
-        sc, result, moves = self.run_traced(plan)
+        sc, result, moves, states, timers = self.run_traced(plan, watch=2)
         assert result.succeeded
         assert result.failure_reasons == {"node_lost": 1}
         assert moves == [("node_lost", 45.0, 2), ("capacity_change", 45.0, 2)]
         assert sc.fault_injector.elastic.departed == [(2, "decommission")]
+        assert states == [
+            NodeState.ACTIVE, NodeState.DRAINING, NodeState.LOST, NodeState.DEPARTED,
+        ]
+        # One heartbeat timer for the whole seed cluster.
+        assert timers == [(0.0, "rm-liveness")]
         assert result_digest(result) == (
             "330689b0d77805f6abd0fc6eb56f36be5b5cb866ca95eb5939aeb325dd0e81cc"
         )
@@ -269,7 +291,10 @@ class TestCrashComposesWithChurn:
                 Fault(time=24.0, kind="node_crash", node_id=1),
             )
         )
-        sc, result, moves = self.run_traced(plan)
+        sc, result, moves, states, timers = self.run_traced(plan, watch=4)
+        assert states == [NodeState.ACTIVE, NodeState.LOST]
+        # The seed timer plus one per join.
+        assert timers == [(0.0, "rm-liveness"), (1.3, "node04-hb")]
         assert moves == [
             ("capacity_change", 1.3, 4),
             ("node_lost", 33.0, 4),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.node import NodeState
 from repro.cluster.topology import ClusterSpec
 from repro.core.configuration import Configuration
 from repro.experiments.harness import SimCluster
@@ -109,7 +110,7 @@ class TestApplication:
         plan = FaultPlan((Fault(time=5.0, kind="node_crash", node_id=0),))
         sc.inject_faults(plan=plan)
         sc.sim.run(until=6.0)
-        assert not sc.rm.is_node_lost(0)  # silence not yet past expiry
+        # Crashed but silence not yet past expiry: still a member.
+        assert sc.cluster.node(0).state is NodeState.ACTIVE
         sc.sim.run(until=30.0)
-        assert sc.rm.is_node_lost(0)
-        assert sc.node_managers[0].decommissioned
+        assert sc.cluster.node(0).state is NodeState.LOST

@@ -7,6 +7,7 @@ so faults pinned inside those windows reliably destroy live work.
 
 import pytest
 
+from repro.cluster.node import NodeState
 from repro.cluster.topology import ClusterSpec
 from repro.core.configuration import Configuration
 from repro.experiments.harness import SimCluster
@@ -84,7 +85,7 @@ class TestNodeCrash:
         plan = FaultPlan((Fault(time=30.0, kind="node_crash", node_id=2),))
         _, result = run_with_faults(sc, plan)
         assert result.succeeded
-        assert sc.rm.is_node_lost(2)
+        assert sc.cluster.node(2).state is NodeState.LOST
         assert result.failure_reasons.get("node_lost", 0) >= 1
         assert_no_output_leaks(sc.hdfs)
 

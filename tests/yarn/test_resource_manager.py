@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.container import ContainerState
-from repro.cluster.node import GB
+from repro.cluster.node import GB, NodeState
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
@@ -145,3 +145,13 @@ class TestNodeManager:
 
         sim.run_until_complete(nm.launch(container, task()))
         assert finished == [container]
+
+    @pytest.mark.parametrize("state", [NodeState.DRAINING, NodeState.LOST])
+    def test_launch_refused_unless_active(self, state):
+        sim, cluster, rm = make_rm()
+        container = sim.run_until_complete(rm.allocate(req()))
+        nm = NodeManager(sim, container.node)
+        container.node.state = state
+        with pytest.raises(SimulationError, match=state.value):
+            nm.launch(container, iter(()))
+        assert container.state is ContainerState.ALLOCATED

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.node import GB
+from repro.cluster.node import GB, NodeState
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.sim import Simulator
 from repro.yarn.fair_scheduler import FairScheduler
@@ -42,6 +42,19 @@ class TestRecords:
 
     def test_priorities(self):
         assert Priority.REDUCE < Priority.MAP  # reduces preempt queue order
+
+
+class TestSchedulableNodes:
+    @pytest.mark.parametrize("state", [NodeState.DRAINING, NodeState.LOST])
+    def test_only_active_nodes_are_schedulable(self, state):
+        cluster = make_cluster()
+        sched = FifoScheduler(cluster)
+        cluster.node(1).state = state
+        assert [n.node_id for n in sched.schedulable_nodes()] == [0, 2, 3]
+        sched.add_app("a")
+        sched.enqueue(request(preferred=(1,)))
+        _picked, node = sched.assign_once()
+        assert node.node_id != 1
 
 
 class TestFifoScheduler:
