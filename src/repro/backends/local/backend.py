@@ -182,9 +182,8 @@ class LocalProcessBackend:
         determined).  The watchdog's jittered pool-rebuild pauses draw
         from a stream derived from it.
     watchdog:
-        Hung-worker liveness policy; ``None`` disables the watchdog and
-        restores unbounded waits.  The defaults are far above any
-        healthy task's runtime, so enabling it cannot perturb a
+        Hung-worker liveness policy.  The defaults are far above any
+        healthy task's runtime, so the watchdog cannot perturb a
         well-behaved run.
     """
 
@@ -195,16 +194,14 @@ class LocalProcessBackend:
         workspace: Optional[str] = None,
         slots: Optional[int] = None,
         seed: int = 0,
-        watchdog: Optional[WatchdogSettings] = WatchdogSettings(),
+        watchdog: WatchdogSettings = WatchdogSettings(),
     ) -> None:
         self.seed = seed
         self.watchdog = watchdog
-        self._hang_delays: Optional[Iterator[float]] = None
-        if watchdog is not None:
-            self._hang_delays = decorrelated_jitter_delays(
-                watchdog.backoff,
-                np.random.default_rng(derive_seed(seed, "watchdog", "backoff")),
-            )
+        self._hang_delays: Iterator[float] = decorrelated_jitter_delays(
+            watchdog.backoff,
+            np.random.default_rng(derive_seed(seed, "watchdog", "backoff")),
+        )
         if workspace is None:
             self.workspace = tempfile.mkdtemp(prefix="repro-local-")
             self._owns_workspace = True
@@ -509,47 +506,44 @@ class LocalProcessBackend:
                     f"launch gate starved {spec.job_id} {task_type.value} phase: "
                     f"{completed}/{count} tasks done, none admitted or running"
                 )
-            if self.watchdog is None:
-                done, _pending = futures_wait(running, return_when=FIRST_COMPLETED)
-            else:
-                done, _pending = futures_wait(
-                    running,
-                    timeout=self.watchdog.poll_interval,
-                    return_when=FIRST_COMPLETED,
+            done, _pending = futures_wait(
+                running,
+                timeout=self.watchdog.poll_interval,
+                return_when=FIRST_COMPLETED,
+            )
+            if not done:
+                deadline = self.watchdog.deadline_for(task_type)
+                overdue = sorted(
+                    (state[0], state[4])
+                    for state in running.values()
+                    if self._now() - state[4] > deadline
                 )
-                if not done:
-                    deadline = self.watchdog.deadline_for(task_type)
-                    overdue = sorted(
-                        (state[0], state[4])
-                        for state in running.values()
-                        if self._now() - state[4] > deadline
-                    )
-                    if not overdue:
-                        continue  # nobody finished, nobody hung: keep polling
-                    # A worker past its liveness deadline will never
-                    # finish on its own.  SIGKILL the pool (collateral
-                    # in-flight attempts die too -- the node-loss blast
-                    # radius), classify, pause with jitter, and let the
-                    # retry ladder re-admit survivors on a fresh pool.
-                    for index, started in overdue:
-                        hung_pending.add(index)
-                        if self.telemetry.wants("fault"):
-                            self.telemetry.emit(
-                                WorkerHang(
-                                    time=self._now(),
-                                    task=str(task_id_of(index)),
-                                    deadline=deadline,
-                                    attempt=attempts[index],
-                                )
+                if not overdue:
+                    continue  # nobody finished, nobody hung: keep polling
+                # A worker past its liveness deadline will never finish
+                # on its own.  SIGKILL the pool (collateral in-flight
+                # attempts die too -- the node-loss blast radius),
+                # classify, pause with jitter, and let the retry ladder
+                # re-admit survivors on a fresh pool.
+                for index, started in overdue:
+                    hung_pending.add(index)
+                    if self.telemetry.wants("fault"):
+                        self.telemetry.emit(
+                            WorkerHang(
+                                time=self._now(),
+                                task=str(task_id_of(index)),
+                                deadline=deadline,
+                                attempt=attempts[index],
                             )
-                        self.telemetry.increment("backend.worker_hangs")
-                    self._kill_workers()
-                    done, _pending = futures_wait(running)
-                    pool = self._pool
-                    if pool is not None:
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        self._pool = None
-                    time.sleep(next(self._hang_delays))
+                        )
+                    self.telemetry.increment("backend.worker_hangs")
+                self._kill_workers()
+                done, _pending = futures_wait(running)
+                pool = self._pool
+                if pool is not None:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    self._pool = None
+                time.sleep(next(self._hang_delays))
             # Deterministic handling order regardless of completion order.
             for future in sorted(done, key=lambda f: running[f][0]):
                 index, wave, config, knobs, _started = running.pop(future)

@@ -19,6 +19,10 @@ from repro.sim.resources import FlowScheduler, Link
 if TYPE_CHECKING:
     from repro.faults.network_state import NetworkFaultState
 
+#: Typical top-of-rack oversubscription: a rack uplink carries the
+#: aggregate NIC bandwidth of its members divided by this factor.
+RACK_OVERSUBSCRIPTION = 4.0
+
 
 class Network:
     """The cluster fabric connecting nodes."""
@@ -28,7 +32,6 @@ class Network:
         sim: Simulator,
         nodes: Sequence[Node],
         rack_uplink_bw: Optional[float] = None,
-        oversubscription: float = 4.0,
     ) -> None:
         self.sim = sim
         self.nodes = list(nodes)
@@ -44,9 +47,7 @@ class Network:
         for rack in racks:
             members = [n for n in self.nodes if n.rack == rack]
             if rack_uplink_bw is None:
-                # Typical top-of-rack oversubscription: aggregate NIC
-                # bandwidth divided by the oversubscription factor.
-                bw = sum(n.resources.nic_bw for n in members) / oversubscription
+                bw = sum(n.resources.nic_bw for n in members) / RACK_OVERSUBSCRIPTION
             else:
                 bw = rack_uplink_bw
             self._uplink[rack] = Link(f"rack{rack}.uplink", bw)

@@ -21,7 +21,6 @@ class ClusterSpec:
     racks: Sequence[int] = (9, 9)
     node_resources: NodeResources = field(default_factory=NodeResources)
     rack_uplink_bw: Optional[float] = None
-    oversubscription: float = 4.0
 
     def __post_init__(self) -> None:
         if sum(self.racks) != self.num_slaves:
@@ -51,12 +50,7 @@ class Cluster:
             for _ in range(size):
                 self.nodes.append(Node(sim, node_id, rack_idx, spec.node_resources))
                 node_id += 1
-        self.network = Network(
-            sim,
-            self.nodes,
-            rack_uplink_bw=spec.rack_uplink_bw,
-            oversubscription=spec.oversubscription,
-        )
+        self.network = Network(sim, self.nodes, rack_uplink_bw=spec.rack_uplink_bw)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]

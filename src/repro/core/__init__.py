@@ -33,11 +33,10 @@ from repro.core.optimizers import (
 from repro.core.parameters import PARAMETER_SPACE, ParameterSpace, ParamSpec
 from repro.core.sampling import latin_hypercube, weighted_latin_hypercube
 
-# The configurator, cost model, and tuner reference task/job types from
+# The configurator, cost function, and tuner reference task/job types from
 # repro.mapreduce, which itself uses repro.core.configuration -- import
 # them lazily (PEP 562) so `import repro.core` works from either side.
 _LAZY = {
-    "CostModel": ("repro.core.cost", "CostModel"),
     "task_cost": ("repro.core.cost", "task_cost"),
     "DynamicConfigurator": ("repro.core.configurator", "DynamicConfigurator"),
     "OnlineTuner": ("repro.core.tuner", "OnlineTuner"),
@@ -60,7 +59,6 @@ def __getattr__(name):
 
 __all__ = [
     "Configuration",
-    "CostModel",
     "DynamicConfigurator",
     "GrayBoxHillClimber",
     "HillClimbSettings",

@@ -11,11 +11,7 @@ search steers away from infeasible regions -- the simulated analogue of
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.mapreduce.jobspec import TaskType
-from repro.monitor.statistics import TaskStats
+from repro.monitor.statistics import ENVIRONMENTAL_KINDS, TaskStats
 
 #: Cost assigned to a config-induced failure (OOM).  The worst feasible
 #: cost is ~4 (all four terms at 1); failures must dominate that.
@@ -26,11 +22,6 @@ FAILURE_COST = 8.0
 #: blame, but the lost work is real, so the sample is discouraged
 #: without being branded infeasible.
 ENV_FAILURE_COST = 5.0
-
-#: Failure kinds charged at :data:`ENV_FAILURE_COST`.
-_ENVIRONMENTAL_KINDS = frozenset(
-    {"preempted", "node_lost", "speculation", "fetch_failure"}
-)
 
 
 def effective_duration(stats: TaskStats) -> float:
@@ -47,7 +38,7 @@ def effective_duration(stats: TaskStats) -> float:
 def task_cost(stats: TaskStats, t_max: float) -> float:
     """Equation 1 for one task, given the job's max task time so far."""
     if stats.failed:
-        if stats.failure_kind in _ENVIRONMENTAL_KINDS:
+        if stats.failure_kind in ENVIRONMENTAL_KINDS:
             return ENV_FAILURE_COST
         return FAILURE_COST
     t_term = effective_duration(stats) / t_max if t_max > 0 else 1.0
@@ -57,54 +48,3 @@ def task_cost(stats: TaskStats, t_max: float) -> float:
         + min(4.0, stats.spill_ratio)
         + min(1.5, t_term)
     )
-
-
-class CostModel:
-    """Tracks per-task-type T_max and aggregates costs per sample key.
-
-    The tuner tags every launched task with the sample (configuration
-    point) it is evaluating; this model folds completed tasks back into
-    per-sample cost estimates, averaging when a sample was evaluated by
-    several tasks (which also tolerates measurement noise).
-    """
-
-    def __init__(self) -> None:
-        self._t_max: Dict[TaskType, float] = {
-            TaskType.MAP: 0.0,
-            TaskType.REDUCE: 0.0,
-        }
-        self._samples: Dict[object, List[float]] = defaultdict(list)
-
-    def observe(self, stats: TaskStats, sample_key: Optional[object] = None) -> float:
-        """Fold one completed task in; returns its Equation-1 cost."""
-        if not stats.failed:
-            duration = effective_duration(stats)
-            if duration > self._t_max[stats.task_type]:
-                self._t_max[stats.task_type] = duration
-        cost = task_cost(stats, self._t_max[stats.task_type])
-        if sample_key is not None:
-            self._samples[sample_key].append(cost)
-        return cost
-
-    def t_max(self, task_type: TaskType) -> float:
-        return self._t_max[task_type]
-
-    def sample_cost(self, sample_key: object) -> Optional[float]:
-        costs = self._samples.get(sample_key)
-        if not costs:
-            return None
-        return sum(costs) / len(costs)
-
-    def evaluations(self, sample_key: object) -> int:
-        return len(self._samples.get(sample_key, ()))
-
-    def best_sample(self, keys: Iterable[object]) -> Optional[Tuple[object, float]]:
-        """The lowest-cost sample among *keys* that has observations."""
-        best: Optional[Tuple[object, float]] = None
-        for key in keys:
-            cost = self.sample_cost(key)
-            if cost is None:
-                continue
-            if best is None or cost < best[1]:
-                best = (key, cost)
-        return best

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.neighborhood import INITIAL_SIZE, Neighborhood
+from repro.core.neighborhood import Neighborhood
 from repro.core.optimizers.base import (
     INFEASIBLE_RADIUS,
     Sample,
@@ -65,8 +65,6 @@ class HillClimbSettings:
     neighborhood_threshold: float = 0.1  # Nt
     shrink_factor: float = 0.75  # f
     global_search_limit: int = 5  # g
-    lhs_intervals: int = 24  # k (granularity; equals the batch sizes here)
-    initial_neighborhood: float = INITIAL_SIZE
     #: Task evaluations per sample before its cost is trusted.
     replicas: int = 1
     #: Sample with Latin hypercubes (True) or plain uniforms (False --
@@ -176,18 +174,14 @@ class GrayBoxHillClimber(WaveOptimizer):
                 # Lines 3-5: the initial LHS seeds Ccur unconditionally.
                 self._first_global = False
                 self._current = candidate
-                self.neighborhood = Neighborhood(
-                    candidate.point, st.initial_neighborhood
-                )
+                self.neighborhood = Neighborhood(candidate.point)
                 self.phase = SearchPhase.LOCAL
                 self._notify(
                     "seed", sample_id=candidate.sample_id, cost=candidate.cost
                 )
             elif candidate.cost < ref_cost:  # lines 22-25
                 self._current = candidate
-                self.neighborhood = Neighborhood(
-                    candidate.point, st.initial_neighborhood
-                )
+                self.neighborhood = Neighborhood(candidate.point)
                 self.phase = SearchPhase.LOCAL
                 self._notify(
                     "accept_global",
@@ -216,9 +210,7 @@ class GrayBoxHillClimber(WaveOptimizer):
         assert self._current is not None and self.neighborhood is not None
         if candidate.cost < ref_cost:
             self._current = candidate
-            self.neighborhood = self.neighborhood.recenter(
-                candidate.point, st.initial_neighborhood
-            )
+            self.neighborhood = self.neighborhood.recenter(candidate.point)
             self._notify(
                 "accept_local",
                 sample_id=candidate.sample_id,

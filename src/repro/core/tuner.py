@@ -26,7 +26,7 @@ import numpy as np
 from repro.core import parameters as P
 from repro.core.configuration import Configuration, enforce_dependencies
 from repro.core.configurator import DynamicConfigurator
-from repro.core.cost import FAILURE_COST, CostModel, effective_duration, task_cost
+from repro.core.cost import FAILURE_COST, effective_duration, task_cost
 from repro.core.hill_climbing import HillClimbSettings
 from repro.core.knowledge_base import TuningKnowledgeBase
 from repro.core.optimizers import DEFAULT_OPTIMIZER, OPTIMIZER_BACKENDS, make_optimizer
@@ -214,7 +214,6 @@ class _JobTuning:
     def __init__(self, spec: JobSpec, input_bytes: float) -> None:
         self.spec = spec
         self.input_bytes = input_bytes
-        self.cost_model = CostModel()
         self.search_states: Dict[TaskType, _SearchState] = {}
         self.conservative_states: Dict[TaskType, _ConservativeState] = {}
         self.gate: Optional[LaunchGate] = None
@@ -627,7 +626,6 @@ class OnlineTuner:
         state.stats_seen += 1
         state.window.append(stats)
         state.history.append(stats)
-        job.cost_model.observe(stats)  # tracks job-level T_max
         sample_id = state.bindings.pop(str(stats.task_id), None)
         if sample_id is None or state.climber.finished:
             self._maybe_finish_starved(job, state)
@@ -793,7 +791,6 @@ class OnlineTuner:
     def _on_stats_conservative(self, job: _JobTuning, stats: TaskStats) -> None:
         state = job.conservative_states[stats.task_type]
         state.history.append(stats)
-        job.cost_model.observe(stats)
         if self._down:
             # Degraded mode: statistics keep accumulating in the history
             # but no rule updates fire until the tuner restarts.

@@ -22,7 +22,15 @@ from repro.core import parameters as P
 from repro.core.configuration import Configuration
 from repro.mapreduce import task_context as tc
 from repro.mapreduce.jobspec import TaskId
-from repro.mapreduce.shuffle import SHUFFLE_STREAM_BW
+from repro.mapreduce.shuffle import (
+    FETCH_BACKOFF_BASE,
+    FETCH_BACKOFF_MAX,
+    FETCH_FAILURE_LATENCY,
+    FETCH_MAX_RETRIES,
+    FETCH_PENALTY_SECONDS,
+    FETCH_TIMEOUT,
+    SHUFFLE_STREAM_BW,
+)
 from repro.mapreduce.sortspill import plan_reduce_merge
 from repro.mapreduce.task_context import TaskContext
 from repro.monitor.statistics import TaskStats
@@ -54,8 +62,8 @@ def _shuffle_with_recovery(
 ) -> Generator[Event, object, Tuple[float, int]]:
     """Per-source shuffle with Hadoop-style fetch-failure recovery.
 
-    Active only when ``ctx.fetch`` is armed (a plan with network fault
-    kinds).  Each segment is fetched from its *source* node through
+    Active only when ``ctx.report_fetch_failure`` is armed (a plan with
+    network fault kinds).  Each segment is fetched from its *source* node through
     :meth:`Network.fetch_from`, up to ``shuffle.parallelcopies`` at a
     time; a fetch races a per-fetch timeout, retries with exponential
     backoff on timeout or (flaky-window) connection failure, and after
@@ -66,9 +74,8 @@ def _shuffle_with_recovery(
     twice: ``done``/``pending`` membership dedupes re-registrations).
     """
     sim = ctx.sim
-    fetch = ctx.fetch
-    assert fetch is not None
-    s = fetch.settings
+    report_failure = ctx.report_fetch_failure
+    assert report_failure is not None
     catalog = ctx.catalog
     network = ctx.cluster.network
     bus = sim.telemetry
@@ -86,7 +93,7 @@ def _shuffle_with_recovery(
     def fetch_segment(m: int) -> Generator[Event, object, Tuple[str, int, int, float]]:
         nonlocal seq
         retries = 0
-        delays = BackoffPolicy(base=s.backoff_base, cap=s.backoff_max).delays()
+        delays = BackoffPolicy(base=FETCH_BACKOFF_BASE, cap=FETCH_BACKOFF_MAX).delays()
         while True:
             if cancelled:
                 return ("cancelled", m, -1, 0.0)
@@ -100,9 +107,9 @@ def _shuffle_with_recovery(
                 # Zero-length segment: only the header exchange, free.
                 return ("ok", m, src_id, 0.0)
             src = ctx.cluster.node(src_id)
-            if fetch.draw_failure(src_id, node.node_id):
+            if network.faults.draw_fetch_failure(src_id, node.node_id, sim.now):
                 reason = "connection"
-                yield sim.timeout(s.failure_latency)
+                yield sim.timeout(FETCH_FAILURE_LATENCY)
             else:
                 seq += 1
                 # Attempt-scoped: two live attempts of the same reducer
@@ -112,7 +119,7 @@ def _shuffle_with_recovery(
                 flow = network.fetch_from(
                     src, node, nbytes, extra_links=[copier_link], label=label
                 )
-                idx, _value = yield AnyOf(sim, [flow, sim.timeout(s.fetch_timeout)])
+                idx, _value = yield AnyOf(sim, [flow, sim.timeout(FETCH_TIMEOUT)])
                 if idx == 0:
                     return ("ok", m, src_id, nbytes)
                 # Timed out: abandon the stalled flow before retrying.
@@ -137,7 +144,7 @@ def _shuffle_with_recovery(
                         retry=retries,
                     )
                 )
-            if retries > s.max_retries:
+            if retries > FETCH_MAX_RETRIES:
                 return ("failed", m, src_id, 0.0)
             pause = next(delays)
             stats.fetch_penalty_seconds += pause
@@ -176,8 +183,8 @@ def _shuffle_with_recovery(
                     pending.remove(m)
                     fetched_bytes += nbytes
                 elif outcome == "failed":
-                    penalized[src_id] = sim.now + s.penalty_seconds
-                    fetch.report_failure(m, src_id, str(task_id))
+                    penalized[src_id] = sim.now + FETCH_PENALTY_SECONDS
+                    report_failure(m, src_id, str(task_id))
                 # "gone" stays pending until re-registered (or the AM
                 # closes the catalog for good).
             if ctx.progress is not None:
@@ -273,7 +280,7 @@ def run_reduce_task(
     copies = max(1, int(config[P.SHUFFLE_PARALLELCOPIES]))
     copier_link = Link(f"{task_id}.copiers", copies * SHUFFLE_STREAM_BW)
     shuffle_start = sim.now
-    if ctx.fetch is not None:
+    if ctx.report_fetch_failure is not None:
         # Gray-failure fetch path: per-source fetches with timeout,
         # retry/backoff, penalty box, and AM failure reports.
         fetched_bytes, num_segments = yield from _shuffle_with_recovery(

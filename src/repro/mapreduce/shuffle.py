@@ -12,24 +12,20 @@ which is exactly why the parameter is worth tuning (S6.3).
 
 Under network faults the aggregated rounds are replaced by per-source
 fetches with real failure semantics (timeout, exponential backoff,
-capped retries, per-source penalty box) coordinated through a
-:class:`ShuffleFetchService`; exhausted retries are reported to the app
-master, which may declare the map output lost (:meth:`mark_lost`) and
+capped retries, per-source penalty box), tuned by the ``FETCH_*``
+constants below; exhausted retries are reported to the app master,
+which may declare the map output lost (:meth:`mark_lost`) and
 re-execute the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.topology import Cluster
 
 MB = 1024 * 1024
 
@@ -37,6 +33,22 @@ MB = 1024 * 1024
 #: serving; the tuning rule "increase parallelcopies in increments of
 #: 10" only makes sense if single streams are slow).
 SHUFFLE_STREAM_BW = 12 * MB
+
+# The gray-failure fetch path (Hadoop-flavored values).  A fetch that
+# has not completed by FETCH_TIMEOUT (Hadoop's
+# ``mapreduce.reduce.shuffle.read.timeout``) is abandoned and retried.
+# Retries back off exponentially from FETCH_BACKOFF_BASE up to
+# FETCH_BACKOFF_MAX; after FETCH_MAX_RETRIES failed attempts the source
+# lands in the reducer's penalty box for FETCH_PENALTY_SECONDS and one
+# fetch-failure report goes to the AM.
+FETCH_TIMEOUT = 15.0
+FETCH_MAX_RETRIES = 3
+FETCH_BACKOFF_BASE = 1.0
+FETCH_BACKOFF_MAX = 8.0
+FETCH_PENALTY_SECONDS = 20.0
+#: Simulated time a refused/failed connection burns before erroring
+#: (a TCP-level failure is fast, not instant).
+FETCH_FAILURE_LATENCY = 0.5
 
 
 class MapOutputCatalog:
@@ -149,58 +161,3 @@ class MapOutputCatalog:
 
     def source_nodes(self, map_indices: Sequence[int]) -> List[int]:
         return [self._outputs[m][0] for m in map_indices]
-
-
-@dataclass(frozen=True)
-class FetchRecoverySettings:
-    """Knobs of the gray-failure fetch path (Hadoop-flavored defaults).
-
-    ``fetch_timeout`` plays the role of ``mapreduce.reduce.shuffle.
-    read.timeout``: a fetch that has not completed by then is abandoned
-    and retried.  Retries back off exponentially from ``backoff_base``
-    up to ``backoff_max``; after ``max_retries`` failed attempts the
-    source lands in the reducer's penalty box for ``penalty_seconds``
-    and one fetch-failure report goes to the AM.
-    """
-
-    fetch_timeout: float = 15.0
-    max_retries: int = 3
-    backoff_base: float = 1.0
-    backoff_max: float = 8.0
-    penalty_seconds: float = 20.0
-    #: Simulated time a refused/failed connection burns before erroring
-    #: (a TCP-level failure is fast, not instant).
-    failure_latency: float = 0.5
-
-
-class ShuffleFetchService:
-    """Per-job coordinator of the per-fetch shuffle recovery path.
-
-    Installed on ``TaskContext.fetch`` by the app master only when the
-    network's gray-failure state is armed; reducers fall back to the
-    legacy aggregated rounds when it is absent, keeping fault-free and
-    legacy-fault digests byte-identical.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cluster: "Cluster",
-        catalog: MapOutputCatalog,
-        settings: FetchRecoverySettings,
-        report_failure: Callable[[int, int, str], None],
-    ) -> None:
-        self.sim = sim
-        self.cluster = cluster
-        self.catalog = catalog
-        self.settings = settings
-        #: ``report_failure(map_index, src_node_id, reducer_task_id)`` --
-        #: wired to the AM's fetch-failure aggregation.
-        self.report_failure = report_failure
-
-    def draw_failure(self, src_node_id: int, dst_node_id: int) -> bool:
-        """One connection-level failure draw against the flaky windows."""
-        state = self.cluster.network.faults
-        if state is None:
-            return False
-        return state.draw_fetch_failure(src_node_id, dst_node_id, self.sim.now)

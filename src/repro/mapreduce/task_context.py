@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cluster.topology import Cluster
 from repro.hdfs.filesystem import HdfsFileSystem
 from repro.mapreduce.dataflow import JobDataflow
 from repro.mapreduce.jobspec import JobSpec
-from repro.mapreduce.shuffle import MapOutputCatalog, ShuffleFetchService
+from repro.mapreduce.shuffle import MapOutputCatalog
 from repro.monitor.statistics import ProgressBoard
 from repro.sim.engine import Simulator
 
@@ -40,9 +40,12 @@ class TaskContext:
     catalog: MapOutputCatalog
     #: Live attempt-progress reporting (feeds speculative execution).
     progress: Optional[ProgressBoard] = None
-    #: Per-fetch shuffle recovery; ``None`` keeps the legacy aggregated
-    #: fetch rounds (fault-free and legacy-fault runs).
-    fetch: Optional[ShuffleFetchService] = None
+    #: The AM's fetch-failure callback, ``(map_index, src_node_id,
+    #: reducer_task_id)``.  Set only when the network's gray-failure
+    #: state is armed, it switches reducers onto the per-fetch recovery
+    #: path; ``None`` keeps the aggregated fetch rounds (fault-free and
+    #: legacy-fault runs).
+    report_fetch_failure: Optional[Callable[[int, int, str], None]] = None
 
 
 def allocated_cores(node_cores_per_vcore: float, vcores: int) -> float:

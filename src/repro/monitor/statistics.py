@@ -8,6 +8,13 @@ from typing import Dict, List, Optional
 from repro.mapreduce.jobspec import TaskId, TaskType
 
 
+#: Failure kinds the environment (not the configuration) is to blame
+#: for: see :attr:`TaskStats.failure_kind`.
+ENVIRONMENTAL_KINDS = frozenset(
+    {"preempted", "node_lost", "speculation", "fetch_failure"}
+)
+
+
 @dataclass
 class TaskStats:
     """Everything the monitor reports about one finished task attempt.
@@ -40,9 +47,10 @@ class TaskStats:
     failed: bool = False
     failure_reason: str = ""
     #: Classifies a failure for the tuner: ``"oom"`` is config-induced
-    #: (the sampled point is infeasible), while ``"preempted"``,
-    #: ``"node_lost"`` and ``"speculation"`` are environmental -- the
-    #: config is not to blame and is penalized more gently.
+    #: (the sampled point is infeasible), while the
+    #: :data:`ENVIRONMENTAL_KINDS` are not the config's fault: they are
+    #: penalized more gently and consume the re-execution budget, never
+    #: the config ladder.
     failure_kind: str = ""
     #: True for backup attempts launched by speculative execution; their
     #: stats bypass the tuner's wave accounting entirely.

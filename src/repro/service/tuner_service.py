@@ -31,9 +31,7 @@ from repro.sim.rng import derive_seed
 #: The service-scale search budget: small waves so a continuous stream
 #: of short jobs still completes several waves per job, cheap global
 #: restarts so warm starts dominate the trajectory.
-SERVICE_HILL_CLIMB = HillClimbSettings(
-    m=6, n=4, lhs_intervals=6, global_search_limit=2
-)
+SERVICE_HILL_CLIMB = HillClimbSettings(m=6, n=4, global_search_limit=2)
 
 
 @dataclass(frozen=True)

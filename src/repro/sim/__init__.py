@@ -18,7 +18,7 @@ broken by a monotone sequence number).
 
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
-from repro.sim.resources import FlowScheduler, Link, Semaphore, Store
+from repro.sim.resources import FlowScheduler, Link, Semaphore
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "RngRegistry",
     "Semaphore",
     "Simulator",
-    "Store",
     "Timeout",
     "derive_seed",
 ]

@@ -1,4 +1,4 @@
-"""Shared resources: fair-shared links, semaphores, and stores.
+"""Shared resources: fair-shared links and semaphores.
 
 The central abstraction is the :class:`FlowScheduler`, which models a
 set of capacity-limited :class:`Link` objects carrying :class:`Flow`
@@ -499,31 +499,3 @@ class Semaphore:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-
-class Store:
-    """An unbounded FIFO message store (mailboxes between components)."""
-
-    def __init__(self, sim: Simulator, name: str = "store") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque[object] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: object) -> None:
-        self._items.append(item)
-        self._drain()
-
-    def get(self) -> Event:
-        ev = self.sim.event()
-        self._getters.append(ev)
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        items, getters = self._items, self._getters
-        while items and getters:
-            ev = getters.popleft()
-            ev.succeed(items.popleft())
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -49,13 +49,9 @@ from repro.mapreduce.dataflow import JobDataflow
 from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType
 from repro.mapreduce.map_task import run_map_task
 from repro.mapreduce.reduce_task import attempt_output_dir, run_reduce_task
-from repro.mapreduce.shuffle import (
-    FetchRecoverySettings,
-    MapOutputCatalog,
-    ShuffleFetchService,
-)
+from repro.mapreduce.shuffle import MapOutputCatalog
 from repro.mapreduce.task_context import TaskContext
-from repro.monitor.statistics import ProgressBoard, TaskStats
+from repro.monitor.statistics import ENVIRONMENTAL_KINDS, ProgressBoard, TaskStats
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Interrupt, Process
 from repro.sim.resources import Semaphore
@@ -63,16 +59,17 @@ from repro.yarn.node_manager import KillReason, NodeManager
 from repro.yarn.records import ContainerRequest, Priority, Resource
 from repro.yarn.resource_manager import ResourceManager
 
+#: Config-failure ladder: tuned/task config, then the safe fallback.
 MAX_TASK_ATTEMPTS = 2
+#: Fetch-failure reports against one map output before the AM declares
+#: it lost and re-executes the map (capped at the number of reducers,
+#: so small jobs still converge).
+FETCH_FAILURE_THRESHOLD = 3
+#: Cluster-wide cap on concurrently running speculative backups.
+MAX_CONCURRENT_BACKUPS = 4
 #: Fraction of cluster memory reduce containers may occupy while maps
 #: are still pending (MRAppMaster's reduce ramp-up limit).
 REDUCE_RAMPUP_LIMIT = 0.5
-
-#: Failure kinds the environment (not the configuration) is to blame
-#: for; they consume the re-execution budget, never the config ladder.
-ENVIRONMENTAL_KINDS = frozenset(
-    {"preempted", "node_lost", "speculation", "fetch_failure"}
-)
 
 
 @dataclass(frozen=True)
@@ -86,24 +83,16 @@ class SpeculationSettings:
     slowness_factor: float = 1.5
     #: Completed tasks (per type) needed before estimates are trusted.
     min_completed: int = 1
-    #: Cluster-wide cap on concurrently running backup attempts.
-    max_concurrent: int = 4
 
 
 @dataclass(frozen=True)
 class FaultToleranceSettings:
     """Retry, blacklist, and speculation policy for one job."""
 
-    #: Config-failure ladder: tuned/task config, then the safe fallback.
-    max_attempts: int = MAX_TASK_ATTEMPTS
     #: Re-executions after kills (preemption, node loss) per task.
     max_env_retries: int = 4
     #: Environmental failures on one node before it is blacklisted.
     blacklist_threshold: int = 3
-    #: Fetch-failure reports against one map output before the AM
-    #: declares it lost and re-executes the map (capped at the number
-    #: of reducers, so small jobs still converge).
-    fetch_failure_threshold: int = 3
     #: None disables speculative execution (the default: a fault-free
     #: run must stay bit-identical to earlier versions of itself).
     speculation: Optional[SpeculationSettings] = None
@@ -404,9 +393,7 @@ class MRAppMaster:
             # The injector armed the gray-failure network state before
             # this job was submitted: switch reducers onto the per-fetch
             # recovery path and accept their fetch-failure reports.
-            self.ctx.fetch = ShuffleFetchService(
-                sim, cluster, self.catalog, FetchRecoverySettings(), self._on_fetch_failure_report
-            )
+            self.ctx.report_fetch_failure = self._on_fetch_failure_report
 
         self.completion: Event = sim.event()
         self.counters = Counters()
@@ -803,9 +790,6 @@ class MRAppMaster:
     # ------------------------------------------------------------------
     # Fetch-failure aggregation (too many fetch failures => re-run map)
     # ------------------------------------------------------------------
-    def _fetch_failure_threshold(self) -> int:
-        return max(1, min(self.ft.fetch_failure_threshold, self.dataflow.num_reducers))
-
     def _on_fetch_failure_report(
         self, map_index: int, src_node_id: int, reporter: str
     ) -> None:
@@ -841,7 +825,7 @@ class MRAppMaster:
                         distinct_reporters=len(reporters),
                     )
                 )
-        if count >= self._fetch_failure_threshold():
+        if count >= max(1, min(FETCH_FAILURE_THRESHOLD, self.dataflow.num_reducers)):
             self._declare_map_output_lost(map_index, src_node_id, count)
 
     def _declare_map_output_lost(
@@ -1000,7 +984,7 @@ class MRAppMaster:
             # Config-induced (OOM): climb the attempt ladder toward the
             # safe fallback; exhausting it fails the task permanently.
             run.config_failures += 1
-            if run.config_failures >= self.ft.max_attempts:
+            if run.config_failures >= MAX_TASK_ATTEMPTS:
                 run.permanent = True
                 return
             self._emit_retry(run, attempt, stats)
@@ -1131,7 +1115,7 @@ class MRAppMaster:
             for a in run.running
             if a.speculative
         )
-        budget = settings.max_concurrent - backups_running
+        budget = MAX_CONCURRENT_BACKUPS - backups_running
         if budget <= 0:
             return
         candidates: List[Tuple[float, str, _TaskRun, _Attempt]] = []

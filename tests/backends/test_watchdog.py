@@ -127,16 +127,6 @@ class TestWatchdogSettings:
         with pytest.raises(ValueError):
             WatchdogSettings(poll_interval=0.0)
 
-    def test_watchdog_can_be_disabled(self, tmp_path, corpus):
-        # None restores the unbounded-wait behavior for healthy jobs.
-        with LocalProcessBackend(
-            workspace=str(tmp_path / "jobs"), seed=1, watchdog=None
-        ) as backend:
-            assert backend.watchdog is None
-            result = backend.run_job(local_job_spec("wordcount", corpus, 2))
-        assert result.succeeded
-        assert not result.failure_reasons
-
     def test_enabled_watchdog_does_not_perturb_healthy_runs(
         self, tmp_path, corpus
     ):

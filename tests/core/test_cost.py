@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost import FAILURE_COST, CostModel, task_cost
+from repro.core.cost import FAILURE_COST, task_cost
 from repro.mapreduce.jobspec import TaskId, TaskType
 from repro.monitor.statistics import TaskStats
 
@@ -85,45 +85,3 @@ class TestTaskCost:
     def test_combiner_output_preferred_for_ratio(self):
         s = make_stats(spilled=50, map_out=100, combine_out=50)
         assert s.spill_ratio == pytest.approx(1.0)
-
-
-class TestCostModel:
-    def test_tmax_tracks_maximum(self):
-        model = CostModel()
-        model.observe(make_stats(duration=5.0, index=1))
-        model.observe(make_stats(duration=12.0, index=2))
-        model.observe(make_stats(duration=8.0, index=3))
-        assert model.t_max(TaskType.MAP) == 12.0
-
-    def test_failed_tasks_do_not_move_tmax(self):
-        model = CostModel()
-        model.observe(make_stats(duration=5.0))
-        model.observe(make_stats(duration=50.0, failed=True))
-        assert model.t_max(TaskType.MAP) == 5.0
-
-    def test_tmax_per_task_type(self):
-        model = CostModel()
-        model.observe(make_stats(duration=5.0))
-        model.observe(make_stats(task_type=TaskType.REDUCE, duration=30.0, reduce_in=10))
-        assert model.t_max(TaskType.MAP) == 5.0
-        assert model.t_max(TaskType.REDUCE) == 30.0
-
-    def test_sample_costs_average(self):
-        model = CostModel()
-        model.observe(make_stats(duration=10.0, index=1), sample_key="a")
-        model.observe(make_stats(duration=10.0, cpu_seconds=10.0, index=2), sample_key="a")
-        assert model.evaluations("a") == 2
-        assert model.sample_cost("a") is not None
-
-    def test_unknown_sample_is_none(self):
-        assert CostModel().sample_cost("missing") is None
-
-    def test_best_sample(self):
-        model = CostModel()
-        model.observe(make_stats(duration=10.0, cpu_seconds=1.0, index=1), sample_key="bad")
-        model.observe(make_stats(duration=10.0, cpu_seconds=10.0, index=2), sample_key="good")
-        key, cost = model.best_sample(["bad", "good"])
-        assert key == "good"
-
-    def test_best_sample_empty(self):
-        assert CostModel().best_sample(["a"]) is None

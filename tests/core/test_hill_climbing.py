@@ -38,7 +38,6 @@ class TestSettings:
         assert st.neighborhood_threshold == 0.1
         assert st.shrink_factor == 0.75
         assert st.global_search_limit == 5
-        assert st.lhs_intervals == 24
 
     @pytest.mark.parametrize(
         "kwargs",

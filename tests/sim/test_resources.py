@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FlowScheduler, Link, Semaphore, Simulator, Store
+from repro.sim import FlowScheduler, Link, Semaphore, Simulator
 from repro.sim.engine import SimulationError
 from repro.sim.resources import Flow, maxmin_rates
 
@@ -386,63 +386,3 @@ class TestSemaphore:
         sem.release(2)
         sim.run()
         assert small.triggered
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        ev = store.get()
-        assert sim.run_until_complete(ev) == "x"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def putter():
-            yield sim.timeout(3.0)
-            store.put("late")
-
-        sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert got == [("late", 3.0)]
-
-    def test_fifo(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        evs = [store.get() for _ in range(3)]
-        sim.run()
-        assert [e.value for e in evs] == [0, 1, 2]
-
-    def test_fifo_with_waiting_getters(self):
-        # Getters queued before any item exists are served in arrival
-        # order as items trickle in.
-        sim = Simulator()
-        store = Store(sim)
-        evs = [store.get() for _ in range(4)]
-        for i in range(4):
-            store.put(i)
-        sim.run()
-        assert [e.value for e in evs] == [0, 1, 2, 3]
-        assert len(store) == 0
-
-    def test_interleaved_put_get_ordering(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("a")
-        g1 = store.get()
-        g2 = store.get()
-        store.put("b")
-        store.put("c")
-        sim.run()
-        assert (g1.value, g2.value) == ("a", "b")
-        assert len(store) == 1
