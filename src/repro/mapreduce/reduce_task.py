@@ -63,12 +63,13 @@ def _shuffle_with_recovery(
     """Per-source shuffle with Hadoop-style fetch-failure recovery.
 
     Active only when ``ctx.report_fetch_failure`` is armed (a plan with
-    network fault kinds).  Each segment is fetched from its *source* node through
-    :meth:`Network.fetch_from`, up to ``shuffle.parallelcopies`` at a
-    time; a fetch races a per-fetch timeout, retries with exponential
-    backoff on timeout or (flaky-window) connection failure, and after
-    the retry budget is spent the source lands in this reducer's
-    penalty box and one fetch-failure report goes to the AM.  A segment
+    network fault kinds).  Each segment is fetched from its *source*
+    node through :meth:`Network.fetch_from`, up to
+    ``shuffle.parallelcopies`` at a time; a fetch races a per-fetch
+    timeout, retries with exponential backoff on timeout or
+    (flaky-window) connection failure, and after the retry budget is
+    spent the source lands in this reducer's penalty box and one
+    fetch-failure report goes to the AM.  A segment
     whose output was declared lost stays pending until the re-executed
     map registers its replacement (cursor entries are never consumed
     twice: ``done``/``pending`` membership dedupes re-registrations).
