@@ -5,22 +5,20 @@ maps run ~0.5-23s, reduces ~23-67s, and every node hosts both kinds,
 so faults pinned inside those windows reliably destroy live work.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.node import NodeState
 from repro.cluster.topology import ClusterSpec
 from repro.core.configuration import Configuration
+from repro.core.tuner import OnlineTuner, TuningStrategy
 from repro.experiments.harness import SimCluster
 from repro.faults import Fault, FaultPlan
 from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.testing import assert_no_output_leaks
 from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import (
-    FaultToleranceSettings,
-    SpeculationSettings,
-    WaveGate,
-)
+from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
 
 MB = 1024**2
 
@@ -47,9 +45,9 @@ def small_spec(sc, blocks=8, reducers=4, slowstart=0.05):
     )
 
 
-def run_with_faults(sc, plan, gate=None, max_events=10_000_000):
+def run_with_faults(sc, plan, max_events=10_000_000):
     sc.inject_faults(plan=plan)
-    am = sc.submit(small_spec(sc), gate=gate)
+    am = sc.submit(small_spec(sc))
     result = sc.sim.run_until_complete(am.completion, max_events=max_events)
     return am, result
 
@@ -188,30 +186,39 @@ class TestSpeculation:
 
 
 class TestWaveGateRetries:
-    def test_wave_slots_survive_preemption(self):
-        # A kill mid-wave must release the victim's wave slot, or the
-        # next wave never opens and the job deadlocks (max_events trips).
+    """Kills under the aggressive tuner's wave gate.
+
+    A killed attempt must still be counted admitted and reported, or the
+    next wave never opens and the job deadlocks (max_events trips).
+    """
+
+    def run_tuned(self, plan):
         sc = small_cluster()
-        plan = FaultPlan(
-            (
-                Fault(time=5.0, kind="container_kill", node_id=0, count=2),
-                Fault(time=30.0, kind="container_kill", node_id=1),
-            )
-        )
-        gate = WaveGate(map_wave_size=4, reduce_wave_size=2)
-        _, result = run_with_faults(sc, plan, gate=gate)
+        sc.inject_faults(plan=plan)
+        tuner = OnlineTuner(TuningStrategy.AGGRESSIVE, rng=np.random.default_rng(0))
+        am = tuner.submit(sc, small_spec(sc))
+        result = sc.sim.run_until_complete(am.completion, max_events=10_000_000)
         assert result.succeeded
         assert result.counters[Counter.KILLED_TASK_ATTEMPTS] >= 1
         ok_maps = [s for s in result.stats_of(TaskType.MAP) if not s.failed]
         assert len(ok_maps) == 8
+        for state in am.gate.job.search_states.values():
+            assert state.admitted == state.stats_seen
+            assert state.admission_queue == []
+        assert_no_output_leaks(sc.hdfs)
+
+    def test_wave_slots_survive_preemption(self):
+        self.run_tuned(
+            FaultPlan(
+                (
+                    Fault(time=5.0, kind="container_kill", node_id=0, count=2),
+                    Fault(time=30.0, kind="container_kill", node_id=1),
+                )
+            )
+        )
 
     def test_wave_gate_with_node_crash(self):
-        sc = small_cluster()
-        plan = FaultPlan((Fault(time=30.0, kind="node_crash", node_id=1),))
-        gate = WaveGate(map_wave_size=4, reduce_wave_size=2)
-        _, result = run_with_faults(sc, plan, gate=gate)
-        assert result.succeeded
-        assert_no_output_leaks(sc.hdfs)
+        self.run_tuned(FaultPlan((Fault(time=30.0, kind="node_crash", node_id=1),)))
 
 
 class TestPermanentFailure:

@@ -1,25 +1,28 @@
 """Killing an attempt at every pre-launch stage leaves nothing behind.
 
-White-box: the job runs under a :class:`WaveGate` and the simulator is
-stepped one event at a time until some attempt's runner waits at the
-stage under test; that attempt is then killed through the app master's
-own kill path.  After the job completes, the gate, the request-token
-semaphores, the RM and the reduce ramp-up budget must all be back at
-rest, and every task must have committed exactly once.
+White-box: the job runs under a production gate -- the default
+:class:`LaunchGate`, or the gate an aggressive :class:`OnlineTuner`
+hands out -- and the simulator is stepped one event at a time until some
+attempt's runner waits at the stage under test; that attempt is then
+killed through the app master's own kill path.  After the job completes,
+the gate, the request-token semaphores, the RM and the reduce ramp-up
+budget must all be back at rest, and every task must have committed
+exactly once.
 """
 
 from collections import Counter
-from typing import Optional
 
+import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core import parameters as P
 from repro.core.configuration import Configuration
+from repro.core.tuner import OnlineTuner, TuningStrategy
 from repro.experiments.harness import SimCluster
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import FaultToleranceSettings, LaunchGate, WaveGate
+from repro.yarn.app_master import FaultToleranceSettings, LaunchGate
 from repro.yarn.node_manager import KillReason
 
 MB = 1024**2
@@ -39,16 +42,19 @@ def recording(method, sink):
 
 
 class Job:
-    """A gated job; by default one where every wait is reachable.
+    """A gated job; by default one where every wait past admission is reachable.
 
-    With 32 maps the map wave (24) exceeds the request-token depth (16),
-    so maps queue both at the gate and for tokens; 4 GB reducers started
-    at 5% slowstart outgrow the reduce ramp-up limit while maps remain.
+    With 32 maps and a request-token depth of 16, maps queue for tokens;
+    4 GB reducers started at 5% slowstart outgrow the reduce ramp-up
+    limit while maps remain.  The default :class:`LaunchGate` admits at
+    once, so no admission ever queues; ``tuned=True`` runs the job under
+    an aggressive tuner's gate instead, which queues admissions beyond
+    the open sample batch.
     """
 
     def __init__(
         self, maps: int = MAPS, reduces: int = REDUCES, slaves: int = 4,
-        reduce_mb: int = 4096, slowstart: float = 0.05, map_wave: Optional[int] = 24,
+        reduce_mb: int = 4096, slowstart: float = 0.05, tuned: bool = False,
     ) -> None:
         self.maps, self.reduces = maps, reduces
         self.sc = SimCluster(
@@ -69,13 +75,15 @@ class Job:
             name="t", workload=profile, input_path="/in", num_reducers=reduces,
             base_config=Configuration({P.REDUCE_MEMORY_MB: reduce_mb}), slowstart=slowstart,
         )
-        self.gate = (
-            LaunchGate() if map_wave is None
-            else WaveGate(map_wave_size=map_wave, reduce_wave_size=reduces)
-        )
+        self.tuner, provider, self.gate = None, None, LaunchGate()
+        if tuned:
+            self.tuner = OnlineTuner(TuningStrategy.AGGRESSIVE, rng=np.random.default_rng(0))
+            provider, self.gate = self.tuner.attach_job(spec)
         self.admits, self.tokens, self.grants = [], [], []
         self.gate.admit = recording(self.gate.admit, self.admits)
-        self.am = self.sc.submit(spec, gate=self.gate)
+        self.am = self.sc.submit(spec, config_provider=provider, gate=self.gate)
+        if tuned:
+            self.am.stats_listeners.append(self.tuner.on_task_stats)
         for sem in self.am._request_tokens.values():
             sem.acquire = recording(sem.acquire, self.tokens)
         self.sc.rm.allocate = recording(self.sc.rm.allocate, self.grants)
@@ -155,9 +163,10 @@ def assert_at_rest(job, result):
     am, rm = job.am, job.sc.rm
     assert result.succeeded
     for ttype in (TaskType.MAP, TaskType.REDUCE):
-        if isinstance(job.gate, WaveGate):
-            assert job.gate.outstanding(ttype) == 0
-            assert job.gate._states[ttype].queue == []
+        if job.tuner is not None:
+            state = job.gate.job.search_states[ttype]
+            assert state.admitted == state.stats_seen
+            assert state.admission_queue == []
         sem = am._request_tokens[ttype]
         assert sem.in_use == 0 and not sem._waiters
     assert rm._grants == {}  # no request left pending for the app
@@ -177,14 +186,28 @@ def stats_of(result, run, attempt):
     return stats
 
 
-@pytest.mark.parametrize("stage", sorted(STAGES))
-def test_kill_at_stage_rolls_back_everything(stage):
-    job = Job()
-    run, attempt, _ev = job.step_until(stage)
+#: Every stage under the default gate, which never queues an admission;
+#: both admission stages under the tuner's gate too.
+CASES = [
+    pytest.param(stage, False, id=stage)
+    for stage in sorted(STAGES) if stage != "admission-queued"
+] + [
+    pytest.param("admission-queued", True, id="admission-queued"),
+    pytest.param("admission-scheduled", True, id="admission-scheduled-tuned"),
+]
+
+
+@pytest.mark.parametrize("stage, tuned", CASES)
+def test_kill_at_stage_rolls_back_everything(stage, tuned):
+    job = Job(tuned=tuned)
+    run, attempt, ev = job.step_until(stage)
+    withdrawn = queued(ev)
     job.am._kill_attempt(attempt, KILL)
     result = job.sc.sim.run_until_complete(job.am.completion)
     stats = stats_of(result, run, attempt)
     assert stats.failed and stats.failure_kind == "preempted"
+    if withdrawn:
+        assert not ev.triggered  # never granted to the dead attempt
     assert_at_rest(job, result)
 
 

@@ -67,14 +67,12 @@ class ObservedAppMaster(MRAppMaster):
 def job_shape(seed: int):
     """``Job`` arguments, and which reduce launch to kill (0 for none)."""
     rng = random.Random(seed)
-    maps = rng.randint(8, 96)
     shape = {
-        "maps": maps,
+        "maps": rng.randint(8, 96),
         "reduces": rng.randint(2, 24),
         "slaves": rng.randint(3, 6),
         "reduce_mb": rng.choice((2048, 3072, 4096, 5120)),
         "slowstart": rng.choice((0.0, 0.05, 0.05, 0.2, 0.5)),
-        "map_wave": rng.choice((None, 24, maps)),
     }
     return shape, rng.choice((0, 1, 2, 4))
 
