@@ -5,6 +5,6 @@ See :mod:`repro.backends.base` for the protocol,
 :mod:`repro.backends.local` for the real local-process runtime.
 """
 
-from repro.backends.base import BACKEND_NAMES, Backend, JobHandle, make_backend
+from repro.backends.base import BACKEND_NAMES, Backend, JobHandle
 
-__all__ = ["BACKEND_NAMES", "Backend", "JobHandle", "make_backend"]
+__all__ = ["BACKEND_NAMES", "Backend", "JobHandle"]

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.yarn.app_master import ConfigProvider, JobResult, LaunchGate
 
 
-#: Names accepted by :func:`make_backend` (and the CLI's ``--backend``).
+#: The runtimes ``repro serve --backend`` accepts.
 BACKEND_NAMES: Tuple[str, ...] = ("sim", "local")
 
 
@@ -106,21 +106,3 @@ class Backend(Protocol):
         """Release backend resources (worker pools, scratch space)."""
         ...
 
-
-def make_backend(name: str, **kwargs) -> Backend:
-    """Build a backend by registry name.
-
-    ``"sim"`` accepts the :class:`~repro.experiments.harness.SimCluster`
-    constructor keywords (``seed``, ``scheduler``, ...); ``"local"``
-    accepts the :class:`~repro.backends.local.LocalProcessBackend`
-    keywords (``workspace``, ``slots``, ...).
-    """
-    if name == "sim":
-        from repro.backends.sim import SimBackend
-
-        return SimBackend(**kwargs)
-    if name == "local":
-        from repro.backends.local import LocalProcessBackend
-
-        return LocalProcessBackend(**kwargs)
-    raise ValueError(f"unknown backend {name!r}, want one of {BACKEND_NAMES}")

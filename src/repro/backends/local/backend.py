@@ -221,7 +221,7 @@ class LocalProcessBackend:
         self.sim.attach_telemetry(self.telemetry)
         #: The same monitor class the simulator feeds, subscribed to the
         #: same ``stats``/``node`` bus categories.
-        self.monitor = CentralMonitor(self.sim, bus=self.telemetry)
+        self.monitor = CentralMonitor(bus=self.telemetry)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
         self._handles: List[LocalJobHandle] = []
@@ -571,7 +571,6 @@ class LocalProcessBackend:
                 stats = self._to_task_stats(
                     task_id_of(index), task_type, report, config, knobs, wave
                 )
-                gate.task_completed(task_type)
                 retry = report.failed and attempts[index] < MAX_ATTEMPTS
                 if report.failed:
                     counters.increment(Counter.FAILED_TASK_ATTEMPTS)

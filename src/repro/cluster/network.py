@@ -94,9 +94,9 @@ class Network:
             raise ValueError(f"NIC factor must be in (0, 1], got {factor}")
         if node_id in self._nic_frozen:
             return
-        cap = self._base_nic[node_id] * factor
-        self.scheduler.set_link_capacity(self._tx[node_id], cap)
-        self.scheduler.set_link_capacity(self._rx[node_id], cap)
+        bw = self._base_nic[node_id] * factor
+        self.scheduler.set_link_capacity(self._tx[node_id], bw)
+        self.scheduler.set_link_capacity(self._rx[node_id], bw)
 
     def restore_node_nic(self, node_id: int) -> None:
         """Heal a degraded NIC back to nominal (no-op once frozen)."""
@@ -130,60 +130,18 @@ class Network:
         src: Node,
         dst: Node,
         nbytes: float,
-        cap: Optional[float] = None,
+        extra_links: Sequence[Link] = (),
         label: str = "",
     ) -> Event:
         """Stream *nbytes* from *src* to *dst*; returns a completion event.
 
-        Node-local "transfers" bypass the fabric entirely (loopback) and
-        complete on the next calendar step, matching how Hadoop serves
-        node-local shuffle segments from the local filesystem.
-        """
-        if src.node_id == dst.node_id:
-            ev = self.sim.event()
-            ev.succeed(0.0)
-            return ev
-        links: List[Link] = [self._tx[src.node_id]]
-        if src.rack != dst.rack:
-            links.append(self._uplink[src.rack])
-            links.append(self._uplink[dst.rack])
-        links.append(self._rx[dst.node_id])
-        return self.scheduler.transfer(links, nbytes, cap=cap, label=label)
-
-    def fetch_into(
-        self,
-        dst: Node,
-        nbytes: float,
-        cap: Optional[float] = None,
-        extra_links: Sequence[Link] = (),
-        label: str = "",
-    ) -> Event:
-        """An aggregated many-sources-to-one fetch (shuffle rounds).
-
-        The flow is charged to the destination's RX link and the fabric
-        core (sources are spread out, so no single TX link binds); the
-        caller may thread extra links through, e.g. a per-reducer copier
-        link whose capacity encodes ``shuffle.parallelcopies``.
-        """
-        links: List[Link] = [self._core, self._rx[dst.node_id], *extra_links]
-        return self.scheduler.transfer(links, nbytes, cap=cap, label=label)
-
-    def fetch_from(
-        self,
-        src: Node,
-        dst: Node,
-        nbytes: float,
-        cap: Optional[float] = None,
-        extra_links: Sequence[Link] = (),
-        label: str = "",
-    ) -> Event:
-        """One source-attributed shuffle fetch (gray-failure fetch path).
-
-        Unlike :meth:`fetch_into`, the flow traverses the *source*'s TX
-        link (plus both rack uplinks when it crosses racks), so a
-        degraded NIC or partitioned rack stalls exactly the fetches that
-        touch it.  Node-local segments bypass the fabric like
-        :meth:`transfer`.
+        The flow traverses the source's TX link, both rack uplinks when
+        it crosses racks, the destination's RX link, then *extra_links*
+        (e.g. a reducer's copier link), so a degraded NIC or partitioned
+        rack stalls exactly the transfers that touch it.  Node-local
+        "transfers" bypass the fabric entirely (loopback) and complete
+        on the next calendar step, matching how Hadoop serves node-local
+        shuffle segments from the local filesystem.
         """
         if src.node_id == dst.node_id:
             ev = self.sim.event()
@@ -195,7 +153,24 @@ class Network:
             links.append(self._uplink[dst.rack])
         links.append(self._rx[dst.node_id])
         links.extend(extra_links)
-        return self.scheduler.transfer(links, nbytes, cap=cap, label=label)
+        return self.scheduler.transfer(links, nbytes, label=label)
+
+    def fetch_into(
+        self,
+        dst: Node,
+        nbytes: float,
+        extra_links: Sequence[Link] = (),
+        label: str = "",
+    ) -> Event:
+        """An aggregated many-sources-to-one fetch (shuffle rounds).
+
+        The flow is charged to the destination's RX link and the fabric
+        core (sources are spread out, so no single TX link binds); the
+        caller may thread extra links through, e.g. a per-reducer copier
+        link whose capacity encodes ``shuffle.parallelcopies``.
+        """
+        links: List[Link] = [self._core, self._rx[dst.node_id], *extra_links]
+        return self.scheduler.transfer(links, nbytes, label=label)
 
     # -- monitoring -------------------------------------------------------
     def nic_utilizations(self, nodes: Sequence[Node]) -> List[Tuple[float, float]]:

@@ -44,26 +44,6 @@ OPTIMIZER_BACKENDS = ("hill_climb", "spsa", "random", "lhs")
 DEFAULT_OPTIMIZER = "hill_climb"
 
 
-def optimizer_settings(name: str, options: Optional[dict] = None):
-    """Build *name*'s settings object from keyword *options*."""
-    opts = dict(options or {})
-    if name == "hill_climb":
-        from repro.core.hill_climbing import HillClimbSettings
-
-        return HillClimbSettings(**opts)
-    if name == "spsa":
-        from repro.core.optimizers.spsa import SpsaSettings
-
-        return SpsaSettings(**opts)
-    if name in ("random", "lhs"):
-        from repro.core.optimizers.random_search import RandomSearchSettings
-
-        return RandomSearchSettings(**opts)
-    raise ValueError(
-        f"unknown optimizer backend {name!r}, want one of {OPTIMIZER_BACKENDS}"
-    )
-
-
 def make_optimizer(
     name: str,
     space: ParameterSpace,
@@ -126,6 +106,5 @@ __all__ = [
     "WaveOptimizer",
     "make_optimizer",
     "next_sample_id",
-    "optimizer_settings",
     "uniform_sample",
 ]

@@ -36,6 +36,7 @@ from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType
 from repro.monitor.statistics import TaskStats
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
+from repro.telemetry.events import RuleFired, SearchDecision, TunerRollback, WaveOpened
 from repro.yarn.app_master import LaunchGate, MRAppMaster
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,6 +64,9 @@ REDUCE_TUNABLE = [
 ]
 
 
+#: Conservative strategy: completed tasks per rule-update window.
+CONSERVATIVE_WINDOW = 16
+
 #: Rule-log text of a voided wave, by reason (see OnlineTuner._void_wave).
 _VOID_LINES = {
     "capacity": "rolled back (capacity-shifted: cluster membership changed mid-wave)",
@@ -83,8 +87,6 @@ class TuningStrategy(enum.Enum):
 @dataclass(frozen=True)
 class TunerSettings:
     hill_climb: HillClimbSettings = field(default_factory=HillClimbSettings)
-    #: Conservative strategy: completed tasks per rule-update window.
-    conservative_window: int = 16
     #: Warm-start searches from the knowledge base when possible.
     use_knowledge_base: bool = True
     #: Aggressive-strategy search backend (see repro.core.optimizers).
@@ -195,9 +197,6 @@ class _TunerGate(LaunchGate):
             state.admission_queue.append(ev)
         return ev
 
-    def task_completed(self, task_type: TaskType) -> None:
-        pass  # replenishment happens per batch, on statistics arrival
-
     def retract(self, task_type: TaskType, admit_event: Event) -> None:
         state = self.job.search_states[task_type]
         if admit_event in state.admission_queue:
@@ -230,7 +229,6 @@ class OnlineTuner:
         rng: Optional[np.random.Generator] = None,
         rules: Optional[List[TuningRule]] = None,
         knowledge_base: Optional[TuningKnowledgeBase] = None,
-        configurator: Optional[DynamicConfigurator] = None,
     ) -> None:
         self.strategy = strategy
         self.settings = settings or TunerSettings()
@@ -241,7 +239,7 @@ class OnlineTuner:
         self.knowledge_base = (
             knowledge_base if knowledge_base is not None else TuningKnowledgeBase()
         )
-        self.configurator = configurator or DynamicConfigurator()
+        self.configurator = DynamicConfigurator()
         self._jobs: Dict[str, _JobTuning] = {}
         #: job id -> the knowledge-base configuration that seeded its
         #: search (None on a cold start).  The tuning service reads this
@@ -334,8 +332,6 @@ class OnlineTuner:
         task_type = state.task_type.value
 
         def forward(decision: str, info: Dict[str, object]) -> None:
-            from repro.telemetry.events import SearchDecision
-
             tel.emit(
                 SearchDecision(
                     time=tel.now,
@@ -585,8 +581,6 @@ class OnlineTuner:
         state.quarantine_mark = len(self.quarantine_windows)
         tel = self._tel()
         if tel is not None:
-            from repro.telemetry.events import WaveOpened
-
             tel.emit(
                 WaveOpened(
                     time=tel.now,
@@ -695,8 +689,6 @@ class OnlineTuner:
             lines = rule.adjust_bounds(ctx)
             state.rule_log.extend(lines)
             if tel is not None and lines:
-                from repro.telemetry.events import RuleFired
-
                 for line in lines:
                     tel.emit(
                         RuleFired(
@@ -769,8 +761,6 @@ class OnlineTuner:
         state.rule_log.append(f"wave {state.wave}: {line}")
         tel = self._tel()
         if tel is not None:
-            from repro.telemetry.events import TunerRollback
-
             tel.emit(
                 TunerRollback(
                     time=tel.now,
@@ -796,7 +786,7 @@ class OnlineTuner:
             # but no rule updates fire until the tuner restarts.
             return
         state.window.append(stats)
-        if len(state.window) < self.settings.conservative_window:
+        if len(state.window) < CONSERVATIVE_WINDOW:
             return
         config = self.configurator.job_config(job.spec.job_id)
         ctx = RuleContext(
@@ -835,8 +825,6 @@ class OnlineTuner:
                 state.rule_log.append(line)
                 tel = self._tel()
                 if tel is not None:
-                    from repro.telemetry.events import RuleFired
-
                     tel.emit(
                         RuleFired(
                             time=tel.now,

@@ -10,7 +10,7 @@ report the average") is :func:`repro.experiments.parallel.map_seeds`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.mapreduce.jobspec import JobSpec
 from repro.monitor.central_monitor import CentralMonitor
 from repro.monitor.slave_monitor import SlaveMonitor
 from repro.sim.engine import Simulator
-from repro.sim.events import AllOf
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.telemetry import TelemetryBus
 from repro.yarn.app_master import (
@@ -73,7 +72,7 @@ class SimCluster:
         }
         # The central monitor consumes the ``stats``/``node`` feeds off
         # the bus; the slave monitor publishes its samples there.
-        self.monitor = CentralMonitor(self.sim, bus=self.telemetry)
+        self.monitor = CentralMonitor(bus=self.telemetry)
         #: Samples every node on one timer per start; ``None`` when the
         #: harness runs without monitors.
         self.slave_monitor: Optional[SlaveMonitor] = None
@@ -183,11 +182,6 @@ class SimCluster:
         """Submit one job and run the simulation until it completes."""
         am = self.submit(spec, config_provider=config_provider, gate=gate)
         return self.sim.run_until_complete(am.completion)
-
-    def run_jobs(self, ams: Sequence[MRAppMaster]) -> List[JobResult]:
-        """Run until every submitted job completes."""
-        done = AllOf(self.sim, [am.completion for am in ams])
-        return list(self.sim.run_until_complete(done))
 
 
 class JobFailedError(RuntimeError):

@@ -30,9 +30,10 @@ is byte-identical to before this module existed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.faults.plan import CONTROL_FAULT_KINDS, Fault
+from repro.telemetry.events import MonitorOutage, StatsGap, TunerCrash, TunerRecovered
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.central_monitor import CentralMonitor
@@ -46,7 +47,7 @@ class ControlPlaneState:
     feeds it faults), the tuner(s) (which register to receive
     crash/recover callbacks) and the central monitor (which it blacks
     out during outages).  All three hooks are optional: a simulation
-    with no tuner still applies the faults and records the windows.
+    with no tuner still applies the faults.
     """
 
     def __init__(
@@ -61,10 +62,6 @@ class ControlPlaneState:
         #: Simulated time the tuner process restarts; overlapping
         #: crashes extend it.
         self.down_until = 0.0
-        #: Applied (start, end) windows per kind, for tests/reports.
-        self.crashes: List[Tuple[float, float]] = []
-        self.outages: List[Tuple[float, float]] = []
-        self.gaps: List[Tuple[int, float, float]] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -93,14 +90,12 @@ class ControlPlaneState:
         if fault.kind == "tuner_crash":
             return self._apply_tuner_crash(fault, now, end)
         if fault.kind == "monitor_outage":
-            self.outages.append((now, end))
             if self.monitor is not None:
                 self.monitor.begin_gap(now, end)
             for tuner in self.tuners:
                 tuner.note_control_outage(now, end)
             self._emit_outage(fault, end)
             return fault.describe()
-        self.gaps.append((fault.node_id, now, end))
         if self.monitor is not None:
             self.monitor.begin_gap(now, end, node_id=fault.node_id)
         self._emit_outage(fault, end)
@@ -108,7 +103,6 @@ class ControlPlaneState:
 
     def _apply_tuner_crash(self, fault: Fault, now: float, end: float) -> str:
         self.down_until = max(self.down_until, end)
-        self.crashes.append((now, end))
         open_searches = sum(t.open_search_count() for t in self.tuners)
         voided = 0
         for tuner in self.tuners:
@@ -116,8 +110,6 @@ class ControlPlaneState:
         self.sim.call_at(end, lambda start=now: self._recover(start))
         tel = getattr(self.sim, "telemetry", None)
         if tel is not None and tel.wants("tuner"):
-            from repro.telemetry.events import TunerCrash
-
             tel.emit(
                 TunerCrash(
                     time=now,
@@ -138,8 +130,6 @@ class ControlPlaneState:
             reopened += tuner.on_tuner_recover(now)
         tel = getattr(self.sim, "telemetry", None)
         if tel is not None and tel.wants("tuner"):
-            from repro.telemetry.events import TunerRecovered
-
             tel.emit(
                 TunerRecovered(
                     time=now,
@@ -152,8 +142,6 @@ class ControlPlaneState:
         tel = getattr(self.sim, "telemetry", None)
         if tel is None or not tel.wants("fault"):
             return
-        from repro.telemetry.events import MonitorOutage, StatsGap
-
         if fault.kind == "monitor_outage":
             tel.emit(MonitorOutage(time=self.sim.now, until=end))
         else:

@@ -36,6 +36,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.node import NodeState
+from repro.telemetry.events import (
+    CapacityChange,
+    NodeDecommission,
+    NodeJoin,
+    PreemptKill,
+    PreemptNotice,
+)
 from repro.yarn.node_manager import KillReason, NodeManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,8 +104,6 @@ class ElasticCluster:
         node.state = NodeState.DRAINING
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import NodeDecommission
-
             tel.emit(
                 NodeDecommission(
                     time=self.sim.now,
@@ -135,8 +140,6 @@ class ElasticCluster:
         self.joined.append(node.node_id)
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import NodeJoin
-
             tel.emit(NodeJoin(time=self.sim.now, node_id=node.node_id, rack=rack))
             tel.increment("elastic.joins")
         self._emit_capacity_change(node.node_id, "join")
@@ -159,8 +162,6 @@ class ElasticCluster:
         deadline = self.sim.now + grace
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import PreemptNotice
-
             tel.emit(
                 PreemptNotice(
                     time=self.sim.now,
@@ -189,8 +190,6 @@ class ElasticCluster:
         )
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import PreemptKill
-
             tel.emit(
                 PreemptKill(time=self.sim.now, node_id=node_id, killed_containers=killed)
             )
@@ -216,8 +215,6 @@ class ElasticCluster:
     def _emit_capacity_change(self, node_id: int, action: str) -> None:
         tel = self.sim.telemetry
         if tel is not None and tel.wants("node"):
-            from repro.telemetry.events import CapacityChange
-
             tel.emit(
                 CapacityChange(
                     time=self.sim.now,

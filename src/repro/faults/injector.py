@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.faults.plan import CONTROL_FAULT_KINDS, Fault, FaultPlan
+from repro.telemetry.events import FaultInjected
 from repro.yarn.node_manager import KillReason, NodeManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,8 +121,6 @@ class FaultInjector:
     def _emit(self, fault: Fault, applied: bool, detail: str) -> None:
         tel = self.sim.telemetry
         if tel is not None and tel.wants("fault"):
-            from repro.telemetry.events import FaultInjected
-
             tel.emit(
                 FaultInjected(
                     time=self.sim.now,

@@ -61,6 +61,9 @@ ELASTIC_FAULT_KINDS = frozenset({"node_decommission", "node_join", "spot_preempt
 #: digest stays byte-identical.
 CONTROL_FAULT_KINDS = frozenset({"tuner_crash", "monitor_outage", "stats_gap"})
 
+#: Range of the CPU and disk speed factors a generated ``degrade`` draws.
+DEGRADE_SPAN = (0.35, 0.75)
+
 
 @dataclass(frozen=True)
 class Fault:
@@ -311,7 +314,6 @@ def generate_fault_plan(
     crashes: int = 0,
     container_kills: int = 0,
     degraded: int = 0,
-    degrade_span: Tuple[float, float] = (0.35, 0.75),
     link_degraded: int = 0,
     link_flaky: int = 0,
     rack_partitions: int = 0,
@@ -370,9 +372,6 @@ def generate_fault_plan(
             f"{crashes} crash(es) + {degraded} degraded node(s) needs at least "
             f"{crashes + degraded + 1} nodes, have {num_nodes}"
         )
-    lo, hi = degrade_span
-    if not (0.0 < lo <= hi <= 1.0):
-        raise ValueError(f"degrade_span must satisfy 0 < lo <= hi <= 1, got {degrade_span}")
 
     faults: List[Fault] = []
     picked = rng.choice(num_nodes, size=crashes + degraded, replace=False)
@@ -381,6 +380,7 @@ def generate_fault_plan(
     for node_id in crash_nodes:
         t = float(rng.uniform(0.15, 0.60)) * horizon
         faults.append(Fault(time=t, kind="node_crash", node_id=node_id))
+    lo, hi = DEGRADE_SPAN
     for node_id in degrade_nodes:
         t = float(rng.uniform(0.05, 0.30)) * horizon
         faults.append(

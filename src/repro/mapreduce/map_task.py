@@ -23,6 +23,7 @@ from repro.mapreduce.sortspill import plan_map_spills
 from repro.mapreduce.task_context import TaskContext
 from repro.monitor.statistics import TaskStats
 from repro.sim.events import AllOf, Event
+from repro.telemetry.events import TaskPhaseSpan
 
 MB = 1024 * 1024
 
@@ -51,8 +52,6 @@ def run_map_task(
         tel = None  # phase spans off: emission sites reduce to a None check
 
     def _span(name: str, phase_start: float, **detail: object) -> None:
-        from repro.telemetry.events import TaskPhaseSpan
-
         tel.emit(
             TaskPhaseSpan(
                 time=sim.now,

@@ -36,6 +36,7 @@ from repro.mapreduce.task_context import TaskContext
 from repro.monitor.statistics import TaskStats
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt
 from repro.sim.resources import Link
+from repro.telemetry.events import FetchRetry, TaskPhaseSpan
 from repro.util.backoff import BackoffPolicy
 
 MB = 1024 * 1024
@@ -64,7 +65,7 @@ def _shuffle_with_recovery(
 
     Active only when ``ctx.report_fetch_failure`` is armed (a plan with
     network fault kinds).  Each segment is fetched from its *source*
-    node through :meth:`Network.fetch_from`, up to
+    node through :meth:`Network.transfer`, up to
     ``shuffle.parallelcopies`` at a time; a fetch races a per-fetch
     timeout, retries with exponential backoff on timeout or
     (flaky-window) connection failure, and after the retry budget is
@@ -117,7 +118,7 @@ def _shuffle_with_recovery(
                 # draw identical (m, seq) pairs, and the timeout cancel
                 # below must never abandon the sibling's flow.
                 label = f"{task_id}.a{attempt}.shuffle.m{m}.f{seq}"
-                flow = network.fetch_from(
+                flow = network.transfer(
                     src, node, nbytes, extra_links=[copier_link], label=label
                 )
                 idx, _value = yield AnyOf(sim, [flow, sim.timeout(FETCH_TIMEOUT)])
@@ -131,8 +132,6 @@ def _shuffle_with_recovery(
             if bus is not None:
                 bus.increment("shuffle.fetch_retries")
             if task_tel:
-                from repro.telemetry.events import FetchRetry
-
                 bus.emit(
                     FetchRetry(
                         time=sim.now,
@@ -229,8 +228,6 @@ def run_reduce_task(
         tel = None  # phase spans off: emission sites reduce to a None check
 
     def _span(name: str, phase_start: float, **detail: object) -> None:
-        from repro.telemetry.events import TaskPhaseSpan
-
         tel.emit(
             TaskPhaseSpan(
                 time=sim.now,

@@ -13,7 +13,6 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
-from repro.sim.engine import Simulator
 from repro.telemetry.events import CapacityChange, NodeSampled, TaskStatsRecorded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,8 +29,7 @@ class CentralMonitor:
     :class:`~repro.experiments.harness.SimCluster` wires it).
     """
 
-    def __init__(self, sim: Simulator, bus: Optional["TelemetryBus"] = None) -> None:
-        self.sim = sim
+    def __init__(self, bus: Optional["TelemetryBus"] = None) -> None:
         self.task_stats: List[TaskStats] = []
         self.node_samples: List[NodeStats] = []
         self.cpu_timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)

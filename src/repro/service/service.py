@@ -33,6 +33,13 @@ from repro.service.arrivals import JobArrival, TenantSpec, generate_arrivals
 from repro.service.queues import FairShareDispatcher
 from repro.service.report import CompletedJob, ServiceReport, build_report
 from repro.service.tuner_service import TunerService
+from repro.telemetry.events import (
+    ServiceJobCompleted,
+    ServiceJobDispatched,
+    ServiceJobQueued,
+    ServicePreemption,
+    ServiceSteadyState,
+)
 from repro.workloads.suite import make_job_spec, service_case
 
 #: Tenant templates for :func:`default_tenants`, cycled in order:
@@ -276,13 +283,6 @@ def run_service(config: ServiceConfig, backend=None) -> ServiceReport:
     """
     from repro.backends.sim import SimBackend
     from repro.recovery import JournalDivergence
-    from repro.telemetry.events import (
-        ServiceJobCompleted,
-        ServiceJobDispatched,
-        ServiceJobQueued,
-        ServicePreemption,
-        ServiceSteadyState,
-    )
 
     if backend is None:
         backend = SimBackend(seed=config.seed, scheduler="fair")

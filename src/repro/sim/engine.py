@@ -1,22 +1,22 @@
 """The event calendar and simulated clock.
 
 The :class:`Simulator` owns a binary-heap event calendar keyed by
-``(time, priority, sequence)``.  The sequence number makes event ordering
-total and deterministic, which in turn makes every experiment in this
+``(time, sequence)``.  The sequence number makes event ordering total
+and deterministic, which in turn makes every experiment in this
 repository reproducible bit-for-bit under a fixed seed.
 
 Hot-path notes: :meth:`Simulator.run` and
 :meth:`Simulator.run_until_complete` inline the pop-and-fire loop of
-:meth:`Simulator.step` with the heap bound to locals, the telemetry
-event class is imported once and cached at module level (the per-event
-``from ... import`` was measurable), and ``repr(event)`` is only built
-when a telemetry consumer actually exists.
+:meth:`Simulator.step` with the heap bound to locals, and
+``repr(event)`` is only built when a telemetry consumer actually exists.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+
+from repro.telemetry.events import ProcessFinished, ProcessStarted, SimEventExecuted
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.events import Event, Process, Timeout
@@ -27,14 +27,12 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
-# Lazily-imported collaborator classes.  ``repro.sim.events`` and
-# ``repro.telemetry.events`` both import this module, so the imports
-# cannot sit at module scope; caching them here keeps the per-call
-# import machinery out of the hot paths.
+# Lazily-imported collaborator classes.  ``repro.sim.events`` imports
+# this module, so the import cannot sit at module scope; caching them
+# here keeps the per-call import machinery out of the hot paths.
 _EVENT_CLS = None
 _TIMEOUT_CLS = None
 _PROCESS_CLS = None
-_SIM_EVENT_EXECUTED_CLS = None
 
 
 def _event_classes():
@@ -44,15 +42,6 @@ def _event_classes():
 
         _EVENT_CLS, _TIMEOUT_CLS, _PROCESS_CLS = Event, Timeout, Process
     return _EVENT_CLS, _TIMEOUT_CLS, _PROCESS_CLS
-
-
-def _sim_event_executed_cls():
-    global _SIM_EVENT_EXECUTED_CLS
-    if _SIM_EVENT_EXECUTED_CLS is None:
-        from repro.telemetry.events import SimEventExecuted
-
-        _SIM_EVENT_EXECUTED_CLS = SimEventExecuted
-    return _SIM_EVENT_EXECUTED_CLS
 
 
 class Simulator:
@@ -65,7 +54,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq: int = 0
         self._running = False
         #: Number of events executed so far (diagnostic counter).
@@ -90,12 +79,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(self, event: "Event", delay: float = 0.0, priority: int = 0) -> None:
+    def schedule(self, event: "Event", delay: float = 0.0) -> None:
         """Schedule *event* to fire ``delay`` seconds from now.
 
         Negative delays are rejected: the calendar never travels back in
-        time.  ``priority`` breaks ties at equal timestamps (lower runs
-        first); the insertion sequence breaks any remaining ties.
+        time.  The insertion sequence breaks ties at equal timestamps.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay!r})")
@@ -103,7 +91,7 @@ class Simulator:
             raise SimulationError(f"event {event!r} is already scheduled")
         event.scheduled = True
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
 
     def reserve_seq(self) -> int:
         """Take the next sequence number now, for an event pushed later.
@@ -124,7 +112,7 @@ class Simulator:
         if event.scheduled:
             raise SimulationError(f"event {event!r} is already scheduled")
         event.scheduled = True
-        heapq.heappush(self._queue, (when, 0, seq, event))
+        heapq.heappush(self._queue, (when, seq, event))
 
     def timeout(self, delay: float, value: Any = None) -> "Timeout":
         """Return a :class:`Timeout` event firing after *delay* seconds."""
@@ -141,8 +129,6 @@ class Simulator:
         proc = _event_classes()[2](self, generator, name=name)
         tel = self.telemetry
         if tel is not None and tel.sim_events_wanted:
-            from repro.telemetry.events import ProcessFinished, ProcessStarted
-
             tel.emit(ProcessStarted(time=self._now, name=proc.name))
             proc.callbacks.append(
                 lambda ev: tel.emit(
@@ -168,14 +154,14 @@ class Simulator:
         self.events_executed += 1
         tel = self.telemetry
         if tel is not None and tel.sim_events_wanted:
-            tel.emit(_sim_event_executed_cls()(time=when, description=repr(event)))
+            tel.emit(SimEventExecuted(time=when, description=repr(event)))
         event.fire()
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the calendar is empty."""
         queue = self._queue
         while queue:
-            when, _prio, _seq, event = heapq.heappop(queue)
+            when, _seq, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
             self._execute(when, event)
@@ -214,7 +200,7 @@ class Simulator:
                 # Inlined step(): pop until one live event fires.
                 fired = False
                 while queue:
-                    when, _prio, _seq, event = heappop(queue)
+                    when, _seq, event = heappop(queue)
                     if event.cancelled:
                         continue
                     execute(when, event)
@@ -248,7 +234,7 @@ class Simulator:
             # Inlined step(): pop until one live event fires.
             fired = False
             while queue:
-                when, _prio, _seq, popped = heappop(queue)
+                when, _seq, popped = heappop(queue)
                 if popped.cancelled:
                     continue
                 execute(when, popped)

@@ -45,20 +45,20 @@ class Event:
         self.cancelled = False
 
     # -- state transitions ---------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Mark the event successful and schedule it to fire."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Mark the event successful and schedule it to fire now."""
         if self.triggered or self.scheduled:
             raise SimulationError(f"{self!r} already triggered or scheduled")
         self.value = value
-        self.sim.schedule(self, delay)
+        self.sim.schedule(self)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Mark the event failed and schedule it to fire."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Mark the event failed and schedule it to fire now."""
         if self.triggered or self.scheduled:
             raise SimulationError(f"{self!r} already triggered or scheduled")
         self.exception = exception
-        self.sim.schedule(self, delay)
+        self.sim.schedule(self)
         return self
 
     def cancel(self) -> None:

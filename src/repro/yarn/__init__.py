@@ -6,7 +6,7 @@ different memory/vcore grant per request, FIFO-with-priorities and
 fair-share policies, and locality-preferring placement.
 """
 
-from repro.yarn.app_master import LaunchGate, MRAppMaster, WaveGate
+from repro.yarn.app_master import LaunchGate, MRAppMaster
 from repro.yarn.fair_scheduler import FairScheduler
 from repro.yarn.node_manager import NodeManager
 from repro.yarn.records import ContainerRequest, Priority, Resource
@@ -24,5 +24,4 @@ __all__ = [
     "Resource",
     "ResourceManager",
     "SchedulerBase",
-    "WaveGate",
 ]

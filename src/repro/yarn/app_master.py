@@ -18,8 +18,8 @@ Two seams let MRONLINE plug in without the AM knowing about tuning:
   it), and
 * a **launch gate** controls when a task may be requested.  The default
   gate admits immediately (conservative tuning "does not interrupt the
-  application task scheduling sequence"); the :class:`WaveGate`
-  implements aggressive tuning's hold-the-next-wave behaviour.
+  application task scheduling sequence"); the aggressive tuner's gate
+  holds the next wave until the current one's statistics are in.
 
 Fault tolerance mirrors Hadoop's MRAppMaster: attempts lost to a dead
 node or a preemption are re-executed (with their own retry budget,
@@ -55,12 +55,27 @@ from repro.monitor.statistics import ENVIRONMENTAL_KINDS, ProgressBoard, TaskSta
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Interrupt, Process
 from repro.sim.resources import Semaphore
+from repro.telemetry.events import (
+    AttemptRetry,
+    AttemptSpan,
+    FetchFailureReport,
+    JobFinished,
+    JobSubmitted,
+    MapOutputLost,
+    NodeBlacklisted,
+    SpeculativeLaunch,
+    TaskStatsRecorded,
+)
 from repro.yarn.node_manager import KillReason, NodeManager
 from repro.yarn.records import ContainerRequest, Priority, Resource
 from repro.yarn.resource_manager import ResourceManager
 
 #: Config-failure ladder: tuned/task config, then the safe fallback.
 MAX_TASK_ATTEMPTS = 2
+#: Re-executions after kills (preemption, node loss) per task.
+MAX_ENV_RETRIES = 4
+#: Environmental failures on one node before the AM blacklists it.
+BLACKLIST_THRESHOLD = 3
 #: Fetch-failure reports against one map output before the AM declares
 #: it lost and re-executes the map (capped at the number of reducers,
 #: so small jobs still converge).
@@ -87,12 +102,8 @@ class SpeculationSettings:
 
 @dataclass(frozen=True)
 class FaultToleranceSettings:
-    """Retry, blacklist, and speculation policy for one job."""
+    """Speculation policy for one job."""
 
-    #: Re-executions after kills (preemption, node loss) per task.
-    max_env_retries: int = 4
-    #: Environmental failures on one node before it is blacklisted.
-    blacklist_threshold: int = 3
     #: None disables speculative execution (the default: a fault-free
     #: run must stay bit-identical to earlier versions of itself).
     speculation: Optional[SpeculationSettings] = None
@@ -130,73 +141,8 @@ class LaunchGate:
         ev.succeed(-1)
         return ev
 
-    def task_completed(self, task_type: TaskType) -> None:
-        pass
-
     def retract(self, task_type: TaskType, admit_event: Event) -> None:
-        """Undo an admission whose attempt was killed before launch."""
-
-
-@dataclass
-class _WaveState:
-    wave_size: int
-    wave: int = 0
-    admitted: int = 0
-    outstanding: int = 0
-    queue: List[Event] = field(default_factory=list)
-
-
-class WaveGate(LaunchGate):
-    """Admit tasks in fixed-size waves; hold wave k+1 until k finishes.
-
-    This is the aggressive strategy's "wave pattern for invoking
-    parameter changes" (Section 6.1): the tuner sees the complete
-    statistics of a wave before the next wave's tasks ask for their
-    configurations.
-    """
-
-    def __init__(self, map_wave_size: int, reduce_wave_size: Optional[int] = None) -> None:
-        if map_wave_size < 1:
-            raise ValueError("wave size must be >= 1")
-        self._states: Dict[TaskType, _WaveState] = {
-            TaskType.MAP: _WaveState(map_wave_size),
-            TaskType.REDUCE: _WaveState(reduce_wave_size or map_wave_size),
-        }
-
-    def admit(self, task_type: TaskType, sim: Simulator) -> Event:
-        st = self._states[task_type]
-        ev = sim.event()
-        if st.admitted < st.wave_size:
-            st.admitted += 1
-            st.outstanding += 1
-            ev.succeed(st.wave)
-        else:
-            st.queue.append(ev)
-        return ev
-
-    def task_completed(self, task_type: TaskType) -> None:
-        st = self._states[task_type]
-        st.outstanding -= 1
-        if st.outstanding == 0 and st.queue:
-            st.wave += 1
-            st.admitted = 0
-            while st.queue and st.admitted < st.wave_size:
-                ev = st.queue.pop(0)
-                st.admitted += 1
-                st.outstanding += 1
-                ev.succeed(st.wave)
-
-    def retract(self, task_type: TaskType, admit_event: Event) -> None:
-        st = self._states[task_type]
-        if admit_event in st.queue:
-            st.queue.remove(admit_event)
-            return
-        # Already admitted (the event fired, or is about to): the wave
-        # slot it occupies must be released like a completed task.
-        self.task_completed(task_type)
-
-    def outstanding(self, task_type: TaskType) -> int:
-        return self._states[task_type].outstanding
+        """Withdraw a queued admission whose attempt was killed."""
 
 
 @dataclass
@@ -450,8 +396,6 @@ class MRAppMaster:
         self._start_time = self.sim.now
         tel = self._telemetry("job")
         if tel is not None:
-            from repro.telemetry.events import JobSubmitted
-
             tel.emit(
                 JobSubmitted(
                     time=self.sim.now,
@@ -635,9 +579,9 @@ class MRAppMaster:
         tokens = self._request_tokens[ttype]
         granted = pending is not None and (pending.scheduled or pending.triggered)
         if stage is _Stage.ADMISSION:
-            if granted:
-                attempt.stage = _Stage.TOKEN  # admitted: settling frees the slot
-            else:
+            # A granted admission holds nothing: gates refill on the
+            # statistics that settling reports.
+            if not granted:
                 self.gate.retract(ttype, pending)
         elif stage is _Stage.TOKEN:
             if not tokens.cancel(pending) and granted:
@@ -678,8 +622,6 @@ class MRAppMaster:
             self._note_attempt_failure(stats)
         tel = self._telemetry("task")
         if tel is not None:
-            from repro.telemetry.events import AttemptSpan
-
             container_id = (
                 attempt.container.container_id if attempt.container is not None else -1
             )
@@ -698,8 +640,6 @@ class MRAppMaster:
                 )
             )
         self._record(stats)
-        if not attempt.speculative and attempt.stage > _Stage.ADMISSION:
-            self.gate.task_completed(ttype)
         self._poke_headroom()
         attempt.stage = _Stage.SETTLED
         run.running.remove(attempt)
@@ -767,13 +707,11 @@ class MRAppMaster:
             return
         count = self._node_failures.get(stats.node_id, 0) + 1
         self._node_failures[stats.node_id] = count
-        if count >= self.ft.blacklist_threshold:
+        if count >= BLACKLIST_THRESHOLD:
             newly = stats.node_id not in self._blacklisted_nodes
             self._blacklisted_nodes.add(stats.node_id)
             tel = self._telemetry("yarn")
             if newly and tel is not None:
-                from repro.telemetry.events import NodeBlacklisted
-
                 tel.emit(
                     NodeBlacklisted(
                         time=self.sim.now,
@@ -813,8 +751,6 @@ class MRAppMaster:
         if tel is not None:
             tel.increment("shuffle.fetch_failure_reports")
             if tel.wants("yarn"):
-                from repro.telemetry.events import FetchFailureReport
-
                 tel.emit(
                     FetchFailureReport(
                         time=self.sim.now,
@@ -843,8 +779,6 @@ class MRAppMaster:
         if tel is not None:
             tel.increment("yarn.map_outputs_lost")
             if tel.wants("yarn"):
-                from repro.telemetry.events import MapOutputLost
-
                 tel.emit(
                     MapOutputLost(
                         time=self.sim.now,
@@ -905,7 +839,7 @@ class MRAppMaster:
         )
         self._record(stats)
         self._note_attempt_failure(stats)
-        if run.env_failures > self.ft.max_env_retries:
+        if run.env_failures > MAX_ENV_RETRIES:
             run.permanent = True
             return
         # Repeated environmental losses escalate to the safe fallback,
@@ -971,7 +905,7 @@ class MRAppMaster:
                 # re-execution (and burns no environmental budget).
                 return
             run.env_failures += 1
-            if run.env_failures > self.ft.max_env_retries:
+            if run.env_failures > MAX_ENV_RETRIES:
                 run.permanent = True
                 return
             # Re-execute.  Repeated environmental losses escalate to the
@@ -993,8 +927,6 @@ class MRAppMaster:
     def _emit_retry(self, run: _TaskRun, attempt: _Attempt, stats: TaskStats) -> None:
         tel = self._telemetry("yarn")
         if tel is not None:
-            from repro.telemetry.events import AttemptRetry
-
             tel.emit(
                 AttemptRetry(
                     time=self.sim.now,
@@ -1166,8 +1098,6 @@ class MRAppMaster:
         self.counters.increment(Counter.SPECULATIVE_TASK_ATTEMPTS)
         tel = self._telemetry("yarn")
         if tel is not None:
-            from repro.telemetry.events import SpeculativeLaunch
-
             tel.emit(
                 SpeculativeLaunch(
                     time=self.sim.now,
@@ -1234,8 +1164,6 @@ class MRAppMaster:
         # tuner) and standalone use.
         tel = self._telemetry("stats")
         if tel is not None:
-            from repro.telemetry.events import TaskStatsRecorded
-
             tel.emit(TaskStatsRecorded(time=stats.end_time, stats=stats))
         c = self.counters
         if stats.failed:
@@ -1277,8 +1205,6 @@ class MRAppMaster:
             )
             tel = self._telemetry("job")
             if tel is not None:
-                from repro.telemetry.events import JobFinished
-
                 tel.emit(
                     JobFinished(
                         time=self.sim.now,

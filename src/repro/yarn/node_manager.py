@@ -8,6 +8,7 @@ from repro.cluster.container import Container, ContainerState
 from repro.cluster.node import Node, NodeState
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event, Process
+from repro.telemetry.events import ContainerKilled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.network import Network
@@ -98,8 +99,6 @@ class NodeManager:
         self.kills[reason.kind] = self.kills.get(reason.kind, 0) + 1
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import ContainerKilled
-
             tel.emit(
                 ContainerKilled(
                     time=self.sim.now,

@@ -16,6 +16,7 @@ from repro.cluster.node import NodeState
 from repro.cluster.topology import Cluster
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
+from repro.telemetry.events import ContainerGranted, ContainerReleased, NodeLost
 from repro.yarn.node_manager import KillReason, NodeManager
 from repro.yarn.records import ContainerRequest
 from repro.yarn.scheduler import SchedulerBase
@@ -149,8 +150,6 @@ class ResourceManager:
         nm.node.state = NodeState.LOST
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import NodeLost
-
             tel.emit(NodeLost(time=self.sim.now, node_id=node_id))
         nm.kill_all(KillReason("node_lost", f"{nm.node.hostname} heartbeat expired"))
         self._schedule_dispatch()
@@ -190,8 +189,6 @@ class ResourceManager:
         self._live_containers.pop(container.container_id, None)
         tel = self.sim.telemetry
         if tel is not None and tel.wants("yarn"):
-            from repro.telemetry.events import ContainerReleased
-
             tel.emit(
                 ContainerReleased(
                     time=self.sim.now,
@@ -236,8 +233,6 @@ class ResourceManager:
             self.containers_granted += 1
             tel = self.sim.telemetry
             if tel is not None and tel.wants("yarn"):
-                from repro.telemetry.events import ContainerGranted
-
                 tel.emit(
                     ContainerGranted(
                         time=self.sim.now,

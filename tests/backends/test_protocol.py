@@ -14,7 +14,7 @@ import hashlib
 
 import pytest
 
-from repro.backends import BACKEND_NAMES, Backend, JobHandle, make_backend
+from repro.backends import BACKEND_NAMES, Backend, JobHandle
 from repro.backends.local import (
     LocalProcessBackend,
     generate_corpus,
@@ -120,22 +120,6 @@ class TestProtocolConformance:
         handle.stats_listeners.append(seen.append)
         result = backend.wait(handle)
         assert len(seen) == len(result.task_stats)
-
-
-class TestMakeBackend:
-    def test_make_sim(self):
-        backend = make_backend("sim", seed=3)
-        assert isinstance(backend, SimBackend)
-        assert backend.seed == 3
-
-    def test_make_local(self, tmp_path):
-        backend = make_backend("local", workspace=str(tmp_path / "ws"))
-        assert isinstance(backend, LocalProcessBackend)
-        backend.close()
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("yarn")
 
 
 class TestSimBackendDigest:

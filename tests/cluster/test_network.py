@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.node import MB, NodeResources
 from repro.cluster.topology import Cluster, ClusterSpec, build_cluster, paper_cluster_spec
 from repro.sim import Simulator
+from repro.sim.resources import Link
 
 
 def small_cluster(sim=None, nic=100 * MB, uplink=None):
@@ -70,7 +71,8 @@ class TestTransfers:
     def test_transfer_cap_respected(self):
         sim, cluster = small_cluster()
         a, b = cluster.nodes[0], cluster.nodes[1]
-        done = cluster.network.transfer(a, b, 100 * MB, cap=10 * MB)
+        copier = Link("copier", 10 * MB)
+        done = cluster.network.transfer(a, b, 100 * MB, extra_links=[copier])
         sim.run_until_complete(done)
         assert sim.now == pytest.approx(10.0)
 
@@ -84,8 +86,6 @@ class TestFetchInto:
         assert sim.now == pytest.approx(1.0)
 
     def test_fetch_with_copier_link_cap(self):
-        from repro.sim.resources import Link
-
         sim, cluster = small_cluster()
         dst = cluster.nodes[0]
         copiers = Link("copiers", 20 * MB)
@@ -121,10 +121,11 @@ class TestMonitoring:
         net = cluster.network
         joined = cluster.add_node(rack=1)
         n0, n1, n2, n3 = cluster.nodes[:4]
-        # Overlapping flows: a shared RX, cross-rack uplinks, a capped
-        # flow, an aggregated fetch and traffic from the joined node.
+        # Overlapping flows: a shared RX, cross-rack uplinks, a flow
+        # capped by a copier link, an aggregated fetch and traffic from
+        # the joined node.
         net.transfer(n0, n1, 10**10)
-        net.transfer(n2, n1, 10**10, cap=30 * MB)
+        net.transfer(n2, n1, 10**10, extra_links=[Link("copier", 30 * MB)])
         net.transfer(n0, n3, 10**10)
         net.transfer(joined, n0, 10**10)
         net.fetch_into(n2, 10**10)

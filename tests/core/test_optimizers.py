@@ -21,7 +21,6 @@ from repro.core.optimizers import (
     SearchPhase,
     WaveOptimizer,
     make_optimizer,
-    optimizer_settings,
 )
 from repro.core.optimizers.lhs import PureLhsOptimizer
 from repro.core.optimizers.random_search import (
@@ -99,20 +98,12 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown optimizer backend"):
             make_optimizer("bayesian", subspace(), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="unknown optimizer backend"):
-            optimizer_settings("bayesian")
 
     def test_mismatched_settings_rejected(self):
         with pytest.raises(TypeError, match="expects SpsaSettings"):
             make_optimizer(
                 "spsa", subspace(), np.random.default_rng(0), HillClimbSettings()
             )
-
-    def test_optimizer_settings_builder(self):
-        st = optimizer_settings("spsa", {"pairs": 3})
-        assert isinstance(st, SpsaSettings) and st.pairs == 3
-        assert isinstance(optimizer_settings("lhs"), RandomSearchSettings)
-        assert isinstance(optimizer_settings("hill_climb"), HillClimbSettings)
 
 
 class TestProtocolConformance:

@@ -24,7 +24,6 @@ def run_session(strategy):
         strategy,
         settings=TunerSettings(
             hill_climb=HillClimbSettings(m=6, n=4, global_search_limit=1),
-            conservative_window=6,
             use_knowledge_base=False,
         ),
         rng=np.random.default_rng(0),
@@ -44,7 +43,8 @@ def test_aggressive_summary_shape():
     assert "mapreduce.task.io.sort.mb" in summary["recommended"]
 
 
-def test_conservative_summary_shape():
+def test_conservative_summary_shape(monkeypatch):
+    monkeypatch.setattr("repro.core.tuner.CONSERVATIVE_WINDOW", 6)
     summary = run_session(TuningStrategy.CONSERVATIVE)
     assert summary["strategy"] == "conservative"
     assert summary["tasks_observed"]["map"] == 40

@@ -133,12 +133,16 @@ class TestAggressive:
 
 
 class TestConservative:
+    @pytest.fixture(autouse=True)
+    def window_of_six(self, monkeypatch):
+        monkeypatch.setattr("repro.core.tuner.CONSERVATIVE_WINDOW", 6)
+
     def run_conservative(self, seed=0, blocks=60):
         sc = small_cluster(seed)
         spec = small_spec(sc, blocks=blocks)
         tuner = OnlineTuner(
             TuningStrategy.CONSERVATIVE,
-            settings=TunerSettings(conservative_window=6, use_knowledge_base=False),
+            settings=TunerSettings(use_knowledge_base=False),
             rng=np.random.default_rng(seed),
         )
         am = tuner.submit(sc, spec)

@@ -9,7 +9,7 @@ other subsystems).
 import numpy as np
 
 from repro.cluster.topology import ClusterSpec
-from repro.core.tuner import OnlineTuner, TunerSettings, TuningStrategy
+from repro.core.tuner import OnlineTuner, TuningStrategy
 from repro.experiments.harness import SimCluster
 from repro.workloads.suite import make_job_spec, terasort_case
 
@@ -41,13 +41,14 @@ class TestReplay:
         assert clean.duration == after_warmup.duration
         assert clean.counters.snapshot() == after_warmup.counters.snapshot()
 
-    def test_tuned_run_replays(self):
+    def test_tuned_run_replays(self, monkeypatch):
+        monkeypatch.setattr("repro.core.tuner.CONSERVATIVE_WINDOW", 6)
+
         def tuned(seed):
             sc = SimCluster(seed=seed, cluster_spec=SMALL, start_monitors=False)
             spec = make_job_spec(terasort_case(3.0), sc.hdfs)
             tuner = OnlineTuner(
                 TuningStrategy.CONSERVATIVE,
-                settings=TunerSettings(conservative_window=6),
                 rng=np.random.default_rng(seed),
             )
             am = tuner.submit(sc, spec)

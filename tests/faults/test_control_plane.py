@@ -242,7 +242,6 @@ class TestControlPlaneState:
         control.register_tuner(tuner)
         assert tuner.tuner_down()
         assert control.down_until == 25.0
-        assert control.crashes == [(0.0, 25.0)]
 
     def test_exported_from_faults_package(self):
         assert ControlPlaneState is DirectControlPlaneState
@@ -291,8 +290,7 @@ class TestMonitorOutage:
         )
 
     def test_timeline_bridges_gap_with_last_level(self):
-        sim = Simulator()
-        monitor = CentralMonitor(sim)
+        monitor = CentralMonitor()
         monitor.begin_gap(5.0, 15.0, node_id=3)
 
         def sample(t, cpu):

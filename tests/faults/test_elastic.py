@@ -21,7 +21,6 @@ from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType, WorkloadProfile
 from repro.monitor.central_monitor import CentralMonitor
 from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
-from repro.sim.engine import Simulator
 from repro.testing import assert_no_output_leaks
 from repro.workloads.datasets import DatasetSpec
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
@@ -308,12 +307,12 @@ class TestCrashComposesWithChurn:
 
 
 class TestBlacklistEscapeAfterDecommission:
-    def test_fully_blacklisted_shrunk_cluster_still_schedules(self):
+    def test_fully_blacklisted_shrunk_cluster_still_schedules(self, monkeypatch):
         # Threshold 1 + a kill on three nodes blacklists them; the fourth
         # then decommissions, so the only schedulable nodes are all
         # blacklisted.  The escape hatch must work over the *live* set.
-        ft = FaultToleranceSettings(blacklist_threshold=1)
-        sc = small_cluster(ft=ft)
+        monkeypatch.setattr("repro.yarn.app_master.BLACKLIST_THRESHOLD", 1)
+        sc = small_cluster()
         plan = FaultPlan(
             (
                 Fault(time=26.0, kind="container_kill", node_id=0),
@@ -333,7 +332,7 @@ class TestMonitorUnderChurn:
     """Satellite: utilization aggregation stays correct as membership moves."""
 
     def monitor(self):
-        return CentralMonitor(Simulator())
+        return CentralMonitor()
 
     def sample(self, mon, node_id, time, cpu):
         mon.on_node_stats(

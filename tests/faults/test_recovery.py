@@ -6,7 +6,6 @@ so faults pinned inside those windows reliably destroy live work.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster.node import NodeState
 from repro.cluster.topology import ClusterSpec
@@ -99,11 +98,11 @@ class TestNodeCrash:
 
 
 class TestBlacklisting:
-    def test_all_nodes_blacklisted_still_schedules(self):
+    def test_all_nodes_blacklisted_still_schedules(self, monkeypatch):
         # Threshold 1 + a kill on every node blacklists the whole
         # cluster; the scheduler's escape hatch must keep the job alive.
-        ft = FaultToleranceSettings(blacklist_threshold=1)
-        sc = small_cluster(ft=ft)
+        monkeypatch.setattr("repro.yarn.app_master.BLACKLIST_THRESHOLD", 1)
+        sc = small_cluster()
         plan = FaultPlan(
             tuple(
                 Fault(time=26.0 + i, kind="container_kill", node_id=i)
@@ -222,12 +221,12 @@ class TestWaveGateRetries:
 
 
 class TestPermanentFailure:
-    def test_env_retry_budget_exhaustion_fails_job_cleanly(self):
+    def test_env_retry_budget_exhaustion_fails_job_cleanly(self, monkeypatch):
         # Kill the same node's containers more often than the retry
         # budget allows; the job must *finish* (not hang) and report
         # the failure instead of silently succeeding.
-        ft = FaultToleranceSettings(max_env_retries=1)
-        sc = small_cluster(ft=ft)
+        monkeypatch.setattr("repro.yarn.app_master.MAX_ENV_RETRIES", 1)
+        sc = small_cluster()
         plan = FaultPlan(
             tuple(
                 Fault(time=t, kind="container_kill", node_id=n, count=4)

@@ -203,7 +203,7 @@ class TestProgressBoard:
 
 class TestCentralMonitor:
     def test_task_stats_routing(self):
-        mon = CentralMonitor(Simulator())
+        mon = CentralMonitor()
         a = stats(job="a")
         b = stats(job="b", task_type=TaskType.REDUCE, reduce_input_records=5)
         mon.on_task_stats(a)
@@ -211,7 +211,7 @@ class TestCentralMonitor:
         assert mon.task_stats == [a, b]
 
     def test_node_utilization_means(self):
-        mon = CentralMonitor(Simulator())
+        mon = CentralMonitor()
         mon.on_node_stats(
             NodeStats(0, 0.0, cpu_utilization=0.2, memory_utilization=0.4, running_containers=1)
         )
@@ -292,7 +292,7 @@ class TestMonitorsOnTheBus:
 
         sim = Simulator()
         bus = TelemetryBus(clock=lambda: sim.now)
-        mon = CentralMonitor(sim, bus=bus)
+        mon = CentralMonitor(bus=bus)
         recorded = stats(job="a")
         bus.emit(TaskStatsRecorded(time=10.0, stats=recorded))
         bus.emit(NodeSampled(time=5.0, stats=NodeStats(0, 5.0, 0.3, 0.6, 1)))

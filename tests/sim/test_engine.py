@@ -38,21 +38,6 @@ def test_ties_broken_by_schedule_order():
     assert fired == ["a", "b", "c"]
 
 
-def test_priority_beats_sequence_at_equal_time():
-    sim = Simulator()
-    fired = []
-    low = sim.event()
-    low.value = "low"
-    high = sim.event()
-    high.value = "high"
-    sim.schedule(low, 1.0, priority=5)
-    sim.schedule(high, 1.0, priority=0)
-    low.add_callback(lambda e: fired.append(e.value))
-    high.add_callback(lambda e: fired.append(e.value))
-    sim.run()
-    assert fired == ["high", "low"]
-
-
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):

@@ -29,13 +29,6 @@ class TestEventStates:
         ev.add_callback(lambda e: got.append(e.value))
         assert got == [7]
 
-    def test_delayed_succeed(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed("late", delay=5.0)
-        sim.run()
-        assert sim.now == 5.0 and ev.value == "late"
-
     def test_cancel_triggered_event_rejected(self):
         sim = Simulator()
         ev = sim.timeout(1.0)

@@ -10,7 +10,7 @@ from repro.experiments.parallel import execute_request
 from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.workloads.datasets import DatasetSpec
-from repro.yarn.app_master import BaseConfigProvider, MRAppMaster, WaveGate
+from repro.yarn.app_master import BaseConfigProvider, MRAppMaster
 from tests.faults.test_determinism import (
     ELASTIC_DENSE_DIGEST,
     ELASTIC_SPARSE_DIGEST,
@@ -136,26 +136,6 @@ class TestBaseConfigProvider:
 
 
 class TestWaveGate:
-    def test_tasks_admitted_in_waves(self):
-        sc = small_cluster()
-        gate = WaveGate(map_wave_size=4)
-        result = sc.run_job(small_spec(sc, blocks=8, reducers=2), gate=gate)
-        waves = sorted({s.wave for s in result.stats_of(TaskType.MAP)})
-        assert waves == [0, 1]
-
-    def test_wave_k_finishes_before_k_plus_1_starts(self):
-        sc = small_cluster()
-        gate = WaveGate(map_wave_size=4)
-        result = sc.run_job(small_spec(sc, blocks=8, reducers=2), gate=gate)
-        maps = result.stats_of(TaskType.MAP)
-        end_wave0 = max(s.end_time for s in maps if s.wave == 0)
-        start_wave1 = min(s.start_time for s in maps if s.wave == 1)
-        assert start_wave1 >= end_wave0 - 1e-9
-
-    def test_invalid_wave_size(self):
-        with pytest.raises(ValueError):
-            WaveGate(map_wave_size=0)
-
     def test_default_gate_single_wave(self):
         sc = small_cluster()
         result = sc.run_job(small_spec(sc, blocks=8))
@@ -171,7 +151,7 @@ class TestMultiJob:
             name="t2", workload=spec1.workload, input_path="/in2", num_reducers=2
         )
         ams = [sc.submit(spec1), sc.submit(spec2)]
-        results = sc.run_jobs(ams)
+        results = [sc.sim.run_until_complete(am.completion) for am in ams]
         assert all(r.succeeded for r in results)
 
     def test_fair_scheduler_interleaves(self):
@@ -187,7 +167,7 @@ class TestMultiJob:
             name="t2", workload=spec1.workload, input_path="/in2", num_reducers=2
         )
         ams = [sc.submit(spec1), sc.submit(spec2)]
-        results = sc.run_jobs(ams)
+        results = [sc.sim.run_until_complete(am.completion) for am in ams]
         # Fair sharing: the second job must start long before the first ends.
         first_end = results[0].end_time
         second_start = min(s.start_time for s in results[1].task_stats)
