@@ -188,7 +188,7 @@ class TestWaveGateRetries:
     """Kills under the aggressive tuner's wave gate.
 
     A killed attempt must still be counted admitted and reported, or the
-    next wave never opens and the job deadlocks (max_events trips).
+    next wave never opens and the job never completes.
     """
 
     def run_tuned(self, plan):
