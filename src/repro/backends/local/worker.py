@@ -8,17 +8,25 @@ boundary.
 
 The task bodies are a faithful miniature of Hadoop's task runtime:
 
-* **Map**: stream the split, collect ``(key, value)`` records into a
-  sort buffer; when the buffer passes ``sort_buffer_bytes x
-  spill_threshold`` (Table 2: ``io.sort.mb`` x ``sort.spill.percent``),
-  sort, run the combiner, and spill a partitioned run to disk.  Spill
-  runs merge in passes of at most ``merge_factor`` (``io.sort.factor``)
-  into one sorted segment per reducer partition.
+* **Map**: map the split to ``(key, value)`` records in one pass and
+  cut them into sort-buffer loads; a load spills once it passes
+  ``sort_buffer_bytes x spill_threshold`` (Table 2: ``io.sort.mb`` x
+  ``sort.spill.percent``).  A spill sorts its load, runs the combiner,
+  and writes one file holding a sorted segment per reducer partition;
+  an in-memory ``(path, offset, length)`` index locates each segment,
+  as Hadoop's ``sortAndSpill`` writes one spill file plus an index.
+  Each partition's spill segments merge in passes of at most
+  ``merge_factor`` (``io.sort.factor``) into one sorted file per
+  reducer partition.
 * **Reduce**: fetch one segment per map with ``fetch_parallelism``
   concurrent copiers (``shuffle.parallelcopies``); segments accumulate
   in memory until ``inmem_merge_records`` (``merge.inmem.threshold``)
-  forces a sorted on-disk run; a final ``heapq.merge`` feeds the reduce
-  function key group by key group.
+  forces a sorted on-disk run; a final merge of the memory and disk
+  runs feeds the reduce function key group by key group.
+
+A merge reads its runs and sorts their concatenation: Python's sort
+finds the sorted runs and merges them, which yields the order a k-way
+merge would.
 
 Partitioning uses ``zlib.crc32`` -- the builtin ``hash`` is randomized
 per process and would scatter keys differently in every worker.
@@ -31,14 +39,17 @@ leave a partial file where committed output lives.
 
 from __future__ import annotations
 
-import heapq
 import os
 import re
 import shutil
 import time
 import zlib
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate, groupby, repeat
+from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Bytes-per-record bookkeeping overhead in the sort buffer (Hadoop's
@@ -63,20 +74,23 @@ GREP_NEEDLE = "ing"
 # ----------------------------------------------------------------------
 # Workload functions (resolved by name inside the worker process)
 # ----------------------------------------------------------------------
-def _wordcount_map(doc_id: str, text: str) -> Iterator[Tuple[str, str]]:
-    for word in _WORD_RE.findall(text.lower()):
-        yield word, "1"
+#: A map function's output: the keys and the values, record by record.
+MapOutput = Tuple[List[str], List[str]]
 
 
-def _grep_map(doc_id: str, text: str) -> Iterator[Tuple[str, str]]:
-    for word in _WORD_RE.findall(text.lower()):
-        if GREP_NEEDLE in word:
-            yield word, "1"
+def _wordcount_map(doc_id: str, text: str) -> MapOutput:
+    words = _WORD_RE.findall(text.lower())
+    return words, ["1"] * len(words)
 
 
-def _inverted_index_map(doc_id: str, text: str) -> Iterator[Tuple[str, str]]:
-    for word in set(_WORD_RE.findall(text.lower())):
-        yield word, doc_id
+def _grep_map(doc_id: str, text: str) -> MapOutput:
+    words = [word for word in _WORD_RE.findall(text.lower()) if GREP_NEEDLE in word]
+    return words, ["1"] * len(words)
+
+
+def _inverted_index_map(doc_id: str, text: str) -> MapOutput:
+    words = list(set(_WORD_RE.findall(text.lower())))
+    return words, [doc_id] * len(words)
 
 
 def _sum_reduce(key: str, values: Iterable[str]) -> Iterator[Tuple[str, str]]:
@@ -88,10 +102,10 @@ def _postings_reduce(key: str, values: Iterable[str]) -> Iterator[Tuple[str, str
 
 
 def _sum_combine(key: str, values: List[str]) -> List[str]:
-    return [str(sum(int(v) for v in values))]
+    return [str(sum(map(int, values)))]
 
 
-_MAP_FNS: Dict[str, Callable[[str, str], Iterator[Tuple[str, str]]]] = {
+_MAP_FNS: Dict[str, Callable[[str, str], MapOutput]] = {
     "wordcount": _wordcount_map,
     "grep": _grep_map,
     "inverted-index": _inverted_index_map,
@@ -233,63 +247,75 @@ def reduce_output_path(job_dir: str, partition: int) -> str:
     return os.path.join(job_dir, "out", f"part-r-{partition:05d}")
 
 
-def _write_run(path: str, records: List[Tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in records:
-            fh.write(f"{key}\t{value}\n")
+Record = Tuple[str, str]
+
+#: One sorted run inside a file: ``(path, offset, length)`` in bytes.
+Segment = Tuple[str, int, int]
 
 
-def _read_run(path: str) -> Iterator[Tuple[str, str]]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, _sep, value = line.rstrip("\n").partition("\t")
-            yield key, value
+def _write_run(path: str, runs: List[List[Record]]) -> List[Segment]:
+    """Write sorted *runs* back to back into one file; return their segments."""
+    segments: List[Segment] = []
+    offset = 0
+    with open(path, "wb") as fh:
+        for records in runs:
+            data = "".join([f"{key}\t{value}\n" for key, value in records]).encode("utf-8")
+            fh.write(data)
+            segments.append((path, offset, len(data)))
+            offset += len(data)
+    return segments
 
 
-def _combine(
-    records: List[Tuple[str, str]], combine_fn_name: Optional[str]
-) -> Tuple[List[Tuple[str, str]], int]:
-    """Run the combiner over a *sorted* record run; returns (run, emitted)."""
-    if combine_fn_name is None:
-        return records, 0
+def _read_run(segment: Segment) -> List[Record]:
+    path, offset, length = segment
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        data = fh.read(length)
+    return [tuple(line.split("\t", 1)) for line in data.decode("utf-8").splitlines()]
+
+
+def _combine(pairs: Iterable[Record], combine_fn_name: str) -> List[Record]:
+    """Sort *pairs* and run the combiner over each key's values.
+
+    Counting equal pairs, then walking the distinct pairs in order, hands
+    each key's combiner the same sorted value list that sorting every
+    record and grouping the run would.
+    """
     combine = _COMBINE_FNS[combine_fn_name]
-    out: List[Tuple[str, str]] = []
-    i = 0
-    while i < len(records):
-        j = i
-        key = records[i][0]
-        while j < len(records) and records[j][0] == key:
-            j += 1
-        for value in combine(key, [v for _k, v in records[i:j]]):
-            out.append((key, value))
-        i = j
-    return out, len(out)
+    out: List[Record] = []
+    counted = sorted(Counter(pairs).items())
+    for key, group in groupby(counted, key=lambda item: item[0][0]):
+        values: List[str] = []
+        for (_key, value), count in group:
+            values += [value] * count
+        out += [(key, value) for value in combine(key, values)]
+    return out
 
 
 def _merge_runs(
-    run_paths: List[str], scratch_dir: str, merge_factor: int
-) -> Tuple[List[str], int, int]:
-    """Reduce *run_paths* to at most ``merge_factor`` runs.
+    runs: List[Segment], prefix: str, merge_factor: int
+) -> Tuple[List[Record], int, int]:
+    """Merge sorted *runs* into one sorted record list.
 
-    Returns ``(paths, merge_passes, re_spilled_records)`` -- Hadoop
-    counts records rewritten by intermediate merge passes as spills.
+    While more than ``merge_factor`` runs remain, an intermediate pass
+    merges the first ``merge_factor`` of them into a new run file
+    (``<prefix>_<pass>``) at the back.  Returns ``(records,
+    merge_passes, re_spilled_records)``, counting intermediate passes
+    only -- Hadoop counts records rewritten by them as spills.
     """
     passes = 0
     respilled = 0
-    merged_seq = 0
-    paths = list(run_paths)
-    while len(paths) > merge_factor:
-        batch, paths = paths[:merge_factor], paths[merge_factor:]
-        merged = list(heapq.merge(*(list(_read_run(p)) for p in batch)))
-        out = os.path.join(scratch_dir, f"merge_{merged_seq:05d}")
-        merged_seq += 1
-        _write_run(out, merged)
-        for p in batch:
-            os.remove(p)
-        paths.append(out)
+    while True:
+        batch, runs = runs[:merge_factor], runs[merge_factor:]
+        records: List[Record] = []
+        for run in batch:
+            records += _read_run(run)
+        records.sort()
+        if not runs:
+            return records, passes, respilled
+        runs += _write_run(f"{prefix}_{passes:05d}", [records])
         passes += 1
-        respilled += len(merged)
-    return paths, passes, respilled
+        respilled += len(records)
 
 
 def _commit(src: str, dest: str) -> None:
@@ -342,74 +368,67 @@ def run_map_task(spec: MapTaskSpec) -> TaskReport:
         text = fh.read()
     doc_id = os.path.splitext(os.path.basename(spec.input_path))[0]
 
-    buffer: List[Tuple[str, str]] = []
-    buffer_bytes = 0
     peak_bytes = FIXED_TASK_FOOTPRINT
-    output_records = 0
-    output_bytes = 0
     combine_records = 0
     spilled = 0
     spill_seq = 0
-    #: Per-partition sorted run files produced by spills.
-    partition_runs: List[List[str]] = [[] for _ in range(spec.num_partitions)]
+    #: Per-partition index of the sorted segments the spills wrote.
+    partition_runs: List[List[Segment]] = [[] for _ in range(spec.num_partitions)]
 
-    def spill() -> None:
-        nonlocal buffer, buffer_bytes, spilled, spill_seq, combine_records
-        if not buffer:
+    def spill(keys: List[str], values: List[str]) -> None:
+        nonlocal spilled, spill_seq, combine_records
+        if not keys:
             return
-        buffer.sort()
-        run, emitted = _combine(buffer, workload.combine_fn)
-        combine_records += emitted
-        by_partition: List[List[Tuple[str, str]]] = [
-            [] for _ in range(spec.num_partitions)
-        ]
-        for key, value in run:
-            by_partition[partition_of(key, spec.num_partitions)].append((key, value))
-        for p, records in enumerate(by_partition):
-            if not records:
-                continue
-            path = os.path.join(attempt_dir, f"spill_{spill_seq:05d}_p{p:05d}")
-            _write_run(path, records)
-            partition_runs[p].append(path)
-            spilled += len(records)
+        if workload.combine_fn is None:
+            run = sorted(zip(keys, values))
+        else:
+            run = _combine(zip(keys, values), workload.combine_fn)
+            combine_records += len(run)
+        by_partition: List[List[Record]] = [[] for _ in range(spec.num_partitions)]
+        for record in run:
+            by_partition[partition_of(record[0], spec.num_partitions)].append(record)
+        path = os.path.join(attempt_dir, f"spill_{spill_seq:05d}")
         spill_seq += 1
-        buffer = []
-        buffer_bytes = 0
+        for p, segment in enumerate(_write_run(path, by_partition)):
+            if by_partition[p]:
+                partition_runs[p].append(segment)
+        spilled += len(run)
 
     try:
-        for key, value in map_fn(doc_id, text):
-            buffer.append((key, value))
-            buffer_bytes += len(key) + len(value) + RECORD_OVERHEAD
-            output_records += 1
-            output_bytes += len(key) + len(value) + 2
-            if buffer_bytes >= spill_trigger:
-                peak_bytes = max(peak_bytes, FIXED_TASK_FOOTPRINT + buffer_bytes)
-                spill()
-        peak_bytes = max(peak_bytes, FIXED_TASK_FOOTPRINT + buffer_bytes)
-        spill()
+        keys, values = map_fn(doc_id, text)
+        # ends[i]: sort-buffer bytes of records 0..i, each record costing
+        # len(key) + len(value) + RECORD_OVERHEAD.  A load spills at the
+        # first record that brings it to the trigger.
+        sizes = map(add, map(len, keys), map(len, values))
+        ends = list(accumulate(map(add, sizes, repeat(RECORD_OVERHEAD))))
+        cut = 0
+        cut_bytes = 0
+        while True:
+            last = bisect_left(ends, cut_bytes + spill_trigger, cut)
+            if last == len(ends):
+                break
+            peak_bytes = max(peak_bytes, FIXED_TASK_FOOTPRINT + ends[last] - cut_bytes)
+            spill(keys[cut:last + 1], values[cut:last + 1])
+            cut, cut_bytes = last + 1, ends[last]
+        total_bytes = ends[-1] if ends else 0
+        peak_bytes = max(peak_bytes, FIXED_TASK_FOOTPRINT + total_bytes - cut_bytes)
+        spill(keys[cut:], values[cut:])
 
-        # Merge the spill runs into one sorted segment per partition.
+        # Merge each partition's spill segments into its sorted file.
         merge_passes = 0
-        for p in range(spec.num_partitions):
-            runs = partition_runs[p]
-            final = os.path.join(attempt_dir, f"part-{p:05d}")
-            if not runs:
-                _write_run(final, [])
-            elif len(runs) == 1:
-                os.replace(runs[0], final)
-            else:
-                runs, passes, respilled = _merge_runs(
-                    runs, attempt_dir, knobs.merge_factor
-                )
-                merge_passes += passes
-                spilled += respilled
-                merged = list(heapq.merge(*(list(_read_run(r)) for r in runs)))
-                merged, emitted = _combine(merged, workload.combine_fn)
-                combine_records += emitted
-                _write_run(final, merged)
+        for p, runs in enumerate(partition_runs):
+            records, passes, respilled = _merge_runs(
+                runs, os.path.join(attempt_dir, f"merge_p{p:05d}"), knobs.merge_factor
+            )
+            merge_passes += passes
+            spilled += respilled
+            if len(runs) > 1:
                 merge_passes += 1
-                for r in runs:
-                    os.remove(r)
+                if workload.combine_fn is not None:
+                    records = _combine(records, workload.combine_fn)
+                    combine_records += len(records)
+            final = os.path.join(attempt_dir, f"part-{p:05d}")
+            _write_run(final, [records])
             _commit(final, map_output_path(spec.job_dir, spec.index, p))
     except Exception as exc:  # pragma: no cover - defensive
         return report(
@@ -421,8 +440,9 @@ def run_map_task(spec: MapTaskSpec) -> TaskReport:
     shutil.rmtree(attempt_dir, ignore_errors=True)
     return report(
         working_set_bytes=peak_bytes,
-        output_records=output_records,
-        output_bytes=output_bytes,
+        output_records=len(keys),
+        # A record costs its key, a tab, its value and a newline.
+        output_bytes=total_bytes - len(keys) * (RECORD_OVERHEAD - 2),
         combine_output_records=combine_records,
         spilled_records=spilled,
         merge_passes=merge_passes,
@@ -473,7 +493,7 @@ def run_reduce_task(spec: ReduceTaskSpec) -> TaskReport:
         # In-memory accumulation with threshold-forced disk runs.
         mem_records: List[Tuple[str, str]] = []
         mem_bytes = 0
-        disk_runs: List[str] = []
+        disk_runs: List[Segment] = []
         run_seq = 0
         spilled = 0
         inmem_limit = max(0, knobs.inmem_merge_records)
@@ -485,8 +505,7 @@ def run_reduce_task(spec: ReduceTaskSpec) -> TaskReport:
             mem_records.sort()
             path = os.path.join(attempt_dir, f"run_{run_seq:05d}")
             run_seq += 1
-            _write_run(path, mem_records)
-            disk_runs.append(path)
+            disk_runs.extend(_write_run(path, [mem_records]))
             spilled += len(mem_records)
             mem_records = []
             mem_bytes = 0
@@ -504,16 +523,12 @@ def run_reduce_task(spec: ReduceTaskSpec) -> TaskReport:
             elif not inmem_limit and mem_records:
                 flush_to_disk()
 
-        merge_passes = 0
-        if disk_runs:
-            disk_runs, passes, respilled = _merge_runs(
-                disk_runs, attempt_dir, knobs.merge_factor
-            )
-            merge_passes += passes
-            spilled += respilled
-        mem_records.sort()
-        streams = [iter(mem_records)] + [_read_run(p) for p in disk_runs]
-        merged = heapq.merge(*streams)
+        merged, merge_passes, respilled = _merge_runs(
+            disk_runs, os.path.join(attempt_dir, "merge"), knobs.merge_factor
+        )
+        spilled += respilled
+        merged += mem_records
+        merged.sort()
 
         # Group by key and reduce.
         out_path = os.path.join(attempt_dir, f"part-r-{spec.partition:05d}")
