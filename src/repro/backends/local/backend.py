@@ -266,7 +266,7 @@ class LocalProcessBackend:
     def job_dir(self, spec: JobSpec) -> str:
         return os.path.join(self.workspace, "jobs", spec.job_id)
 
-    def _sample_node(self, running: int, container_bytes: float) -> None:
+    def _sample_node(self, running: int) -> None:
         """Publish one host sample on the ``node`` category.
 
         The local host is node 0; utilization is slot occupancy, the
@@ -498,7 +498,7 @@ class LocalProcessBackend:
                     worker_fn, build_spec(index, attempts[index], knobs)
                 )
                 running[future] = (index, wave, config, knobs, self._now())
-                self._sample_node(len(running), knobs.container_memory_bytes)
+                self._sample_node(len(running))
             if not running:
                 if admitted:
                     continue
@@ -597,7 +597,7 @@ class LocalProcessBackend:
                     if report.failed:
                         phase_ok = False
                     completed += 1
-                self._sample_node(len(running), knobs.container_memory_bytes)
+                self._sample_node(len(running))
         return phase_ok
 
     def _to_task_stats(

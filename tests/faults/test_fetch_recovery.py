@@ -9,7 +9,6 @@ or rolls back waves whose measurements the faults inflated.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.configuration import Configuration

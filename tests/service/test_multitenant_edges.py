@@ -7,8 +7,6 @@ multi-tenant experiment's own edges (empty seed list, case shapes,
 memoization) ride along.
 """
 
-import pytest
-
 from repro.experiments.multitenant import (
     ROLES,
     _experiment_cache,
