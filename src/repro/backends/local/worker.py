@@ -11,8 +11,9 @@ The task bodies are a faithful miniature of Hadoop's task runtime:
 * **Map**: map the split to ``(key, value)`` records in one pass and
   cut them into sort-buffer loads; a load spills once it passes
   ``sort_buffer_bytes x spill_threshold`` (Table 2: ``io.sort.mb`` x
-  ``sort.spill.percent``).  A spill sorts its load, runs the combiner,
-  and writes one file holding a sorted segment per reducer partition;
+  ``sort.spill.percent``).  A spill sorts its load (or counts its
+  records and lets the combiner sort the counted keys) and writes one
+  file holding a sorted segment per reducer partition;
   an in-memory ``(path, offset, length)`` index locates each segment,
   as Hadoop's ``sortAndSpill`` writes one spill file plus an index.
   Each partition's spill segments merge in passes of at most
@@ -29,7 +30,8 @@ finds the sorted runs and merges them, which yields the order a k-way
 merge would.
 
 Partitioning uses ``zlib.crc32`` -- the builtin ``hash`` is randomized
-per process and would scatter keys differently in every worker.
+per process and would scatter keys differently in every worker.  A map
+task partitions each distinct key once.
 
 Attempt isolation mirrors the HDFS commit protocol: every attempt
 writes under ``<job dir>/_temporary/<attempt>/`` and commits via atomic
@@ -48,9 +50,9 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from operator import add
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Bytes-per-record bookkeeping overhead in the sort buffer (Hadoop's
 #: kvmeta accounting entry is 16 bytes per record).
@@ -66,6 +68,12 @@ HEAP_FRACTION = 0.8
 
 _WORD_RE = re.compile(r"[a-z']+")
 
+#: A ``str.translate`` table that lowercases ASCII text and turns every
+#: character ``_WORD_RE`` then cannot match into a space.
+_ASCII_WORDS = str.maketrans({
+    c: chr(c).lower() if _WORD_RE.match(chr(c).lower()) else " " for c in range(128)
+})
+
 #: The text-search (grep) workload's fixed needle, in the spirit of the
 #: paper's "text search" benchmark: count matching words.
 GREP_NEEDLE = "ing"
@@ -77,19 +85,38 @@ GREP_NEEDLE = "ing"
 #: A map function's output: the keys and the values, record by record.
 MapOutput = Tuple[List[str], List[str]]
 
+Record = Tuple[str, str]
+
+#: A load's records counted: ``{(key, value): number of records}``.
+Counted = Dict[Record, int]
+
+
+def _words(text: str) -> List[str]:
+    """The words of *text*: ``_WORD_RE.findall(text.lower())``.
+
+    ASCII text skips the regex, and its lowercased copy: once one
+    translation has lowercased it and made every character the pattern
+    cannot match a space, its words are the fields ``split`` finds.
+    """
+    if text.isascii():
+        return text.translate(_ASCII_WORDS).split()
+    return _WORD_RE.findall(text.lower())
+
 
 def _wordcount_map(doc_id: str, text: str) -> MapOutput:
-    words = _WORD_RE.findall(text.lower())
+    words = _words(text)
     return words, ["1"] * len(words)
 
 
 def _grep_map(doc_id: str, text: str) -> MapOutput:
-    words = [word for word in _WORD_RE.findall(text.lower()) if GREP_NEEDLE in word]
+    words = [word for word in _words(text) if GREP_NEEDLE in word]
     return words, ["1"] * len(words)
 
 
 def _inverted_index_map(doc_id: str, text: str) -> MapOutput:
-    words = list(set(_WORD_RE.findall(text.lower())))
+    # Sorted, not set order: set order follows the per-process hash
+    # seed, and the order moves the spill cut points.
+    words = sorted(set(_words(text)))
     return words, [doc_id] * len(words)
 
 
@@ -101,8 +128,11 @@ def _postings_reduce(key: str, values: Iterable[str]) -> Iterator[Tuple[str, str
     yield key, ",".join(sorted(set(values)))
 
 
-def _sum_combine(key: str, values: List[str]) -> List[str]:
-    return [str(sum(map(int, values)))]
+def _sum_combine(counted: Counted) -> List[Record]:
+    sums: Dict[str, int] = {}
+    for (key, value), count in counted.items():
+        sums[key] = sums.get(key, 0) + int(value) * count
+    return [(key, str(total)) for key, total in sorted(sums.items())]
 
 
 _MAP_FNS: Dict[str, Callable[[str, str], MapOutput]] = {
@@ -116,7 +146,9 @@ _REDUCE_FNS: Dict[str, Callable[[str, Iterable[str]], Iterator[Tuple[str, str]]]
     "postings": _postings_reduce,
 }
 
-_COMBINE_FNS: Dict[str, Callable[[str, List[str]], List[str]]] = {
+#: A combiner takes a load's counted records and returns its records
+#: sorted.
+_COMBINE_FNS: Dict[str, Callable[[Counted], List[Record]]] = {
     "sum": _sum_combine,
 }
 
@@ -247,8 +279,6 @@ def reduce_output_path(job_dir: str, partition: int) -> str:
     return os.path.join(job_dir, "out", f"part-r-{partition:05d}")
 
 
-Record = Tuple[str, str]
-
 #: One sorted run inside a file: ``(path, offset, length)`` in bytes.
 Segment = Tuple[str, int, int]
 
@@ -274,22 +304,18 @@ def _read_run(segment: Segment) -> List[Record]:
     return [tuple(line.split("\t", 1)) for line in data.decode("utf-8").splitlines()]
 
 
-def _combine(pairs: Iterable[Record], combine_fn_name: str) -> List[Record]:
-    """Sort *pairs* and run the combiner over each key's values.
+def _combine(keys: Sequence[str], values: Sequence[str], combine_fn_name: str) -> List[Record]:
+    """Count a load's records and return the combiner's sorted records.
 
-    Counting equal pairs, then walking the distinct pairs in order, hands
-    each key's combiner the same sorted value list that sorting every
-    record and grouping the run would.
+    A load whose values are all one string, as in every wordcount and
+    grep spill (each value is ``"1"``), counts its keys alone.
     """
-    combine = _COMBINE_FNS[combine_fn_name]
-    out: List[Record] = []
-    counted = sorted(Counter(pairs).items())
-    for key, group in groupby(counted, key=lambda item: item[0][0]):
-        values: List[str] = []
-        for (_key, value), count in group:
-            values += [value] * count
-        out += [(key, value) for value in combine(key, values)]
-    return out
+    value = values[0]
+    if values.count(value) == len(values):
+        counted = {(key, value): count for key, count in Counter(keys).items()}
+    else:
+        counted = Counter(zip(keys, values))
+    return _COMBINE_FNS[combine_fn_name](counted)
 
 
 def _merge_runs(
@@ -374,6 +400,8 @@ def run_map_task(spec: MapTaskSpec) -> TaskReport:
     spill_seq = 0
     #: Per-partition index of the sorted segments the spills wrote.
     partition_runs: List[List[Segment]] = [[] for _ in range(spec.num_partitions)]
+    #: The partition of every key spilled so far.
+    partitions: Dict[str, int] = {}
 
     def spill(keys: List[str], values: List[str]) -> None:
         nonlocal spilled, spill_seq, combine_records
@@ -382,11 +410,14 @@ def run_map_task(spec: MapTaskSpec) -> TaskReport:
         if workload.combine_fn is None:
             run = sorted(zip(keys, values))
         else:
-            run = _combine(zip(keys, values), workload.combine_fn)
+            run = _combine(keys, values, workload.combine_fn)
             combine_records += len(run)
         by_partition: List[List[Record]] = [[] for _ in range(spec.num_partitions)]
         for record in run:
-            by_partition[partition_of(record[0], spec.num_partitions)].append(record)
+            key = record[0]
+            if key not in partitions:
+                partitions[key] = partition_of(key, spec.num_partitions)
+            by_partition[partitions[key]].append(record)
         path = os.path.join(attempt_dir, f"spill_{spill_seq:05d}")
         spill_seq += 1
         for p, segment in enumerate(_write_run(path, by_partition)):
@@ -425,7 +456,8 @@ def run_map_task(spec: MapTaskSpec) -> TaskReport:
             if len(runs) > 1:
                 merge_passes += 1
                 if workload.combine_fn is not None:
-                    records = _combine(records, workload.combine_fn)
+                    merged_keys, merged_values = zip(*records)
+                    records = _combine(merged_keys, merged_values, workload.combine_fn)
                     combine_records += len(records)
             final = os.path.join(attempt_dir, f"part-{p:05d}")
             _write_run(final, [records])

@@ -1,20 +1,25 @@
 """The batched map task against the per-record task it replaced.
 
 The reference below is the earlier ``run_map_task`` and
-``run_reduce_task`` with their helpers, verbatim: a generator map
-function feeds a per-record loop that spills one file per partition,
-and merges run through ``heapq.merge``.  Seeded cases run both on the
-same corpus and knobs, in-process, and every committed file must match
-byte for byte, with every ``TaskReport`` field that does not carry host
-time.  The host-time fields must still bracket the call: a task whose
-``start_time`` or ``end_time`` stopped tracking the clock keeps every
-output and counter, yet the tuner reads its duration from them.
+``run_reduce_task`` with their helpers, verbatim but for one line: a
+generator map function feeds a per-record loop that spills one file per
+partition, and merges run through ``heapq.merge``.  The one edit is the
+inverted-index map, which emits its words sorted, not in set order (set
+order follows the hash seed).  The reference tokenizes with its own
+regex and combines each key's sorted value list.  Seeded cases run both
+on the same corpus and knobs, in-process, and every committed file must
+match byte for byte, with every ``TaskReport`` field that does not carry
+host time.  The host-time fields must still bracket the call: a task
+whose ``start_time`` or ``end_time`` stopped tracking the clock keeps
+every output and counter, yet the tuner reads its duration from them.
 """
 
 import heapq
 import os
 import random
+import re
 import shutil
+import sys
 import time
 from collections import Counter as Tally
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +30,6 @@ from repro.backends.local import generate_corpus, worker
 from repro.backends.local.corpus import corpus_splits
 from repro.backends.local.worker import (
     _REDUCE_FNS,
-    _WORD_RE,
     FIXED_TASK_FOOTPRINT,
     GREP_NEEDLE,
     LOCAL_WORKLOADS,
@@ -47,9 +51,24 @@ CASES = 64
 TIMING_FIELDS = ("start_time", "end_time", "cpu_seconds")
 
 
+#: Mixed-case, punctuated and non-ASCII text, one more split in every
+#: case: the generated splits are lowercase ASCII, so only this one runs
+#: the tokenizer's non-ASCII path.
+HANDWRITTEN_SPLIT = (
+    "Tuning MapReduce ONLINE: the Tuner's hill-climbing samples (Running, "
+    "TESTING, shuffling) don't wait for 42 jobs.\n"
+    "Caf\xe9 na\xefve r\xe9sum\xe9 \u2014 \xfcber-Sorting, Stra\xdfe, "
+    "\u0130stanbul, \u212aelvin\xa0merging; \u03a3\u03c9\u03ba\u03c1"
+    "\u03ac\u03c4\u03b7\u03c2 spilling\tworking o'clock.\n"
+) * 12
+
+
 # ----------------------------------------------------------------------
-# The reference: the per-record task bodies, verbatim
+# The reference: the per-record task bodies, verbatim but for one line
 # ----------------------------------------------------------------------
+_WORD_RE = re.compile(r"[a-z']+")
+
+
 def _wordcount_map(doc_id: str, text: str) -> Iterator[Tuple[str, str]]:
     for word in _WORD_RE.findall(text.lower()):
         yield word, "1"
@@ -62,7 +81,7 @@ def _grep_map(doc_id: str, text: str) -> Iterator[Tuple[str, str]]:
 
 
 def _inverted_index_map(doc_id: str, text: str) -> Iterator[Tuple[str, str]]:
-    for word in set(_WORD_RE.findall(text.lower())):
+    for word in sorted(set(_WORD_RE.findall(text.lower()))):
         yield word, doc_id
 
 
@@ -463,25 +482,52 @@ def run_job(seed: int, case: dict, corpus: str, job_dir: str, map_task, reduce_t
         ), epoch)
         for p in range(case["partitions"])
     ]
+    return reports, read_tree(job_dir)
+
+
+def read_tree(job_dir: str) -> Dict[str, bytes]:
+    """Every file under *job_dir*, by relative path."""
     files = {}
     for root, _dirs, names in os.walk(job_dir):
         for name in names:
             path = os.path.join(root, name)
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, job_dir)] = fh.read()
-    return reports, files
+    return files
 
 
 def work_of(report: TaskReport) -> dict:
     return {k: v for k, v in asdict(report).items() if k not in TIMING_FIELDS}
 
 
-def test_batched_tasks_match_per_record_reference(tmp_path):
+def tally_combines(monkeypatch) -> Tally:
+    """Count the worker's ``_combine`` calls by caller and by values.
+
+    A spill of wordcount or grep holds ``"1"`` alone, so only a final
+    merge of counted segments combines records with different values.
+    """
+    calls: Tally = Tally()
+    combine = worker._combine
+
+    def counting(keys, values, combine_fn_name):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller, "one value" if len(set(values)) == 1 else "mixed values"] += 1
+        return combine(keys, values, combine_fn_name)
+
+    monkeypatch.setattr(worker, "_combine", counting)
+    return calls
+
+
+def test_batched_tasks_match_per_record_reference(tmp_path, monkeypatch):
     tally: Tally = Tally()
+    combines = tally_combines(monkeypatch)
     for seed in range(CASES):
         case = draw_case(seed)
         corpus = str(tmp_path / f"corpus-{seed}")
         generate_corpus(corpus, num_splits=case["splits"], split_kb=case["split_kb"], seed=seed)
+        with open(os.path.join(corpus, "split_handwritten.txt"), "w", encoding="utf-8") as fh:
+            fh.write(HANDWRITTEN_SPLIT)
+        combines.clear()
         ref_reports, ref_files = run_job(
             seed, case, corpus, str(tmp_path / f"ref-{seed}"), run_map_task, run_reduce_task
         )
@@ -497,13 +543,13 @@ def test_batched_tasks_match_per_record_reference(tmp_path):
         )
         assert not any(r.failure_kind == "env" for r in reports), reports
 
-        maps = reports[: case["splits"]]
+        maps = reports[: case["splits"] + 1]
         if any(r.failure_kind == "oom" for r in maps):
             tally["oom"] += 1
         # A map counts one final pass per partition with several runs,
         # a reduce none: anything beyond that is an intermediate pass.
         if any(r.merge_passes > case["partitions"] for r in maps) or any(
-            r.merge_passes for r in reports[case["splits"]:]
+            r.merge_passes for r in reports[len(maps):]
         ):
             tally["intermediate merge"] += 1
         # No pass at all: each non-empty partition got one spill segment.
@@ -511,10 +557,19 @@ def test_batched_tasks_match_per_record_reference(tmp_path):
             tally["single-run partition"] += 1
         if any(name.startswith("map") and not data for name, data in files.items()):
             tally["empty partition"] += 1
+        if combines["spill", "one value"]:
+            tally["one-value spill"] += 1
+        if combines["run_map_task", "mixed values"]:
+            tally["mixed-value merge"] += 1
         shutil.rmtree(tmp_path / f"ref-{seed}")
         shutil.rmtree(tmp_path / f"new-{seed}")
     # Not vacuous: every mechanism the batched task rewrote was reached.
-    # (Inverted-index spills cut where set order puts them, which varies
-    # with the hash seed, hence the margins.)
-    floors = {"intermediate merge": 10, "single-run partition": 8, "oom": 6, "empty partition": 3}
+    floors = {
+        "intermediate merge": 10,
+        "single-run partition": 8,
+        "oom": 6,
+        "empty partition": 3,
+        "one-value spill": 20,
+        "mixed-value merge": 10,
+    }
     assert all(tally[k] >= floor for k, floor in floors.items()), tally
