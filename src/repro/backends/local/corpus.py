@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import accumulate
 from typing import List, Optional
 
 from repro.backends.local.worker import LOCAL_WORKLOADS
@@ -66,8 +67,10 @@ def generate_corpus(
     os.makedirs(directory, exist_ok=True)
     rng = random.Random(seed)
     vocab = _vocabulary(rng)
-    # Zipf-flavored weights: rank r gets weight 1/(r+1).
-    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    # Zipf-flavored weights: rank r gets weight 1/(r+1).  ``choices``
+    # would rebuild this running sum on every call from ``weights=``;
+    # passing it once draws the same words.
+    cum_weights = list(accumulate(1.0 / (rank + 1) for rank in range(len(vocab))))
     paths = []
     target = split_kb * 1024
     for i in range(num_splits):
@@ -75,7 +78,7 @@ def generate_corpus(
         lines = []
         size = 0
         while size < target:
-            words = rng.choices(vocab, weights=weights, k=rng.randint(6, 14))
+            words = rng.choices(vocab, cum_weights=cum_weights, k=rng.randint(6, 14))
             line = " ".join(words)
             lines.append(line)
             size += len(line) + 1
