@@ -27,13 +27,17 @@ class CentralMonitor:
     :meth:`on_node_stats` (standalone use, tests), or as a telemetry-bus
     subscriber on the ``stats`` and ``node`` categories (how
     :class:`~repro.experiments.harness.SimCluster` wires it).
+
+    :attr:`node_samples` is the one store of node samples: ingestion
+    appends to it and nothing else.  The per-node CPU and memory
+    timelines, and the means over them, are built from it when read,
+    from the same samples in the same order, so they are the floats
+    per-sample timelines would give.
     """
 
     def __init__(self, bus: Optional["TelemetryBus"] = None) -> None:
         self.task_stats: List[TaskStats] = []
         self.node_samples: List[NodeStats] = []
-        self.cpu_timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
-        self.mem_timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
         #: Elastic membership: node_id -> time it left.  Fed by
         #: ``capacity_change`` telemetry so aggregation tracks the live
         #: set instead of averaging over ghosts.
@@ -53,10 +57,11 @@ class CentralMonitor:
         bus.subscribe(self.on_event, categories=("stats", "node"))
 
     def on_event(self, event: "TelemetryEvent") -> None:
-        if isinstance(event, TaskStatsRecorded):
-            self.on_task_stats(event.stats)
-        elif isinstance(event, NodeSampled):
+        # Node samples first: nearly every event on these feeds is one.
+        if isinstance(event, NodeSampled):
             self.on_node_stats(event.stats)
+        elif isinstance(event, TaskStatsRecorded):
+            self.on_task_stats(event.stats)
         elif isinstance(event, CapacityChange):
             self.on_capacity_change(event.node_id, event.action, event.time)
 
@@ -92,12 +97,26 @@ class CentralMonitor:
         if self.gaps and self._in_gap(sample.node_id, sample.time):
             return
         self.node_samples.append(sample)
-        self.cpu_timelines[sample.node_id].add(sample.time, sample.cpu_utilization)
-        self.mem_timelines[sample.node_id].add(sample.time, sample.memory_utilization)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    def cpu_timelines(self) -> Dict[int, UtilizationTimeline]:
+        """node_id -> CPU utilization timeline, built from the samples."""
+        return self._timelines("cpu_utilization")
+
+    @property
+    def mem_timelines(self) -> Dict[int, UtilizationTimeline]:
+        """node_id -> memory utilization timeline, built from the samples."""
+        return self._timelines("memory_utilization")
+
+    def _timelines(self, field: str) -> Dict[int, UtilizationTimeline]:
+        timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
+        for sample in self.node_samples:
+            timelines[sample.node_id].add(sample.time, getattr(sample, field))
+        return timelines
+
     def mean_cpu_utilization(self, since: float = 0.0) -> float:
         return self._mean_over(self.cpu_timelines, since)
 

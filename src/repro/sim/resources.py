@@ -28,9 +28,12 @@ scheduler keeps its bookkeeping incremental:
 * the allocator writes rates in-place on :class:`Flow` objects rather
   than materialising a ``Dict[Flow, float]`` per recompute;
 * an epoch counter tracks mutations (flow set or link capacities), so
-  read-only consumers such as :meth:`FlowScheduler.utilization` -- the
-  monitors poll it every heartbeat -- skip recomputation entirely when
-  nothing changed since the last allocation;
+  the rates are solved again only after one.  Rates move only with the
+  epoch, so :meth:`FlowScheduler.utilization` and
+  :meth:`~FlowScheduler.utilizations` -- the monitors read them every
+  heartbeat -- memoize their answers per epoch, and an empty scheduler
+  answers 0.0 at once.  A tick over a node that did not change costs one
+  lookup, not a pass over its flows;
 * flow removal rebuilds the active list in one pass instead of paying
   ``list.remove`` per finished flow.
 
@@ -57,7 +60,7 @@ counts stay small.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
@@ -229,6 +232,10 @@ class FlowScheduler:
         #: skip the allocator entirely while the two match.
         self._epoch: int = 1
         self._rates_epoch: int = 0
+        #: Utilization answers computed at ``_reads_epoch``: a link keys
+        #: a :meth:`utilization`, a tuple of links a :meth:`utilizations`.
+        self._reads: Dict[Any, Any] = {}
+        self._reads_epoch: int = 0
         #: Total work completed through this scheduler (diagnostics).
         self.completed_work: float = 0.0
         self.completed_flows: int = 0
@@ -311,10 +318,19 @@ class FlowScheduler:
         return len(dropped)
 
     def utilization(self, link: Link) -> float:
-        """Fraction of *link* capacity currently allocated."""
-        self._refresh_rates()
-        used = sum(f.rate for f in self._flows if link in f.links)
-        return min(1.0, used / link.capacity)
+        """Fraction of *link* capacity currently allocated.
+
+        0.0 with no flows; otherwise computed once per mutation epoch.
+        """
+        if not self._flows:
+            return 0.0
+        reads = self._epoch_reads()
+        util = reads.get(link)
+        if util is None:
+            self._refresh_rates()
+            used = sum(f.rate for f in self._flows if link in f.links)
+            util = reads[link] = min(1.0, used / link.capacity)
+        return util
 
     def utilizations(self, links: Iterable[Link]) -> Tuple[float, ...]:
         """Utilization for several links in one pass over active flows.
@@ -322,17 +338,26 @@ class FlowScheduler:
         Equivalent to ``tuple(self.utilization(l) for l in links)`` --
         including bit-identical float sums, since per-link accumulation
         follows the same active-flow order -- but scans the flow list
-        once instead of once per link.
+        once instead of once per link.  Memoized per mutation epoch, as
+        :meth:`utilization` is.
         """
         wanted = tuple(links)
-        self._refresh_rates()
-        used: Dict[Link, float] = {link: 0.0 for link in wanted}
-        for f in self._flows:
-            r = f.rate
-            for link in f.links:
-                if link in used:
-                    used[link] += r
-        return tuple(min(1.0, used[link] / link.capacity) for link in wanted)
+        if not self._flows:
+            return (0.0,) * len(wanted)
+        reads = self._epoch_reads()
+        utils = reads.get(wanted)
+        if utils is None:
+            self._refresh_rates()
+            used: Dict[Link, float] = {link: 0.0 for link in wanted}
+            for f in self._flows:
+                r = f.rate
+                for link in f.links:
+                    if link in used:
+                        used[link] += r
+            utils = reads[wanted] = tuple(
+                min(1.0, used[link] / link.capacity) for link in wanted
+            )
+        return utils
 
     # -- internals --------------------------------------------------------
     def _track(self, flow: Flow) -> None:
@@ -362,6 +387,13 @@ class FlowScheduler:
                 rem = f.remaining - f.rate * dt
                 f.remaining = rem if rem > 0.0 else 0.0
         self._last_update = now
+
+    def _epoch_reads(self) -> Dict[Any, Any]:
+        """The utilization memo, emptied when the epoch has moved."""
+        if self._reads_epoch != self._epoch:
+            self._reads = {}
+            self._reads_epoch = self._epoch
+        return self._reads
 
     def _refresh_rates(self) -> None:
         """Bring ``Flow.rate`` values up to date; no-op when unchanged."""

@@ -35,8 +35,8 @@ class KillReason:
 class NodeManager:
     """Runs containers on one node and reports its resource state.
 
-    MRONLINE's slave monitor reads each node manager's utilization and
-    running containers on every tick; see
+    MRONLINE's slave monitor reads each node manager's running
+    containers, and its node's utilization, on every tick; see
     :class:`repro.monitor.slave_monitor.SlaveMonitor`.
     """
 
@@ -129,10 +129,3 @@ class NodeManager:
     @property
     def running_containers(self) -> int:
         return len(self._running)
-
-    # -- monitoring hooks ---------------------------------------------------
-    def cpu_utilization(self) -> float:
-        return self.node.cpu_utilization()
-
-    def memory_utilization(self) -> float:
-        return self.node.memory_utilization()

@@ -9,6 +9,11 @@ speculation on.  How the slave monitors are scheduled, which nodes they
 sample and how NIC utilization is read must leave every stream
 unchanged.
 
+The monitor builds its per-node timelines from ``node_samples`` when they
+are read.  ``Recorder`` keeps, beside it, the timelines the monitor used
+to extend sample by sample, and the means and timelines of every run
+must equal those exactly, mid-run too.
+
 Print the current values with::
 
     PYTHONPATH=src python -m tests.monitor.test_sample_pins --record
@@ -17,6 +22,7 @@ Print the current values with::
 import dataclasses
 import hashlib
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -24,32 +30,65 @@ from repro.cluster.topology import ClusterSpec
 from repro.experiments.harness import SimCluster
 from repro.experiments.parallel import RunRequest, build_request, run_request
 from repro.faults import Fault, FaultPlan
+from repro.monitor.statistics import UtilizationTimeline
 from repro.telemetry.events import NodeSampled
 from repro.workloads.suite import case_by_name, make_job_spec, shrink_case
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
 
 
-def _collect(bus):
-    samples = []
-    bus.subscribe(
-        lambda ev: samples.append(ev) if isinstance(ev, NodeSampled) else None,
-        categories=("node",),
-    )
-    return samples
+class Recorder:
+    """A run's ``NodeSampled`` events, and eager timelines beside the monitor.
+
+    The eager timelines take each sample the monitor keeps as it arrives,
+    as ``CentralMonitor.on_node_stats`` once extended its own.  With
+    *probe_at*, a sim callback at that instant reads the monitor's means
+    against the eager ones, while samples are still arriving.
+    """
+
+    def __init__(self, sim, bus, monitor, probe_at=None):
+        self.monitor = monitor
+        self.samples = []
+        self.cpu = defaultdict(UtilizationTimeline)
+        self.mem = defaultdict(UtilizationTimeline)
+        #: ``(samples kept so far, derived means, eager means)`` per probe.
+        self.probes = []
+        bus.subscribe(self.on_event, categories=("node",))
+        if probe_at is not None:
+            sim.call_at(probe_at, self.probe)
+
+    def on_event(self, event):
+        if not isinstance(event, NodeSampled):
+            return
+        self.samples.append(event)
+        s = event.stats
+        if self.monitor.gaps and self.monitor._in_gap(s.node_id, s.time):
+            return
+        self.cpu[s.node_id].add(s.time, s.cpu_utilization)
+        self.mem[s.node_id].add(s.time, s.memory_utilization)
+
+    def means(self, since):
+        """``(derived, eager)`` pairs of CPU and memory means from *since*."""
+        m = self.monitor
+        derived = (m.mean_cpu_utilization(since), m.mean_memory_utilization(since))
+        eager = (m._mean_over(self.cpu, since), m._mean_over(self.mem, since))
+        return derived, eager
+
+    def probe(self):
+        self.probes.append((len(self.monitor.node_samples), *self.means(0.0)))
 
 
 def _stream(samples):
     return [(ev.time, *dataclasses.astuple(ev.stats)) for ev in samples]
 
 
-def churn_off_grid():
+def churn_off_grid(probe_at=None):
     """6 nodes; joins at 1.3 s and 7.9 s, a decommission, a spot preempt."""
     sc = SimCluster(
         seed=2,
         cluster_spec=ClusterSpec(num_slaves=6, racks=(3, 3)),
         fault_tolerance=FaultToleranceSettings(speculation=SpeculationSettings()),
     )
-    samples = _collect(sc.telemetry)
+    recorder = Recorder(sc.sim, sc.telemetry, sc.monitor, probe_at)
     sc.inject_faults(
         plan=FaultPlan(
             (
@@ -62,17 +101,17 @@ def churn_off_grid():
     )
     case = shrink_case(case_by_name("terasort"), num_blocks=24, num_reducers=8)
     result = sc.run_job(make_job_spec(case, sc.hdfs))
-    return result, samples
+    return result, recorder
 
 
-def _request_run(request):
+def _request_run(request, probe_at):
     backend, _plan = build_request(request)
-    samples = _collect(backend.telemetry)
+    recorder = Recorder(backend.sim, backend.telemetry, backend.monitor, probe_at)
     result, _recommended = run_request(backend, request)
-    return result, samples
+    return result, recorder
 
 
-def shuffle_faults():
+def shuffle_faults(probe_at=None):
     """TeraSort 100x25 under link degrade, flaky link and rack partition."""
     return _request_run(
         RunRequest.build(
@@ -87,11 +126,12 @@ def shuffle_faults():
                 "rack_partitions": 1,
                 "horizon": 200.0,
             },
-        )
+        ),
+        probe_at,
     )
 
 
-def generated_mixed_plan():
+def generated_mixed_plan(probe_at=None):
     """A drawn plan: crash, two joins, drain, preempt, outage, stats gap."""
     return _request_run(
         RunRequest.build(
@@ -108,7 +148,8 @@ def generated_mixed_plan():
                 "stats_gaps": 1,
                 "horizon": 60.0,
             },
-        )
+        ),
+        probe_at,
     )
 
 
@@ -135,9 +176,17 @@ PINS = {
 }
 
 
+#: name -> a mid-run instant, off the 5 s grid, for the probe.
+PROBE_AT = {
+    "churn_off_grid": 41.3,
+    "generated_mixed_plan": 45.1,
+    "shuffle_faults": 80.7,
+}
+
+
 def observe(name):
-    result, samples = RUNS[name]()
-    stream = _stream(samples)
+    result, recorder = RUNS[name]()
+    stream = _stream(recorder.samples)
     digest = hashlib.sha256(repr(stream).encode("utf-8")).hexdigest()
     return result, len(stream), digest
 
@@ -147,6 +196,52 @@ def test_node_sample_stream_is_pinned(name):
     result, count, digest = observe(name)
     assert result.succeeded
     assert (count, digest) == PINS[name], f"{name} sample stream drifted"
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_derived_timelines_equal_eager_ones(name):
+    result, recorder = RUNS[name](probe_at=PROBE_AT[name])
+    assert result.succeeded
+    monitor = recorder.monitor
+    # Mid-run: the means read from a sim callback match, and more
+    # samples arrive after it.
+    ((kept, derived, eager),) = recorder.probes
+    assert derived == eager
+    assert 0 < kept < len(monitor.node_samples)
+    end = monitor.node_samples[-1].time
+    departures = list(monitor.departed_nodes.values())
+    sinces = sorted(
+        {0.0, end / 2, *departures, *(d + 2.5 for d in departures)}
+        | {start for _node, start, _end in monitor.gaps}
+    )
+    for since in sinces:
+        derived, eager = recorder.means(since)
+        assert derived == eager, f"{name}: means from {since} differ"
+    assert any(recorder.means(since)[1] != (0.0, 0.0) for since in sinces)
+    for derived, eager in (
+        (monitor.cpu_timelines, recorder.cpu),
+        (monitor.mem_timelines, recorder.mem),
+    ):
+        assert sorted(derived) == sorted(eager)
+        for node_id, timeline in derived.items():
+            until = monitor.departed_nodes.get(node_id)
+            assert (timeline.times, timeline.values) == (
+                eager[node_id].times,
+                eager[node_id].values,
+            )
+            for since in sinces:
+                assert timeline.mean(since, until=until) == eager[node_id].mean(
+                    since, until=until
+                )
+
+
+def test_eager_reference_sees_departures_and_gaps():
+    """Not vacuous: the runs depart nodes and drop samples in gaps."""
+    _result, churn = churn_off_grid()
+    assert len(churn.monitor.departed_nodes) == 2
+    _result, mixed = generated_mixed_plan()
+    assert mixed.monitor.gaps
+    assert len(mixed.monitor.node_samples) < len(mixed.samples)
 
 
 if __name__ == "__main__" and "--record" in sys.argv:

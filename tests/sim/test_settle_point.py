@@ -5,13 +5,15 @@ reserves the sequence number an eager solve would give the completion
 event, and while other events are queued at the same instant the solve
 waits in a settle event at ``(now, seq)``.  ``EagerFlowScheduler``
 keeps the token-based ``_reschedule``/``_on_completion`` that solved at
-every mutation, verbatim.  Seeded scripts drive both through the same
-mutations at shared instants, and the ordered log of every fired
+every mutation, and the utilization reads that summed the flows on every
+call, verbatim.  Seeded scripts drive both through the same mutations
+and reads at shared instants, and the ordered log of every fired
 callback must match exactly: same sim times, same order, same values.
+So the settle point and the per-epoch read memo must both be exact.
 """
 
 import random
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
@@ -24,11 +26,40 @@ SCRIPTS = 240
 
 
 class EagerFlowScheduler(FlowScheduler):
-    """The scheduler that solved at every mutation (token-based), verbatim."""
+    """The scheduler that solved at every mutation (token-based), verbatim.
+
+    Its utilization reads are the uncached ones, verbatim too, so the
+    memo that ``FlowScheduler`` now keeps is compared with them, not
+    with itself.
+    """
 
     def __init__(self, sim: Simulator, name: str = "flows") -> None:
         super().__init__(sim, name)
         self._token: int = 0  # invalidates stale completion events
+
+    def utilization(self, link: Link) -> float:
+        """Fraction of *link* capacity currently allocated."""
+        self._refresh_rates()
+        used = sum(f.rate for f in self._flows if link in f.links)
+        return min(1.0, used / link.capacity)
+
+    def utilizations(self, links: Iterable[Link]) -> Tuple[float, ...]:
+        """Utilization for several links in one pass over active flows.
+
+        Equivalent to ``tuple(self.utilization(l) for l in links)`` --
+        including bit-identical float sums, since per-link accumulation
+        follows the same active-flow order -- but scans the flow list
+        once instead of once per link.
+        """
+        wanted = tuple(links)
+        self._refresh_rates()
+        used: Dict[Link, float] = {link: 0.0 for link in wanted}
+        for f in self._flows:
+            r = f.rate
+            for link in f.links:
+                if link in used:
+                    used[link] += r
+        return tuple(min(1.0, used[link] / link.capacity) for link in wanted)
 
     def _reschedule(self) -> None:
         """Recompute rates and schedule the next completion."""
@@ -73,6 +104,31 @@ class EagerFlowScheduler(FlowScheduler):
             self.completed_flows += 1
             f.event.succeed(self.sim.now - f.started_at)
         self._reschedule()
+
+
+def count_reads(monkeypatch) -> dict:
+    """Tally ``FlowScheduler`` utilization reads.
+
+    ``memo`` counts reads answered from the memo of the current epoch,
+    ``empty`` reads on a scheduler with no flows.
+    """
+    tally = {"reads": 0, "memo": 0, "empty": 0}
+
+    def counting(read):
+        def counted(self, arg):
+            key = arg if isinstance(arg, Link) else tuple(arg)
+            tally["reads"] += 1
+            if not self._flows:
+                tally["empty"] += 1
+            elif self._reads_epoch == self._epoch and key in self._reads:
+                tally["memo"] += 1
+            return read(self, arg)
+
+        return counted
+
+    for name in ("utilization", "utilizations"):
+        monkeypatch.setattr(FlowScheduler, name, counting(getattr(FlowScheduler, name)))
+    return tally
 
 
 def run_script(scheduler_cls, seed: int) -> list:
@@ -124,6 +180,9 @@ def run_script(scheduler_cls, seed: int) -> list:
 
             sim.call_at(sim.now + 0.5 * rng.randint(0, 4), restore)
 
+    def read(tag: str) -> None:
+        log.append((sim.now, tag, (sched.utilizations(links), sched.utilization(links[0]))))
+
     def action() -> None:
         kind = rng.random()
         if kind < 0.4:
@@ -131,6 +190,9 @@ def run_script(scheduler_cls, seed: int) -> list:
         elif kind < 0.5:
             prefix = f"g{rng.randrange(3)}."
             log.append((sim.now, "cancel " + prefix, sched.cancel_prefix(prefix)))
+            read("read " + prefix)
+            # Again at this instant, after whatever is queued beside it.
+            sim.timeout(0.0).add_callback(lambda _ev: read("reread " + prefix))
         elif kind < 0.65:
             set_capacity()
         elif kind < 0.8:
@@ -165,6 +227,7 @@ def run_script(scheduler_cls, seed: int) -> list:
 
 def test_settle_point_matches_eager_scheduler_on_seeded_scripts(monkeypatch):
     solves = count_solves(monkeypatch)
+    reads = count_reads(monkeypatch)
     completions = 0
     for seed in range(SCRIPTS):
         expected = run_script(EagerFlowScheduler, seed)
@@ -174,6 +237,9 @@ def test_settle_point_matches_eager_scheduler_on_seeded_scripts(monkeypatch):
     # Not vacuous: many flows completed, and deferral skipped solves.
     assert completions > 10 * SCRIPTS
     assert solves["FlowScheduler"] < 0.9 * solves["EagerFlowScheduler"]
+    # ...and reads were answered from the memo and on empty schedulers.
+    assert reads["memo"] > 2 * SCRIPTS
+    assert reads["empty"] > 4 * SCRIPTS
 
 
 def test_completion_rounding_to_now_keeps_its_slot():
