@@ -10,9 +10,10 @@ Reports, benchmarks and tests read the aggregates kept here.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
+from repro.monitor.statistics import NodeSamples, NodeStats, TaskStats, UtilizationTimeline
 from repro.telemetry.events import CapacityChange, NodeSampled, TaskStatsRecorded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,16 +29,17 @@ class CentralMonitor:
     subscriber on the ``stats`` and ``node`` categories (how
     :class:`~repro.experiments.harness.SimCluster` wires it).
 
-    :attr:`node_samples` is the one store of node samples: ingestion
-    appends to it and nothing else.  The per-node CPU and memory
-    timelines, and the means over them, are built from it when read,
-    from the same samples in the same order, so they are the floats
-    per-sample timelines would give.
+    :attr:`node_samples` is the one store of node samples, a sequence of
+    :class:`NodeStats` packed 56 bytes a sample (:class:`NodeSamples`):
+    ingestion appends to it and nothing else.  The per-node CPU and
+    memory timelines, and the means over them, are built from its
+    records when read, from the same values in the same order, so they
+    are the floats per-sample timelines would give.
     """
 
     def __init__(self, bus: Optional["TelemetryBus"] = None) -> None:
         self.task_stats: List[TaskStats] = []
-        self.node_samples: List[NodeStats] = []
+        self.node_samples = NodeSamples()
         #: Elastic membership: node_id -> time it left.  Fed by
         #: ``capacity_change`` telemetry so aggregation tracks the live
         #: set instead of averaging over ghosts.
@@ -112,9 +114,10 @@ class CentralMonitor:
         return self._timelines("memory_utilization")
 
     def _timelines(self, field: str) -> Dict[int, UtilizationTimeline]:
+        column = [f.name for f in fields(NodeStats)].index(field)
         timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
-        for sample in self.node_samples:
-            timelines[sample.node_id].add(sample.time, getattr(sample, field))
+        for record in self.node_samples.records():
+            timelines[record[0]].add(record[1], record[column])
         return timelines
 
     def mean_cpu_utilization(self, since: float = 0.0) -> float:

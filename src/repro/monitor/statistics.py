@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import starmap
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.mapreduce.jobspec import TaskId, TaskType
 
@@ -161,7 +163,7 @@ class ProgressBoard:
         return [self._running[k] for k in sorted(self._running)]
 
 
-@dataclass
+@dataclass(init=False)
 class NodeStats:
     """A point-in-time sample of one node's resource state."""
 
@@ -172,6 +174,86 @@ class NodeStats:
     running_containers: int
     rx_utilization: float = 0.0
     tx_utilization: float = 0.0
+
+    # Written out rather than generated, though it runs no faster: every
+    # generated ``__init__`` has the code location ``('<string>', 2)``, so
+    # a profile keyed by (file, line, name) folds them all into one entry
+    # and loses the time of this one, which runs once per node per tick.
+    def __init__(
+        self,
+        node_id: int,
+        time: float,
+        cpu_utilization: float,
+        memory_utilization: float,
+        running_containers: int,
+        rx_utilization: float = 0.0,
+        tx_utilization: float = 0.0,
+    ) -> None:
+        self.node_id = node_id
+        self.time = time
+        self.cpu_utilization = cpu_utilization
+        self.memory_utilization = memory_utilization
+        self.running_containers = running_containers
+        self.rx_utilization = rx_utilization
+        self.tx_utilization = tx_utilization
+
+
+#: One :class:`NodeStats` as a 56-byte record, in field order: ``q``
+#: (int64) for the node id and container count, ``d`` (float64, every
+#: bit kept, -0.0 and NaN included) for the rest.
+_NODE_RECORD = struct.Struct("=qdddqdd")
+
+
+class NodeSamples(Sequence[NodeStats]):
+    """Node samples packed into one ``bytearray`` of fixed-width records.
+
+    A run's monitor keeps every sample (~107k in a 210-job service
+    stream).  Packed, a sample takes 56 bytes and leaves no object for
+    the garbage collector to walk.  Indexing and iteration rebuild
+    :class:`NodeStats` equal to the ones appended, with the same int and
+    float types, provided the producer passed ints for the two ``q``
+    fields (``struct`` rejects anything else) and floats for the rest.
+    """
+
+    def __init__(self) -> None:
+        self._records = bytearray()
+
+    def append(self, sample: NodeStats) -> None:
+        self._records += _NODE_RECORD.pack(
+            sample.node_id,
+            sample.time,
+            sample.cpu_utilization,
+            sample.memory_utilization,
+            sample.running_containers,
+            sample.rx_utilization,
+            sample.tx_utilization,
+        )
+
+    def records(self) -> Iterator[Tuple[int, float, float, float, int, float, float]]:
+        """Every sample as a tuple of its fields, in append order.
+
+        Reads a copy of the buffer, so appends may go on while the
+        iterator is alive (``iter_unpack`` on the buffer itself would
+        forbid resizing it).
+        """
+        return _NODE_RECORD.iter_unpack(bytes(self._records))
+
+    def __len__(self) -> int:
+        return len(self._records) // _NODE_RECORD.size
+
+    def __iter__(self) -> Iterator[NodeStats]:
+        return starmap(NodeStats, self.records())
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[NodeStats, List[NodeStats]]:
+        # range() normalizes negative indices and slices, and raises
+        # IndexError past either end, exactly as a list would.
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return [self._unpack(row) for row in rows]
+        return self._unpack(rows)
+
+    def _unpack(self, row: int) -> NodeStats:
+        return NodeStats(*_NODE_RECORD.unpack_from(self._records, row * _NODE_RECORD.size))
 
 
 @dataclass

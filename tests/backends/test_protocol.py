@@ -22,6 +22,7 @@ from repro.backends.local import (
 )
 from repro.backends.sim import SimBackend
 from repro.mapreduce.counters import Counter
+from repro.telemetry.events import NodeSampled
 
 #: sha256 over (succeeded, duration, sorted counters) of the shrunk
 #: wordcount-wikipedia case, seed 1, untuned, run through the Backend
@@ -97,9 +98,18 @@ class TestProtocolConformance:
 
     def test_stats_stream_reaches_monitor(self, backend_and_spec):
         _name, backend, spec = backend_and_spec
+        sampled = []
+        backend.telemetry.subscribe(
+            lambda ev: sampled.append(ev.stats) if isinstance(ev, NodeSampled) else None,
+            categories=("node",),
+        )
         result = backend.run_job(spec)
         recorded = {s.task_id for s in backend.monitor.task_stats}
         assert {s.task_id for s in result.task_stats} <= recorded
+        # Every node sample reaches the monitor's packed store and reads
+        # back with its producer's int and float types.
+        assert sampled
+        assert repr(list(backend.monitor.node_samples)) == repr(sampled)
 
     def test_completion_callbacks(self, backend_and_spec):
         _name, backend, spec = backend_and_spec

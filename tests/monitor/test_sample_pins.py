@@ -9,10 +9,12 @@ speculation on.  How the slave monitors are scheduled, which nodes they
 sample and how NIC utilization is read must leave every stream
 unchanged.
 
-The monitor builds its per-node timelines from ``node_samples`` when they
-are read.  ``Recorder`` keeps, beside it, the timelines the monitor used
-to extend sample by sample, and the means and timelines of every run
-must equal those exactly, mid-run too.
+The monitor packs each sample it keeps into ``node_samples`` and builds
+its per-node timelines from those records when they are read.
+``Recorder`` keeps, beside it, the samples the monitor should have kept
+and the timelines it used to extend sample by sample: the store must
+read back those samples, and the means and timelines of every run must
+equal the eager ones exactly, mid-run too.
 
 Print the current values with::
 
@@ -39,15 +41,18 @@ from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
 class Recorder:
     """A run's ``NodeSampled`` events, and eager timelines beside the monitor.
 
-    The eager timelines take each sample the monitor keeps as it arrives,
-    as ``CentralMonitor.on_node_stats`` once extended its own.  With
-    *probe_at*, a sim callback at that instant reads the monitor's means
-    against the eager ones, while samples are still arriving.
+    ``ingested`` holds each sample outside the monitor's gaps, the ones
+    ``CentralMonitor.on_node_stats`` should keep.  The eager timelines
+    take each of them as it arrives, as ``on_node_stats`` once extended
+    its own.  With *probe_at*, a sim callback at that instant reads the
+    monitor's means against the eager ones, while samples are still
+    arriving.
     """
 
     def __init__(self, sim, bus, monitor, probe_at=None):
         self.monitor = monitor
         self.samples = []
+        self.ingested = []
         self.cpu = defaultdict(UtilizationTimeline)
         self.mem = defaultdict(UtilizationTimeline)
         #: ``(samples kept so far, derived means, eager means)`` per probe.
@@ -63,6 +68,7 @@ class Recorder:
         s = event.stats
         if self.monitor.gaps and self.monitor._in_gap(s.node_id, s.time):
             return
+        self.ingested.append(s)
         self.cpu[s.node_id].add(s.time, s.cpu_utilization)
         self.mem[s.node_id].add(s.time, s.memory_utilization)
 
@@ -203,6 +209,12 @@ def test_derived_timelines_equal_eager_ones(name):
     result, recorder = RUNS[name](probe_at=PROBE_AT[name])
     assert result.succeeded
     monitor = recorder.monitor
+    # The packed store reads back every sample it was meant to keep, with
+    # the producers' int and float types (``repr`` tells 1 from 1.0).
+    stored = list(monitor.node_samples)
+    assert stored == recorder.ingested
+    assert repr(stored) == repr(recorder.ingested)
+    assert monitor.node_samples[-1] == recorder.ingested[-1]
     # Mid-run: the means read from a sim callback match, and more
     # samples arrive after it.
     ((kept, derived, eager),) = recorder.probes
