@@ -63,8 +63,9 @@ class Backend(Protocol):
     """A deployment that executes MapReduce jobs for the tuner.
 
     Implementations own a :class:`TelemetryBus` and a
-    :class:`CentralMonitor` subscribed to its ``stats``/``node``
-    categories, so every backend feeds the same monitoring pipeline.
+    :class:`CentralMonitor` subscribed to its ``stats`` category and fed
+    node samples by direct call, so every backend feeds the same
+    monitoring pipeline.
     """
 
     #: Registry name (``"sim"``, ``"local"``, ...).

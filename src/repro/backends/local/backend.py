@@ -219,8 +219,8 @@ class LocalProcessBackend:
         self._epoch = time.monotonic()
         self.telemetry = TelemetryBus(clock=self._now)
         self.sim.attach_telemetry(self.telemetry)
-        #: The same monitor class the simulator feeds, subscribed to the
-        #: same ``stats``/``node`` bus categories.
+        #: The same monitor class the simulator feeds: task statistics
+        #: off the bus's ``stats`` category, host samples by direct call.
         self.monitor = CentralMonitor(bus=self.telemetry)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
@@ -267,20 +267,18 @@ class LocalProcessBackend:
         return os.path.join(self.workspace, "jobs", spec.job_id)
 
     def _sample_node(self, running: int) -> None:
-        """Publish one host sample on the ``node`` category.
+        """Hand one host sample to the monitor; publish it for watchers.
 
         The local host is node 0; utilization is slot occupancy, the
         honest signal this backend has without per-process sampling.
+        The ``node`` category gets the sample only when subscribed.
         """
-        stats = NodeStats(
-            node_id=0,
-            time=self._now(),
-            cpu_utilization=min(1.0, running / self.slots),
-            memory_utilization=min(1.0, running / self.slots),
-            running_containers=running,
-        )
+        now = self._now()
+        occupancy = min(1.0, running / self.slots)
+        row = (0, now, occupancy, occupancy, running, 0.0, 0.0)
+        self.monitor.ingest([row])
         if self.telemetry.wants("node"):
-            self.telemetry.emit(NodeSampled(time=stats.time, stats=stats))
+            self.telemetry.emit(NodeSampled(now, NodeStats(*row)))
 
     # ------------------------------------------------------------------
     # Backend protocol

@@ -173,20 +173,20 @@ class Network:
         return self.scheduler.transfer(links, nbytes, label=label)
 
     # -- monitoring -------------------------------------------------------
-    def nic_utilizations(self, nodes: Sequence[Node]) -> List[Tuple[float, float]]:
-        """``(rx, tx)`` utilization per node, in one scan of active flows.
+    def nic_links(self, nodes: Sequence[Node]) -> Tuple[Link, ...]:
+        """Each node's RX then TX link, in node order.
 
-        The slave monitor reads every sampled node's NIC on each tick;
-        one :meth:`FlowScheduler.utilizations` pass over all their links
-        is bit-identical to per-node :meth:`rx_utilization` /
-        :meth:`tx_utilization` calls.
+        The slave monitor keeps this tuple and reads all of its nodes'
+        NICs on each tick through one
+        :meth:`FlowScheduler.utilizations` call, the tuple being the
+        memo key; that is bit-identical to per-node
+        :meth:`rx_utilization` / :meth:`tx_utilization` calls.
         """
-        links: List[Link] = []
-        for node in nodes:
-            links.append(self._rx[node.node_id])
-            links.append(self._tx[node.node_id])
-        used = self.scheduler.utilizations(links)
-        return list(zip(used[0::2], used[1::2]))
+        return tuple(
+            link
+            for node in nodes
+            for link in (self._rx[node.node_id], self._tx[node.node_id])
+        )
 
     def rx_utilization(self, node: Node) -> float:
         return self.scheduler.utilization(self._rx[node.node_id])

@@ -70,14 +70,15 @@ class SimCluster:
             node.node_id: NodeManager(self.sim, node, network=self.cluster.network)
             for node in self.cluster.nodes
         }
-        # The central monitor consumes the ``stats``/``node`` feeds off
-        # the bus; the slave monitor publishes its samples there.
+        # The central monitor takes task statistics off the bus's
+        # ``stats`` feed; the slave monitor hands it node samples directly
+        # and publishes them on ``node`` only for other subscribers.
         self.monitor = CentralMonitor(bus=self.telemetry)
         #: Samples every node on one timer per start; ``None`` when the
         #: harness runs without monitors.
         self.slave_monitor: Optional[SlaveMonitor] = None
         if start_monitors:
-            self.slave_monitor = SlaveMonitor(self.sim, self.cluster.network)
+            self.slave_monitor = SlaveMonitor(self.sim, self.cluster.network, self.monitor)
             self.slave_monitor.start(self.node_managers.values())
         #: Retry/blacklist/speculation policy handed to every app master
         #: (``None`` = defaults: retries on, speculation off).

@@ -8,8 +8,9 @@ individual components only expose surfaces for:
   ``DRAINING``, so the NodeManager refuses launches and the scheduler
   places nothing on it; running tasks finish undisturbed, and when the
   last one settles the node deregisters from the RM, turns
-  ``DEPARTED`` (dropping out of monitor sampling), and its links
-  freeze.  Nothing is ever killed.
+  ``DEPARTED`` (dropping out of monitor sampling, and recorded by the
+  central monitor, if any), and its links freeze.  Nothing is ever
+  killed.
 * ``node_join`` -- a new node is built with the next sequential id,
   attached to an existing rack's fabric, given a NodeManager (heart-
   beating immediately when failure detection is armed), sampled by the
@@ -48,6 +49,7 @@ from repro.yarn.node_manager import KillReason, NodeManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.cluster.topology import Cluster
+    from repro.monitor.central_monitor import CentralMonitor
     from repro.monitor.slave_monitor import SlaveMonitor
     from repro.sim.engine import Simulator
     from repro.yarn.resource_manager import ResourceManager
@@ -62,12 +64,14 @@ class ElasticCluster:
         cluster: "Cluster",
         node_managers: Dict[int, NodeManager],
         rm: "ResourceManager",
+        monitor: Optional["CentralMonitor"] = None,
         slave_monitor: Optional["SlaveMonitor"] = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
         self.node_managers = node_managers
         self.rm = rm
+        self.monitor = monitor
         self.slave_monitor = slave_monitor
         #: Application masters to notify of preemption notices.
         self.apps: List[object] = []
@@ -210,20 +214,23 @@ class ElasticCluster:
             # the recovery path takes over.
             self.cluster.network.freeze_node_nic(node_id)
         self.departed.append((node_id, why))
+        if self.monitor is not None:
+            self.monitor.on_capacity_change(node_id, "depart", self.sim.now)
         self._emit_capacity_change(node_id, "depart")
 
     def _emit_capacity_change(self, node_id: int, action: str) -> None:
         tel = self.sim.telemetry
-        if tel is not None and tel.wants("node"):
-            tel.emit(
-                CapacityChange(
-                    time=self.sim.now,
-                    node_id=node_id,
-                    action=action,
-                    live_nodes=len(self.cluster.live_nodes),
-                    live_yarn_memory_bytes=float(self.cluster.live_yarn_memory),
+        if tel is not None:
+            if tel.wants("node"):
+                tel.emit(
+                    CapacityChange(
+                        time=self.sim.now,
+                        node_id=node_id,
+                        action=action,
+                        live_nodes=len(self.cluster.live_nodes),
+                        live_yarn_memory_bytes=float(self.cluster.live_yarn_memory),
+                    )
                 )
-            )
             tel.increment("elastic.capacity_changes")
         for listener in list(self.capacity_listeners):
             listener(self.sim.now)

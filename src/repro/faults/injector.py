@@ -72,7 +72,8 @@ class FaultInjector:
         self.plan = plan
         self.fetch_rng = fetch_rng
         #: The harness's monitors, wired into the managers :meth:`start`
-        #: builds: joined nodes get sampled, control faults black out.
+        #: builds: joined nodes get sampled, departures reach the central
+        #: monitor, control faults black it out.
         self.monitor = monitor
         self.slave_monitor = slave_monitor
         #: Built by :meth:`start` when the plan has an elastic (resp. a
@@ -107,6 +108,7 @@ class FaultInjector:
 
             self.elastic = ElasticCluster(
                 self.sim, self.cluster, self.node_managers, self.rm,
+                monitor=self.monitor,
                 slave_monitor=self.slave_monitor,
             )
         if self.plan.has_control_faults:

@@ -1,20 +1,20 @@
 """The central monitor: aggregates task and node statistics.
 
-The slave monitors push per-node :class:`NodeStats` samples here; app
-masters push :class:`TaskStats` on task completion.  The tuner does not
-read the monitor: it takes each attempt's :class:`TaskStats` straight
-from the app master and quarantines fetch-inflated samples itself.
-Reports, benchmarks and tests read the aggregates kept here.
+The slave monitors hand each tick's per-node samples here in one call;
+app masters push :class:`TaskStats` on task completion.  The tuner does
+not read the monitor: it takes each attempt's :class:`TaskStats`
+straight from the app master and quarantines fetch-inflated samples
+itself.  Reports, benchmarks and tests read the aggregates kept here.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import astuple, fields
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.monitor.statistics import NodeSamples, NodeStats, TaskStats, UtilizationTimeline
-from repro.telemetry.events import CapacityChange, NodeSampled, TaskStatsRecorded
+from repro.monitor.statistics import NodeRow, NodeSamples, NodeStats, TaskStats, UtilizationTimeline
+from repro.telemetry.events import TaskStatsRecorded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import TelemetryBus
@@ -24,10 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CentralMonitor:
     """Aggregation point for all runtime statistics.
 
-    Ingestion happens two ways: direct calls to :meth:`on_task_stats` /
-    :meth:`on_node_stats` (standalone use, tests), or as a telemetry-bus
-    subscriber on the ``stats`` and ``node`` categories (how
-    :class:`~repro.experiments.harness.SimCluster` wires it).
+    Node samples arrive only by direct call: a slave monitor hands each
+    tick's rows to :meth:`ingest`, and :meth:`on_node_stats` is the same
+    routine for one :class:`NodeStats` (standalone use, tests).  Node
+    departures arrive through :meth:`on_capacity_change`.  Task
+    statistics arrive from the telemetry bus, on the ``stats`` category
+    alone, or by direct calls to :meth:`on_task_stats`.  The monitor is
+    no ``node`` subscriber, so a run nobody watches builds no
+    ``NodeSampled`` event.
 
     :attr:`node_samples` is the one store of node samples, a sequence of
     :class:`NodeStats` packed 56 bytes a sample (:class:`NodeSamples`):
@@ -40,8 +44,8 @@ class CentralMonitor:
     def __init__(self, bus: Optional["TelemetryBus"] = None) -> None:
         self.task_stats: List[TaskStats] = []
         self.node_samples = NodeSamples()
-        #: Elastic membership: node_id -> time it left.  Fed by
-        #: ``capacity_change`` telemetry so aggregation tracks the live
+        #: Elastic membership: node_id -> time it left.  Fed by the
+        #: elastic manager's departures so aggregation tracks the live
         #: set instead of averaging over ghosts.
         self.departed_nodes: Dict[int, float] = {}
         #: Blackout windows ``(node_id-or-None, start, end)`` opened by
@@ -55,17 +59,12 @@ class CentralMonitor:
     # Ingestion
     # ------------------------------------------------------------------
     def subscribe_to(self, bus: "TelemetryBus") -> None:
-        """Consume the monitor feeds (``stats`` + ``node``) from *bus*."""
-        bus.subscribe(self.on_event, categories=("stats", "node"))
+        """Consume the task statistics feed (``stats``) from *bus*."""
+        bus.subscribe(self.on_event, categories=("stats",))
 
     def on_event(self, event: "TelemetryEvent") -> None:
-        # Node samples first: nearly every event on these feeds is one.
-        if isinstance(event, NodeSampled):
-            self.on_node_stats(event.stats)
-        elif isinstance(event, TaskStatsRecorded):
+        if isinstance(event, TaskStatsRecorded):
             self.on_task_stats(event.stats)
-        elif isinstance(event, CapacityChange):
-            self.on_capacity_change(event.node_id, event.action, event.time)
 
     def on_capacity_change(self, node_id: int, action: str, time: float) -> None:
         """Track departures so the utilization means follow the live set."""
@@ -95,10 +94,19 @@ class CentralMonitor:
             for gap_node, start, end in self.gaps
         )
 
+    def ingest(self, rows: Sequence[NodeRow]) -> None:
+        """Keep a batch of node samples, each a :data:`NodeRow`.
+
+        Rows inside a blackout window (:meth:`begin_gap`) are dropped;
+        the rest are packed into :attr:`node_samples` in the given order.
+        """
+        if self.gaps:
+            rows = [row for row in rows if not self._in_gap(row[0], row[1])]
+        self.node_samples.extend(rows)
+
     def on_node_stats(self, sample: NodeStats) -> None:
-        if self.gaps and self._in_gap(sample.node_id, sample.time):
-            return
-        self.node_samples.append(sample)
+        """Keep one sample through :meth:`ingest`."""
+        self.ingest([astuple(sample)])
 
     # ------------------------------------------------------------------
     # Queries

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable, List, Tuple
 
 from repro.cluster.node import NodeState
 from repro.monitor.statistics import NodeStats
@@ -12,6 +12,9 @@ from repro.telemetry.events import NodeSampled
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a monitor <-> yarn cycle
     from repro.cluster.network import Network
+    from repro.cluster.node import Node
+    from repro.monitor.central_monitor import CentralMonitor
+    from repro.sim.resources import Link
     from repro.yarn.node_manager import NodeManager
 
 DEFAULT_SAMPLE_INTERVAL = 5.0
@@ -25,53 +28,64 @@ class SlaveMonitor:
     upstream on a fixed period.  Each :meth:`start` call runs one timer
     over the node managers it is given, so a node is sampled from the
     instant it is started and every :data:`DEFAULT_SAMPLE_INTERVAL`
-    seconds after, until it departs the cluster.  Every sample is
-    published on the simulator's telemetry bus as a ``node``-category
-    :class:`~repro.telemetry.events.NodeSampled` event, in node order
-    (skipped when no bus -- or no subscriber -- is attached).
+    seconds after, until it departs the cluster.
+
+    A tick reads each live node once into a
+    :data:`~repro.monitor.statistics.NodeRow` and hands the tick's rows
+    to :meth:`CentralMonitor.ingest` in one call.  Only when a
+    subscriber wants the ``node`` category does it also publish each row
+    as a :class:`~repro.telemetry.events.NodeSampled` event, in node
+    order; a run nobody watches builds no per-sample object.
     """
 
-    def __init__(self, sim: Simulator, network: "Network") -> None:
+    def __init__(
+        self, sim: Simulator, network: "Network", monitor: "CentralMonitor"
+    ) -> None:
         self.sim = sim
         self.network = network
+        self.monitor = monitor
 
     def start(self, node_managers: Iterable["NodeManager"]) -> None:
         """Sample *node_managers* now and on every tick after."""
         self.sim.process(self._loop(list(node_managers)), name="slave-monitor")
 
-    def sample(self, node_managers: Sequence["NodeManager"]) -> List[NodeStats]:
-        """One :class:`NodeStats` per node manager, in the given order."""
-        nodes = [nm.node for nm in node_managers]
-        nics = self.network.nic_utilizations(nodes)
-        now = self.sim.now
-        # Positional, in field order (node_id, time, cpu, memory, running
-        # containers, rx, tx): keywords made this dataclass's init take
-        # 2.5x as long, once per node per tick.
-        return [
-            NodeStats(
-                node.node_id,
-                now,
-                node.cpu_utilization(),
-                node.memory_utilization(),
-                nm.running_containers,
-                rx,
-                tx,
-            )
-            for nm, node, (rx, tx) in zip(node_managers, nodes, nics)
-        ]
-
     def _loop(
         self, node_managers: List["NodeManager"]
     ) -> Generator[Event, object, None]:
+        sim = self.sim
+        ingest = self.monitor.ingest
+        utilizations = self.network.scheduler.utilizations
+        # The live node managers' nodes and their NIC links (RX, TX per
+        # node), kept across ticks and rebuilt after a node departs.
+        nodes: List["Node"] = []
+        links: Tuple["Link", ...] = ()
         while True:
-            # Departure is permanent; the timer ends with its last node.
-            node_managers = [
-                nm for nm in node_managers if nm.node.state is not NodeState.DEPARTED
+            if not nodes or any(node.state is NodeState.DEPARTED for node in nodes):
+                # Departure is permanent; the timer ends with its last node.
+                node_managers = [
+                    nm for nm in node_managers if nm.node.state is not NodeState.DEPARTED
+                ]
+                if not node_managers:
+                    return
+                nodes = [nm.node for nm in node_managers]
+                links = self.network.nic_links(nodes)
+            now = sim.now
+            nics = utilizations(links)
+            rows = [
+                (
+                    node.node_id,
+                    now,
+                    node.cpu_utilization(),
+                    node.memory_utilization(),
+                    nm.running_containers,
+                    rx,
+                    tx,
+                )
+                for nm, node, rx, tx in zip(node_managers, nodes, nics[0::2], nics[1::2])
             ]
-            if not node_managers:
-                return
-            tel = self.sim.telemetry
+            ingest(rows)
+            tel = sim.telemetry
             if tel is not None and tel.wants("node"):
-                for stats in self.sample(node_managers):
-                    tel.emit(NodeSampled(stats.time, stats))
-            yield self.sim.timeout(DEFAULT_SAMPLE_INTERVAL)
+                for row in rows:
+                    tel.emit(NodeSampled(now, NodeStats(*row)))
+            yield sim.timeout(DEFAULT_SAMPLE_INTERVAL)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.mapreduce.jobspec import TaskId, TaskType
 
@@ -198,6 +198,10 @@ class NodeStats:
         self.tx_utilization = tx_utilization
 
 
+#: One node sample as a tuple of :class:`NodeStats`' fields, in order:
+#: ``(node_id, time, cpu, memory, containers, rx, tx)``.
+NodeRow = Tuple[int, float, float, float, int, float, float]
+
 #: One :class:`NodeStats` as a 56-byte record, in field order: ``q``
 #: (int64) for the node id and container count, ``d`` (float64, every
 #: bit kept, -0.0 and NaN included) for the rest.
@@ -210,26 +214,19 @@ class NodeSamples(Sequence[NodeStats]):
     A run's monitor keeps every sample (~107k in a 210-job service
     stream).  Packed, a sample takes 56 bytes and leaves no object for
     the garbage collector to walk.  Indexing and iteration rebuild
-    :class:`NodeStats` equal to the ones appended, with the same int and
-    float types, provided the producer passed ints for the two ``q``
-    fields (``struct`` rejects anything else) and floats for the rest.
+    :class:`NodeStats` from the rows kept, with the same int and float
+    types, provided the producer passed ints for the two ``q`` fields
+    (``struct`` rejects anything else) and floats for the rest.
     """
 
     def __init__(self) -> None:
         self._records = bytearray()
 
-    def append(self, sample: NodeStats) -> None:
-        self._records += _NODE_RECORD.pack(
-            sample.node_id,
-            sample.time,
-            sample.cpu_utilization,
-            sample.memory_utilization,
-            sample.running_containers,
-            sample.rx_utilization,
-            sample.tx_utilization,
-        )
+    def extend(self, rows: Iterable[NodeRow]) -> None:
+        """Pack *rows*, each a :data:`NodeRow`, after the samples kept."""
+        self._records += b"".join(starmap(_NODE_RECORD.pack, rows))
 
-    def records(self) -> Iterator[Tuple[int, float, float, float, int, float, float]]:
+    def records(self) -> Iterator[NodeRow]:
         """Every sample as a tuple of its fields, in append order.
 
         Reads a copy of the buffer, so appends may go on while the

@@ -132,11 +132,17 @@ class TestMonitoring:
         net.freeze_node_nic(n3.node_id)
         sim.run(until=0.5)
         nodes = [joined, n3, n1, n0, n2]
-        pairs = net.nic_utilizations(nodes)
+        # The slave monitor's read: each node's RX then TX link, kept
+        # as one tuple, through one utilizations call keyed by it.
+        links = net.nic_links(nodes)
+        used = net.scheduler.utilizations(links)
+        assert net.scheduler.utilizations(links) is used
+        pairs = list(zip(used[0::2], used[1::2]))
         # Bit for bit, not approximately: float == is exact.
         assert pairs == [(net.rx_utilization(n), net.tx_utilization(n)) for n in nodes]
-        assert any(0.0 < u < 1.0 for pair in pairs for u in pair)
-        assert net.nic_utilizations([]) == []
+        assert any(0.0 < u < 1.0 for u in used)
+        assert net.nic_links([]) == ()
+        assert net.scheduler.utilizations(net.nic_links([])) == ()
 
 
 class TestTopology:

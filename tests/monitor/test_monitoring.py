@@ -239,7 +239,7 @@ def sampled_cluster(num_slaves=1):
 class TestSlaveMonitor:
     def test_periodic_sampling(self):
         sim, cluster, nms, seen = sampled_cluster(num_slaves=2)
-        SlaveMonitor(sim, cluster.network).start(nms)
+        SlaveMonitor(sim, cluster.network, CentralMonitor()).start(nms)
         sim.run(until=12.0)
         # Every tick samples each node, in node order, on one 5 s grid.
         assert [(ev.time, ev.stats.node_id) for ev in seen] == [
@@ -248,7 +248,7 @@ class TestSlaveMonitor:
 
     def test_one_timer_per_start(self):
         sim, cluster, nms, seen = sampled_cluster(num_slaves=3)
-        mon = SlaveMonitor(sim, cluster.network)
+        mon = SlaveMonitor(sim, cluster.network, CentralMonitor())
         mon.start(nms[:2])
         sim.run(until=1.5)
         mon.start(nms[2:])  # a later start keeps its own instant
@@ -261,7 +261,7 @@ class TestSlaveMonitor:
 
     def test_departed_node_stops_sampling(self):
         sim, cluster, nms, seen = sampled_cluster(num_slaves=2)
-        SlaveMonitor(sim, cluster.network).start(nms)
+        SlaveMonitor(sim, cluster.network, CentralMonitor()).start(nms)
         sim.run(until=6.0)
         cluster.nodes[1].depart()
         sim.run(until=12.0)
@@ -279,7 +279,10 @@ class TestSlaveMonitor:
         nm = NodeManager(sim, node)
         node.compute(10_000.0, max_cores=4.0)
         sim.run(until=0.1)
-        (s,) = SlaveMonitor(sim, cluster.network).sample([nm])
+        mon = CentralMonitor()
+        SlaveMonitor(sim, cluster.network, mon).start([nm])
+        sim.run(until=0.2)
+        (s,) = mon.node_samples
         assert s.cpu_utilization == pytest.approx(0.5)
         assert (s.node_id, s.time) == (0, 0.1)
 
@@ -288,20 +291,30 @@ class TestMonitorsOnTheBus:
     """The refactored wiring: monitors as telemetry-bus subscribers."""
 
     def test_central_monitor_consumes_bus_feeds(self):
-        from repro.telemetry import NodeSampled, TaskStatsRecorded, TelemetryBus
+        from repro.telemetry import CapacityChange, NodeSampled, TaskStatsRecorded, TelemetryBus
 
         sim = Simulator()
         bus = TelemetryBus(clock=lambda: sim.now)
         mon = CentralMonitor(bus=bus)
+        assert not bus.wants("node")
         recorded = stats(job="a")
         bus.emit(TaskStatsRecorded(time=10.0, stats=recorded))
-        bus.emit(NodeSampled(time=5.0, stats=NodeStats(0, 5.0, 0.3, 0.6, 1)))
         assert mon.task_stats == [recorded]
-        assert mon.mean_cpu_utilization() == pytest.approx(0.3)
+        # Node samples and departures reach the monitor by direct call
+        # only: with a watcher on ``node``, the events the slave monitor
+        # publishes for it must not be counted a second time.
+        bus.subscribe(lambda ev: None, categories=("node",))
+        mon.on_node_stats(NodeStats(0, 5.0, 0.3, 0.6, 1))
+        bus.emit(NodeSampled(time=5.0, stats=NodeStats(0, 5.0, 0.3, 0.6, 1)))
+        bus.emit(NodeSampled(time=10.0, stats=NodeStats(0, 10.0, 0.9, 0.9, 1)))
+        bus.emit(CapacityChange(time=10.0, node_id=0, action="depart"))
+        assert len(mon.node_samples) == 1
+        assert mon.departed_nodes == {}
+        assert mon.mean_cpu_utilization() == 0.3
 
     def test_slave_monitor_publishes_to_bus_without_sink(self):
         sim, cluster, nms, seen = sampled_cluster()
-        SlaveMonitor(sim, cluster.network).start(nms)
+        SlaveMonitor(sim, cluster.network, CentralMonitor()).start(nms)
         sim.run(until=11.0)
         assert len(seen) == 3  # t = 0, 5, 10
         assert all(ev.category == "node" for ev in seen)
@@ -310,5 +323,5 @@ class TestMonitorsOnTheBus:
         sim = Simulator()
         cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
         nm = NodeManager(sim, cluster.nodes[0])
-        SlaveMonitor(sim, cluster.network).start([nm])
+        SlaveMonitor(sim, cluster.network, CentralMonitor()).start([nm])
         sim.run(until=11.0)  # nothing to assert beyond "does not raise"

@@ -16,6 +16,12 @@ and the timelines it used to extend sample by sample: the store must
 read back those samples, and the means and timelines of every run must
 equal the eager ones exactly, mid-run too.
 
+The slave monitor hands its samples to the central monitor directly and
+builds ``NodeSampled`` events only for a ``node`` subscriber such as
+``Recorder``.  Each run, repeated with no such subscriber, must leave
+the monitor with the same packed bytes, departures and means, and must
+build no per-sample object at all.
+
 Print the current values with::
 
     PYTHONPATH=src python -m tests.monitor.test_sample_pins --record
@@ -28,10 +34,12 @@ from collections import defaultdict
 
 import pytest
 
+from repro.backends.local import LocalProcessBackend
 from repro.cluster.topology import ClusterSpec
 from repro.experiments.harness import SimCluster
 from repro.experiments.parallel import RunRequest, build_request, run_request
 from repro.faults import Fault, FaultPlan
+from repro.monitor import slave_monitor
 from repro.monitor.statistics import UtilizationTimeline
 from repro.telemetry.events import NodeSampled
 from repro.workloads.suite import case_by_name, make_job_spec, shrink_case
@@ -49,7 +57,8 @@ class Recorder:
     arriving.
     """
 
-    def __init__(self, sim, bus, monitor, probe_at=None):
+    def __init__(self, sim, bus, monitor, probe_at=None, watch=True):
+        self.bus = bus
         self.monitor = monitor
         self.samples = []
         self.ingested = []
@@ -57,7 +66,8 @@ class Recorder:
         self.mem = defaultdict(UtilizationTimeline)
         #: ``(samples kept so far, derived means, eager means)`` per probe.
         self.probes = []
-        bus.subscribe(self.on_event, categories=("node",))
+        if watch:
+            bus.subscribe(self.on_event, categories=("node",))
         if probe_at is not None:
             sim.call_at(probe_at, self.probe)
 
@@ -87,14 +97,14 @@ def _stream(samples):
     return [(ev.time, *dataclasses.astuple(ev.stats)) for ev in samples]
 
 
-def churn_off_grid(probe_at=None):
+def churn_off_grid(probe_at=None, watch=True):
     """6 nodes; joins at 1.3 s and 7.9 s, a decommission, a spot preempt."""
     sc = SimCluster(
         seed=2,
         cluster_spec=ClusterSpec(num_slaves=6, racks=(3, 3)),
         fault_tolerance=FaultToleranceSettings(speculation=SpeculationSettings()),
     )
-    recorder = Recorder(sc.sim, sc.telemetry, sc.monitor, probe_at)
+    recorder = Recorder(sc.sim, sc.telemetry, sc.monitor, probe_at, watch)
     sc.inject_faults(
         plan=FaultPlan(
             (
@@ -110,14 +120,14 @@ def churn_off_grid(probe_at=None):
     return result, recorder
 
 
-def _request_run(request, probe_at):
+def _request_run(request, probe_at, watch):
     backend, _plan = build_request(request)
-    recorder = Recorder(backend.sim, backend.telemetry, backend.monitor, probe_at)
+    recorder = Recorder(backend.sim, backend.telemetry, backend.monitor, probe_at, watch)
     result, _recommended = run_request(backend, request)
     return result, recorder
 
 
-def shuffle_faults(probe_at=None):
+def shuffle_faults(probe_at=None, watch=True):
     """TeraSort 100x25 under link degrade, flaky link and rack partition."""
     return _request_run(
         RunRequest.build(
@@ -134,10 +144,11 @@ def shuffle_faults(probe_at=None):
             },
         ),
         probe_at,
+        watch,
     )
 
 
-def generated_mixed_plan(probe_at=None):
+def generated_mixed_plan(probe_at=None, watch=True):
     """A drawn plan: crash, two joins, drain, preempt, outage, stats gap."""
     return _request_run(
         RunRequest.build(
@@ -156,6 +167,7 @@ def generated_mixed_plan(probe_at=None):
             },
         ),
         probe_at,
+        watch,
     )
 
 
@@ -254,6 +266,54 @@ def test_eager_reference_sees_departures_and_gaps():
     _result, mixed = generated_mixed_plan()
     assert mixed.monitor.gaps
     assert len(mixed.monitor.node_samples) < len(mixed.samples)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_watching_changes_nothing_the_monitor_keeps(name):
+    watched_result, watched = RUNS[name]()
+    result, unwatched = RUNS[name](watch=False)
+    assert not unwatched.bus.wants("node")
+    assert len(watched.samples) == PINS[name][0] and not unwatched.samples
+    assert (result.succeeded, result.duration) == (True, watched_result.duration)
+    w, u = watched.monitor, unwatched.monitor
+    assert u.node_samples._records == w.node_samples._records
+    assert u.departed_nodes == w.departed_nodes
+    assert u.gaps == w.gaps
+    key = "elastic.capacity_changes"
+    assert unwatched.bus.counters.get(key) == watched.bus.counters.get(key)
+    assert u.mean_cpu_utilization() == w.mean_cpu_utilization()
+    assert u.mean_memory_utilization() == w.mean_memory_utilization()
+
+
+def test_unwatched_runs_count_capacity_changes():
+    """Not vacuous: joins and departures are counted with nobody watching."""
+    _result, churn = churn_off_grid(watch=False)
+    assert churn.bus.counters["elastic.capacity_changes"] == 4
+    assert len(churn.monitor.departed_nodes) == 2
+
+
+def test_nothing_subscribes_to_node_samples_by_default(tmp_path):
+    assert SimCluster(seed=0).telemetry.wants("node") is False
+    with LocalProcessBackend(workspace=str(tmp_path), slots=1) as backend:
+        assert backend.telemetry.wants("node") is False
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_unwatched_run_builds_no_sample_object(name, monkeypatch):
+    built = []
+
+    def refuse(*args):
+        # A sim process that raises only fails its own event, so the
+        # calls are recorded as well.
+        built.append(args)
+        raise AssertionError("a per-sample object was built with nobody watching")
+
+    monkeypatch.setattr(slave_monitor, "NodeSampled", refuse)
+    monkeypatch.setattr(slave_monitor, "NodeStats", refuse)
+    result, unwatched = RUNS[name](watch=False)
+    assert result.succeeded
+    assert not built
+    assert len(unwatched.monitor.node_samples) > 0
 
 
 if __name__ == "__main__" and "--record" in sys.argv:

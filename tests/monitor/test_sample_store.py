@@ -46,6 +46,11 @@ def assert_same_sample(got, want):
         assert type(getattr(got, f.name)) is (int if f.name in INT_FIELDS else float)
 
 
+def row(sample):
+    """*sample* as the row ``NodeSamples.extend`` packs."""
+    return dataclasses.astuple(sample)
+
+
 def fresh_samples(n):
     """*n* distinct samples over 18 nodes, none sharing a float object."""
     return [
@@ -71,8 +76,7 @@ class TestRoundTrip:
 
     def test_records_are_the_fields_in_order(self):
         store = NodeSamples()
-        for sample in EDGE_SAMPLES:
-            store.append(sample)
+        store.extend(row(sample) for sample in EDGE_SAMPLES)
         records = list(store.records())
         assert [bits(NodeStats(*r)) for r in records] == [bits(s) for s in EDGE_SAMPLES]
         assert all(len(r) == len(dataclasses.fields(NodeStats)) for r in records)
@@ -80,11 +84,14 @@ class TestRoundTrip:
     def test_ints_are_required_for_id_and_container_count(self):
         store = NodeSamples()
         with pytest.raises(struct.error):
-            store.append(NodeStats(1.0, 0.0, 0.0, 0.0, 0))
+            store.extend([row(NodeStats(1.0, 0.0, 0.0, 0.0, 0))])
         with pytest.raises(struct.error):
-            store.append(NodeStats(1, 0.0, 0.0, 0.0, 2.0))
+            store.extend([row(NodeStats(1, 0.0, 0.0, 0.0, 2.0))])
         with pytest.raises(struct.error):
-            store.append(NodeStats(2**63, 0.0, 0.0, 0.0, 0))
+            store.extend([row(NodeStats(2**63, 0.0, 0.0, 0.0, 0))])
+        # A batch with one bad row keeps none of its rows.
+        with pytest.raises(struct.error):
+            store.extend([row(EDGE_SAMPLES[0]), row(NodeStats(1.0, 0.0, 0.0, 0.0, 0))])
         assert len(store) == 0
 
 
@@ -93,7 +100,7 @@ class TestSequenceProtocol:
         samples = fresh_samples(n)
         store = NodeSamples()
         for sample in samples:
-            store.append(sample)
+            store.extend([row(sample)])
         return store, samples
 
     def test_is_a_sequence(self):
@@ -137,7 +144,7 @@ class TestSequenceProtocol:
         records = store.records()
         assert next(iterator) == samples[0]
         extra = NodeStats(5, 99.0, 0.5, 0.5, 2)
-        store.append(extra)
+        store.extend([row(extra)])
         assert list(iterator) == samples[1:]
         assert len(list(records)) == 3
         assert store[-1] == extra
