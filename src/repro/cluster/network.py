@@ -179,17 +179,11 @@ class Network:
         The slave monitor keeps this tuple and reads all of its nodes'
         NICs on each tick through one
         :meth:`FlowScheduler.utilizations` call, the tuple being the
-        memo key; that is bit-identical to per-node
-        :meth:`rx_utilization` / :meth:`tx_utilization` calls.
+        memo key; that is bit-identical to a
+        :meth:`FlowScheduler.utilization` call per link.
         """
         return tuple(
             link
             for node in nodes
             for link in (self._rx[node.node_id], self._tx[node.node_id])
         )
-
-    def rx_utilization(self, node: Node) -> float:
-        return self.scheduler.utilization(self._rx[node.node_id])
-
-    def tx_utilization(self, node: Node) -> float:
-        return self.scheduler.utilization(self._tx[node.node_id])

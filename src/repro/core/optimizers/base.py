@@ -311,43 +311,6 @@ class WaveOptimizer:
         return len(self._infeasible_points)
 
     # ------------------------------------------------------------------
-    # Checkpoint (the recovery journal's record of a search)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict[str, object]:
-        """A JSON-safe snapshot of the shared search state.
-
-        Valid between waves: the in-flight batch is deliberately
-        excluded (a crash voids it anyway -- see the tuner's
-        degraded-mode rollback).  The recovery journal writes one per
-        finished session: counters, the best-cost trajectory, the
-        incumbent, the rule-tightened sampling bounds, and the
-        infeasible regions.  Nothing reads it back into an optimizer.
-        """
-        return {
-            "samples_proposed": int(self.samples_proposed),
-            "observations": int(self.observations),
-            "waves_started": int(self.waves_started),
-            "wave_of_best": self.wave_of_best,
-            "best_observed": self._best_observed,
-            "cost_trajectory": [
-                [int(n), float(c)] for n, c in self.cost_trajectory
-            ],
-            "bounds_lo": [float(x) for x in self.bounds.lo],
-            "bounds_hi": [float(x) for x in self.bounds.hi],
-            "infeasible_points": [
-                [float(x) for x in p] for p in self._infeasible_points
-            ],
-            "infeasible_marks": int(self.infeasible_marks),
-            "done": bool(self.finished),
-            "incumbent_point": (
-                None
-                if self.best_point() is None
-                else [float(x) for x in self.best_point()]
-            ),
-            "incumbent_cost": self.best_cost(),
-        }
-
-    # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
     def _make_batch(self) -> List[Sample]:

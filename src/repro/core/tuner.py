@@ -881,25 +881,6 @@ class OnlineTuner:
             out.extend(cstate.rule_log)
         return out
 
-    def session_checkpoint(self, job_id: str) -> Dict[str, object]:
-        """A JSON-safe snapshot of the session's optimizer state.
-
-        One ``WaveOptimizer.checkpoint`` per task-type search --
-        incumbent point and cost, rule-tightened bounds, infeasible
-        regions, and the wave counters -- keyed for the recovery
-        journal.  Conservative sessions have no search state and
-        checkpoint to an empty mapping.
-        """
-        job = self._jobs[job_id]
-        return {
-            "job_id": job_id,
-            "workload": job.spec.workload.name,
-            "searches": {
-                task_type.value: state.climber.checkpoint()
-                for task_type, state in job.search_states.items()
-            },
-        }
-
     def session_summary(self, job_id: str) -> Dict[str, object]:
         """A structured account of the tuning session (for reports/UIs)."""
         job = self._jobs[job_id]

@@ -7,12 +7,11 @@ and feeds the tuner (Figure 2).
 
 from repro.monitor.central_monitor import CentralMonitor
 from repro.monitor.slave_monitor import SlaveMonitor
-from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
+from repro.monitor.statistics import NodeStats, TaskStats
 
 __all__ = [
     "CentralMonitor",
     "NodeStats",
     "SlaveMonitor",
     "TaskStats",
-    "UtilizationTimeline",
 ]

@@ -9,11 +9,9 @@ itself.  Reports, benchmarks and tests read the aggregates kept here.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import astuple, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.monitor.statistics import NodeRow, NodeSamples, NodeStats, TaskStats, UtilizationTimeline
+from repro.monitor.statistics import NodeRow, NodeSamples, TaskStats
 from repro.telemetry.events import TaskStatsRecorded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,20 +23,17 @@ class CentralMonitor:
     """Aggregation point for all runtime statistics.
 
     Node samples arrive only by direct call: a slave monitor hands each
-    tick's rows to :meth:`ingest`, and :meth:`on_node_stats` is the same
-    routine for one :class:`NodeStats` (standalone use, tests).  Node
-    departures arrive through :meth:`on_capacity_change`.  Task
-    statistics arrive from the telemetry bus, on the ``stats`` category
-    alone, or by direct calls to :meth:`on_task_stats`.  The monitor is
-    no ``node`` subscriber, so a run nobody watches builds no
-    ``NodeSampled`` event.
+    tick's rows to :meth:`ingest`.  Node departures arrive through
+    :meth:`on_capacity_change`.  Task statistics arrive from the
+    telemetry bus, on the ``stats`` category alone, or by direct calls
+    to :meth:`on_task_stats`.  The monitor is no ``node`` subscriber, so
+    a run nobody watches builds no ``NodeSampled`` event.
 
-    :attr:`node_samples` is the one store of node samples, a sequence of
-    :class:`NodeStats` packed 56 bytes a sample (:class:`NodeSamples`):
-    ingestion appends to it and nothing else.  The per-node CPU and
-    memory timelines, and the means over them, are built from its
-    records when read, from the same values in the same order, so they
-    are the floats per-sample timelines would give.
+    :attr:`node_samples` is the one store of node samples, each a
+    :data:`~repro.monitor.statistics.NodeRow` packed into 56 bytes
+    (:class:`NodeSamples`): ingestion appends to it and nothing else.
+    The CPU and memory means are computed from its records in one pass
+    when read, over each node's samples from time 0 to its departure.
     """
 
     def __init__(self, bus: Optional["TelemetryBus"] = None) -> None:
@@ -83,8 +78,8 @@ class CentralMonitor:
         a specific id silences one slave monitor.  Task statistics keep
         flowing -- they arrive through the app masters' completion path,
         which buffers until the monitor answers -- but utilization
-        samples inside the window are lost for good, so the timelines
-        bridge the gap with the last pre-window level.
+        samples inside the window are lost for good, so the means hold
+        the last pre-window level across the gap.
         """
         self.gaps.append((node_id, start, end))
 
@@ -104,50 +99,75 @@ class CentralMonitor:
             rows = [row for row in rows if not self._in_gap(row[0], row[1])]
         self.node_samples.extend(rows)
 
-    def on_node_stats(self, sample: NodeStats) -> None:
-        """Keep one sample through :meth:`ingest`."""
-        self.ingest([astuple(sample)])
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def cpu_timelines(self) -> Dict[int, UtilizationTimeline]:
-        """node_id -> CPU utilization timeline, built from the samples."""
-        return self._timelines("cpu_utilization")
+    def mean_cpu_utilization(self) -> float:
+        return self._mean_over(2)  # a NodeRow's CPU column
 
-    @property
-    def mem_timelines(self) -> Dict[int, UtilizationTimeline]:
-        """node_id -> memory utilization timeline, built from the samples."""
-        return self._timelines("memory_utilization")
+    def mean_memory_utilization(self) -> float:
+        return self._mean_over(3)  # a NodeRow's memory column
 
-    def _timelines(self, field: str) -> Dict[int, UtilizationTimeline]:
-        column = [f.name for f in fields(NodeStats)].index(field)
-        timelines: Dict[int, UtilizationTimeline] = defaultdict(UtilizationTimeline)
-        for record in self.node_samples.records():
-            timelines[record[0]].add(record[1], record[column])
-        return timelines
-
-    def mean_cpu_utilization(self, since: float = 0.0) -> float:
-        return self._mean_over(self.cpu_timelines, since)
-
-    def mean_memory_utilization(self, since: float = 0.0) -> float:
-        return self._mean_over(self.mem_timelines, since)
-
-    def _mean_over(
-        self, timelines: Dict[int, UtilizationTimeline], since: float
-    ) -> float:
+    def _mean_over(self, column: int) -> float:
         """Per-node time-weighted means averaged over *current* capacity.
 
-        A node that departed before the window opened contributes
-        nothing; one that departed mid-window contributes only up to its
-        departure.  Joined nodes start contributing from their first
-        sample, so the denominator always tracks the live membership.
+        A node that departed at or before time 0 contributes nothing;
+        any other contributes its samples up to its departure, so a node
+        whose samples all came after it contributes 0.0.  Joined nodes
+        start contributing from their first sample, so the denominator
+        always tracks the live membership.  A node's samples arrive in
+        time order, none before time 0.
         """
-        values = []
-        for node_id in sorted(timelines):
-            departed = self.departed_nodes.get(node_id)
-            if departed is not None and departed <= since:
+        departed = self.departed_nodes
+        means: Dict[int, Optional[_RunningMean]] = {}
+        for record in self.node_samples.records():
+            node_id, time = record[0], record[1]
+            until = departed.get(node_id)
+            if until is not None and time > until:
+                means.setdefault(node_id, None)
                 continue
-            values.append(timelines[node_id].mean(since, until=departed))
+            running = means.get(node_id)
+            if running is None:
+                means[node_id] = _RunningMean(time, record[column])
+            else:
+                running.add(time, record[column])
+        values = []
+        for node_id, running in sorted(means.items()):
+            until = departed.get(node_id)
+            if until is not None and until <= 0.0:
+                continue
+            values.append(0.0 if running is None else running.mean())
         return sum(values) / len(values) if values else 0.0
+
+
+class _RunningMean:
+    """One node's time-weighted mean, fed its samples in time order.
+
+    Each value holds until the next sample, and the mean runs from the
+    first sample to the last.  Samples that share one instant are
+    averaged plainly, and one sample is its own mean.
+    """
+
+    __slots__ = ("first", "last", "value", "total", "at_first")
+
+    def __init__(self, time: float, value: float) -> None:
+        self.first = self.last = time
+        self.value = value
+        self.total = 0.0
+        #: The values sampled at the first instant, kept for ``sum``:
+        #: Python 3.12's compensates, which ``+=`` would not repeat.
+        self.at_first = [value]
+
+    def add(self, time: float, value: float) -> None:
+        self.total += self.value * (time - self.last)
+        if time == self.first:
+            self.at_first.append(value)
+        self.last, self.value = time, value
+
+    def mean(self) -> float:
+        span = self.last - self.first
+        if span <= 0:
+            if len(self.at_first) == 1:
+                return self.at_first[0]  # not divided by 1, so -0.0 stays
+            return sum(self.at_first) / len(self.at_first)
+        return self.total / span

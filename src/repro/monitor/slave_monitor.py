@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, List, Tuple
 from repro.cluster.node import NodeState
 from repro.monitor.statistics import NodeStats
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, reraise_failure
 from repro.telemetry.events import NodeSampled
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a monitor <-> yarn cycle
@@ -47,7 +47,8 @@ class SlaveMonitor:
 
     def start(self, node_managers: Iterable["NodeManager"]) -> None:
         """Sample *node_managers* now and on every tick after."""
-        self.sim.process(self._loop(list(node_managers)), name="slave-monitor")
+        timer = self.sim.process(self._loop(list(node_managers)), name="slave-monitor")
+        timer.add_callback(reraise_failure)
 
     def _loop(
         self, node_managers: List["NodeManager"]

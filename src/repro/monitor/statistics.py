@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.mapreduce.jobspec import TaskId, TaskType
 
@@ -163,7 +163,7 @@ class ProgressBoard:
         return [self._running[k] for k in sorted(self._running)]
 
 
-@dataclass(init=False)
+@dataclass
 class NodeStats:
     """A point-in-time sample of one node's resource state."""
 
@@ -174,28 +174,6 @@ class NodeStats:
     running_containers: int
     rx_utilization: float = 0.0
     tx_utilization: float = 0.0
-
-    # Written out rather than generated, though it runs no faster: every
-    # generated ``__init__`` has the code location ``('<string>', 2)``, so
-    # a profile keyed by (file, line, name) folds them all into one entry
-    # and loses the time of this one, which runs once per node per tick.
-    def __init__(
-        self,
-        node_id: int,
-        time: float,
-        cpu_utilization: float,
-        memory_utilization: float,
-        running_containers: int,
-        rx_utilization: float = 0.0,
-        tx_utilization: float = 0.0,
-    ) -> None:
-        self.node_id = node_id
-        self.time = time
-        self.cpu_utilization = cpu_utilization
-        self.memory_utilization = memory_utilization
-        self.running_containers = running_containers
-        self.rx_utilization = rx_utilization
-        self.tx_utilization = tx_utilization
 
 
 #: One node sample as a tuple of :class:`NodeStats`' fields, in order:
@@ -208,15 +186,15 @@ NodeRow = Tuple[int, float, float, float, int, float, float]
 _NODE_RECORD = struct.Struct("=qdddqdd")
 
 
-class NodeSamples(Sequence[NodeStats]):
+class NodeSamples:
     """Node samples packed into one ``bytearray`` of fixed-width records.
 
     A run's monitor keeps every sample (~107k in a 210-job service
     stream).  Packed, a sample takes 56 bytes and leaves no object for
-    the garbage collector to walk.  Indexing and iteration rebuild
-    :class:`NodeStats` from the rows kept, with the same int and float
-    types, provided the producer passed ints for the two ``q`` fields
-    (``struct`` rejects anything else) and floats for the rest.
+    the garbage collector to walk.  :meth:`records` reads the rows back
+    with the same int and float types, provided the producer passed ints
+    for the two ``q`` fields (``struct`` rejects anything else) and
+    floats for the rest.
     """
 
     def __init__(self) -> None:
@@ -237,58 +215,3 @@ class NodeSamples(Sequence[NodeStats]):
 
     def __len__(self) -> int:
         return len(self._records) // _NODE_RECORD.size
-
-    def __iter__(self) -> Iterator[NodeStats]:
-        return starmap(NodeStats, self.records())
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[NodeStats, List[NodeStats]]:
-        # range() normalizes negative indices and slices, and raises
-        # IndexError past either end, exactly as a list would.
-        rows = range(len(self))[index]
-        if isinstance(rows, range):
-            return [self._unpack(row) for row in rows]
-        return self._unpack(rows)
-
-    def _unpack(self, row: int) -> NodeStats:
-        return NodeStats(*_NODE_RECORD.unpack_from(self._records, row * _NODE_RECORD.size))
-
-
-@dataclass
-class UtilizationTimeline:
-    """Accumulates utilization samples; reports time-weighted means."""
-
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-
-    def add(self, time: float, value: float) -> None:
-        self.times.append(time)
-        self.values.append(value)
-
-    def mean(self, since: float = 0.0, until: Optional[float] = None) -> float:
-        pairs = []
-        boundary = None  # last sample at or before the window start
-        for t, v in zip(self.times, self.values):
-            if until is not None and t > until:
-                # Samples are appended in time order; everything past the
-                # cap (a node's departure, say) is outside the window.
-                break
-            if t >= since:
-                pairs.append((t, v))
-            else:
-                boundary = v
-        if boundary is not None and (not pairs or pairs[0][0] > since):
-            # The level in effect at the window start comes from the last
-            # pre-window sample; without it, short windows ignore whatever
-            # utilization was already established when the window opened.
-            pairs.insert(0, (since, boundary))
-        if not pairs:
-            return 0.0
-        if len(pairs) == 1:
-            return pairs[0][1]
-        total = 0.0
-        span = pairs[-1][0] - pairs[0][0]
-        if span <= 0:
-            return sum(v for _, v in pairs) / len(pairs)
-        for (t0, v0), (t1, _v1) in zip(pairs, pairs[1:]):
-            total += v0 * (t1 - t0)
-        return total / span

@@ -6,8 +6,8 @@ appends to as jobs complete -- every record fsynced before its effects
 are observable anywhere else -- and the reader that folds a journal
 (possibly ending in a torn line from the crash) back into the state a
 resumed run needs: completed jobs in stable (tenant, arrival-index)
-identity, finished tuning sessions with their optimizer checkpoints,
-per-tenant knowledge-base snapshots, and preemption decisions.
+identity, finished tuning sessions, per-tenant knowledge-base
+snapshots, and preemption decisions.
 
 Resume semantics differ by backend, deliberately:
 

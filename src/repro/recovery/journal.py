@@ -15,10 +15,6 @@ first:
 ``tuning``
     The finished tuning session's summary
     (:class:`~repro.service.tuner_service.JobTuningRecord` fields).
-``tuner``
-    The session's per-task-type optimizer checkpoints: incumbent point
-    and cost, rule-tightened bounds, infeasible regions, and the
-    wave-of-best counters (see ``WaveOptimizer.checkpoint``).
 ``kb``
     The tenant's knowledge base after the session; the latest snapshot
     per tenant wins on replay.
@@ -40,13 +36,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, TextIO
 
 from repro.service.report import CompletedJob
 from repro.service.tuner_service import JobTuningRecord
 from repro.telemetry.export import replay_records
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
 class JournalError(RuntimeError):
@@ -90,10 +86,6 @@ class JournalState:
     records: List[Dict[str, Any]] = field(default_factory=list)
     jobs: List[CompletedJob] = field(default_factory=list)
     tuning: List[JobTuningRecord] = field(default_factory=list)
-    #: (tenant, profile, index) -> per-task-type optimizer checkpoints.
-    checkpoints: Dict[Tuple[str, str, int], Dict[str, Any]] = field(
-        default_factory=dict
-    )
     #: tenant -> knowledge-base entries (latest snapshot wins).
     knowledge: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
     preemptions: List[Dict[str, Any]] = field(default_factory=list)
@@ -121,9 +113,6 @@ def read_journal(path: str) -> JournalState:
             state.jobs.append(CompletedJob(**body))
         elif kind == "tuning":
             state.tuning.append(JobTuningRecord(**body))
-        elif kind == "tuner":
-            key = (record["tenant"], record["profile"], int(record["index"]))
-            state.checkpoints[key] = record["searches"]
         elif kind == "kb":
             state.knowledge[record["tenant"]] = record["entries"]
         elif kind == "preemption":
@@ -208,19 +197,6 @@ class ServiceJournal:
 
     def record_tuning(self, record: JobTuningRecord) -> None:
         self._append({"kind": "tuning", **asdict(record)})
-
-    def record_checkpoint(
-        self, tenant: str, profile: str, index: int, searches: Dict[str, Any]
-    ) -> None:
-        self._append(
-            {
-                "kind": "tuner",
-                "tenant": tenant,
-                "profile": profile,
-                "index": index,
-                "searches": searches,
-            }
-        )
 
     def record_knowledge(self, tenant: str, knowledge_base) -> None:
         """Snapshot *tenant*'s knowledge base (any object with to_json)."""

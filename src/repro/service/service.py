@@ -172,10 +172,9 @@ class _Ledger:
 
     It mints the tuning sessions, holds the completed jobs and, with a
     journal, writes each fresh completion ahead -- job record, tuning
-    summary, optimizer checkpoints and the tenant's knowledge-base
-    snapshot -- before the loop reacts to it.  A completion inside the
-    journaled prefix must replay it exactly (same identity, same
-    timestamps).  The ``kill_after_jobs`` crash fires only on *newly*
+    summary and the tenant's knowledge-base snapshot -- before the loop
+    reacts to it.  A completion inside the journaled prefix must replay
+    it exactly (same identity, same timestamps).  The ``kill_after_jobs`` crash fires only on *newly*
     journaled jobs, so a resumed run replays the prefix and then dies N
     jobs further in (or finishes).
     """
@@ -244,12 +243,6 @@ class _Ledger:
         self.journal.record_job(record)
         if session is not None:
             self.journal.record_tuning(session)
-            self.journal.record_checkpoint(
-                record.tenant,
-                record.profile,
-                record.index,
-                tuner.session_checkpoint(job_id)["searches"],
-            )
             self.journal.record_knowledge(
                 record.tenant, self.tuner_service.knowledge_base(record.tenant)
             )

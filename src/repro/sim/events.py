@@ -214,6 +214,17 @@ class Process(Event):
         return f"<Process {self.name!r} {'done' if self.triggered else 'running'}>"
 
 
+def reraise_failure(event: Event) -> None:
+    """Raise a failed *event*'s exception out of the simulator's run loop.
+
+    A process that raises only fails its own event.  Attach this to a
+    process nothing yields on (a timer, a task lifecycle), so that its
+    failure stops the run instead of vanishing.
+    """
+    if event.exception is not None:
+        raise event.exception
+
+
 class AllOf(Event):
     """Fires once every child event has fired; value is the list of values.
 

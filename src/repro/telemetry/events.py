@@ -229,11 +229,7 @@ class TaskStatsRecorded(TelemetryEvent):
         }
 
 
-#: Sets a field of a frozen event, as the generated ``__init__`` does.
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NodeSampled(TelemetryEvent):
     """One slave-monitor sample of a node's resource state."""
 
@@ -241,18 +237,6 @@ class NodeSampled(TelemetryEvent):
     kind: ClassVar[str] = "node_sample"
 
     stats: NodeStats = None  # type: ignore[assignment]
-
-    # Written out rather than generated: one is built per node per tick,
-    # and the generated frozen init, which looks up ``object.__setattr__``
-    # once per field, takes ~15% longer.  Every generated ``__init__``
-    # also has the code location ``('<string>', 2)``, so a profile keyed
-    # by (file, line, name) folds them all into one entry and loses this
-    # one's time.
-    def __init__(
-        self, time: float = 0.0, stats: NodeStats = None  # type: ignore[assignment]
-    ) -> None:
-        _setattr(self, "time", time)
-        _setattr(self, "stats", stats)
 
     def to_record(self) -> Dict[str, Any]:
         s = self.stats

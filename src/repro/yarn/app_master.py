@@ -53,7 +53,7 @@ from repro.mapreduce.shuffle import MapOutputCatalog
 from repro.mapreduce.task_context import TaskContext
 from repro.monitor.statistics import ENVIRONMENTAL_KINDS, ProgressBoard, TaskStats
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Interrupt, Process
+from repro.sim.events import Event, Interrupt, Process, reraise_failure
 from repro.sim.resources import Semaphore
 from repro.telemetry.events import (
     AttemptRetry,
@@ -274,11 +274,6 @@ class _TaskRun:
         self.relaunch_on_settle = False
 
 
-def _reraise_runner_failure(ev: Event) -> None:
-    if ev.exception is not None:
-        raise ev.exception
-
-
 def _lost_attempt_stats(run: _TaskRun, end_time: float, **fields) -> TaskStats:
     """A failed attempt's record that measured no work (zero CPU)."""
     return TaskStats(
@@ -410,14 +405,14 @@ class MRAppMaster:
             run = self._make_run(TaskType.MAP, index)
             self.sim.process(
                 self._task_lifecycle(run), name=f"{self.spec.job_id}-m{index}"
-            )
+            ).add_callback(reraise_failure)
         if self._slowstart_threshold() == 0:
             self._start_reduces()
         if self.ft.speculation is not None:
             self.sim.process(
                 self._speculator_loop(self.ft.speculation),
                 name=f"{self.spec.job_id}-speculator",
-            )
+            ).add_callback(reraise_failure)
         return self.completion
 
     def add_completion_callback(self, callback: Callable[[JobResult], None]) -> None:
@@ -481,7 +476,7 @@ class MRAppMaster:
         # path would otherwise vanish silently and hang the job: the
         # attempt never settles and the lifecycle waits forever.  Crash
         # the simulation loudly instead.
-        attempt.runner.add_callback(_reraise_runner_failure)
+        attempt.runner.add_callback(reraise_failure)
         return attempt
 
     def _attempt_runner(
@@ -808,7 +803,7 @@ class MRAppMaster:
         self.sim.process(
             self._task_lifecycle(run, spawn_first=False),
             name=f"{self.spec.job_id}-m{run.index}-redo",
-        )
+        ).add_callback(reraise_failure)
 
     def _charge_output_loss(self, run: _TaskRun) -> None:
         """Book a lost map output against the env-retry budget and respawn.
@@ -973,7 +968,7 @@ class MRAppMaster:
             run = self._make_run(TaskType.REDUCE, index)
             self.sim.process(
                 self._task_lifecycle(run), name=f"{self.spec.job_id}-r{index}"
-            )
+            ).add_callback(reraise_failure)
 
     def _await_reduce_headroom(
         self, memory_bytes: int

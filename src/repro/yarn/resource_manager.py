@@ -15,7 +15,7 @@ from repro.cluster.container import Container, ContainerState
 from repro.cluster.node import NodeState
 from repro.cluster.topology import Cluster
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, reraise_failure
 from repro.telemetry.events import ContainerGranted, ContainerReleased, NodeLost
 from repro.yarn.node_manager import KillReason, NodeManager
 from repro.yarn.records import ContainerRequest
@@ -112,7 +112,8 @@ class ResourceManager:
         for nm in nms:
             self._node_managers[nm.node.node_id] = nm
             self._last_heartbeat[nm.node.node_id] = now
-        self.sim.process(self._heartbeats(nms, sweep), name=name)
+        timer = self.sim.process(self._heartbeats(nms, sweep), name=name)
+        timer.add_callback(reraise_failure)
 
     def _heartbeats(
         self, nms: List[NodeManager], sweep: bool

@@ -22,6 +22,7 @@ from repro.backends.local import (
 )
 from repro.backends.sim import SimBackend
 from repro.mapreduce.counters import Counter
+from repro.monitor.statistics import NodeStats
 from repro.telemetry.events import NodeSampled
 
 #: sha256 over (succeeded, duration, sorted counters) of the shrunk
@@ -109,7 +110,8 @@ class TestProtocolConformance:
         # Every node sample reaches the monitor's packed store and reads
         # back with its producer's int and float types.
         assert sampled
-        assert repr(list(backend.monitor.node_samples)) == repr(sampled)
+        stored = [NodeStats(*row) for row in backend.monitor.node_samples.records()]
+        assert repr(stored) == repr(sampled)
 
     def test_completion_callbacks(self, backend_and_spec):
         _name, backend, spec = backend_and_spec

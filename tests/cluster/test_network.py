@@ -110,11 +110,13 @@ class TestMonitoring:
         dst = cluster.nodes[0]
         cluster.network.fetch_into(dst, 10**10)
         sim.run(until=0.5)
-        assert cluster.network.rx_utilization(dst) == pytest.approx(1.0)
+        rx, _tx = cluster.network.nic_links([dst])
+        assert cluster.network.scheduler.utilization(rx) == pytest.approx(1.0)
 
     def test_idle_utilization_zero(self):
         _sim, cluster = small_cluster()
-        assert cluster.network.tx_utilization(cluster.nodes[0]) == 0.0
+        _rx, tx = cluster.network.nic_links([cluster.nodes[0]])
+        assert cluster.network.scheduler.utilization(tx) == 0.0
 
     def test_nic_utilizations_match_per_link_reads(self):
         sim, cluster = small_cluster(uplink=60 * MB)
@@ -137,9 +139,10 @@ class TestMonitoring:
         links = net.nic_links(nodes)
         used = net.scheduler.utilizations(links)
         assert net.scheduler.utilizations(links) is used
-        pairs = list(zip(used[0::2], used[1::2]))
         # Bit for bit, not approximately: float == is exact.
-        assert pairs == [(net.rx_utilization(n), net.tx_utilization(n)) for n in nodes]
+        assert used == tuple(net.scheduler.utilization(link) for link in links)
+        assert links[0::2] == tuple(net._rx[n.node_id] for n in nodes)
+        assert links[1::2] == tuple(net._tx[n.node_id] for n in nodes)
         assert any(0.0 < u < 1.0 for u in used)
         assert net.nic_links([]) == ()
         assert net.scheduler.utilizations(net.nic_links([])) == ()

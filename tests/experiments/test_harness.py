@@ -21,9 +21,9 @@ class TestSimCluster:
         from repro.workloads.suite import make_job_spec
 
         sc.run_job(make_job_spec(case, sc.hdfs))
-        samples = sc.monitor.node_samples
+        samples = sc.monitor.node_samples.records()
         ticks = int(sc.sim.now // 5.0) + 1
-        assert [(s.time, s.node_id) for s in samples] == [
+        assert [(time, node_id) for node_id, time, *_ in samples] == [
             (5.0 * k, node_id) for k in range(ticks) for node_id in (0, 1)
         ]
         assert len(sc.monitor.task_stats) == case.num_maps + case.num_reducers

@@ -12,7 +12,7 @@ from repro.faults import ControlPlaneState, Fault, FaultPlan
 from repro.faults.control import ControlPlaneState as DirectControlPlaneState
 from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType, WorkloadProfile
 from repro.monitor.central_monitor import CentralMonitor
-from repro.monitor.statistics import NodeStats, TaskStats
+from repro.monitor.statistics import TaskStats
 from repro.sim.engine import Simulator
 from repro.telemetry.events import (
     MonitorOutage,
@@ -266,11 +266,10 @@ class TestMonitorOutage:
         assert result.succeeded
         assert [e for e in events if isinstance(e, MonitorOutage)]
         assert sc.monitor.gaps == [(None, 10.0, 40.0)]
-        assert not any(
-            10.0 <= s.time <= 40.0 for s in sc.monitor.node_samples
-        )
+        times = [time for _node, time, *_ in sc.monitor.node_samples.records()]
+        assert not any(10.0 <= t <= 40.0 for t in times)
         # Samples outside the window still flow.
-        assert any(s.time < 10.0 or s.time > 40.0 for s in sc.monitor.node_samples)
+        assert any(t < 10.0 or t > 40.0 for t in times)
 
     def test_stats_gap_scoped_to_one_node(self):
         plan = FaultPlan(
@@ -280,31 +279,23 @@ class TestMonitorOutage:
         assert result.succeeded
         gaps = [e for e in events if isinstance(e, StatsGap)]
         assert gaps and gaps[0].node_id == 1
-        assert not any(
-            s.node_id == 1 and 10.0 <= s.time <= 40.0
-            for s in sc.monitor.node_samples
-        )
-        assert any(
-            s.node_id != 1 and 10.0 <= s.time <= 40.0
-            for s in sc.monitor.node_samples
-        )
+        samples = [(node, time) for node, time, *_ in sc.monitor.node_samples.records()]
+        assert not any(node == 1 and 10.0 <= t <= 40.0 for node, t in samples)
+        assert any(node != 1 and 10.0 <= t <= 40.0 for node, t in samples)
 
     def test_timeline_bridges_gap_with_last_level(self):
         monitor = CentralMonitor()
         monitor.begin_gap(5.0, 15.0, node_id=3)
 
         def sample(t, cpu):
-            return NodeStats(
-                node_id=3, time=t, cpu_utilization=cpu,
-                memory_utilization=0.0, running_containers=0,
-            )
+            return (3, t, cpu, 0.0, 0, 0.0, 0.0)
 
-        monitor.on_node_stats(sample(2.0, 0.5))
-        monitor.on_node_stats(sample(10.0, 1.0))  # dropped: inside gap
-        monitor.on_node_stats(sample(20.0, 0.5))
+        monitor.ingest([sample(2.0, 0.5)])
+        monitor.ingest([sample(10.0, 1.0)])  # dropped: inside gap
+        monitor.ingest([sample(20.0, 0.5)])
         assert len(monitor.node_samples) == 2
         # The in-gap spike never lands, so the mean holds at 0.5.
-        assert monitor.cpu_timelines[3].mean(0.0, until=20.0) == 0.5
+        assert monitor.mean_cpu_utilization() == 0.5
 
     def test_outage_quarantines_tuned_waves(self):
         sc, tuner, spec, result, events = run_monitor_outage()

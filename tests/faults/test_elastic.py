@@ -20,7 +20,7 @@ from repro.faults import ElasticCluster, Fault, FaultPlan
 from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskId, TaskType, WorkloadProfile
 from repro.monitor.central_monitor import CentralMonitor
-from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
+from repro.monitor.statistics import TaskStats
 from repro.testing import assert_no_output_leaks
 from repro.workloads.datasets import DatasetSpec
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
@@ -335,12 +335,7 @@ class TestMonitorUnderChurn:
         return CentralMonitor()
 
     def sample(self, mon, node_id, time, cpu):
-        mon.on_node_stats(
-            NodeStats(
-                node_id=node_id, time=time, cpu_utilization=cpu,
-                memory_utilization=cpu, running_containers=1,
-            )
-        )
+        mon.ingest([(node_id, time, cpu, cpu, 1, 0.0, 0.0)])
 
     def test_departed_node_capped_at_departure(self):
         mon = self.monitor()
@@ -351,18 +346,20 @@ class TestMonitorUnderChurn:
             self.sample(mon, 1, t, 1.0)
         mon.on_capacity_change(1, "depart", 10.0)
         self.sample(mon, 1, 20.0, 0.0)  # stale ghost sample
-        assert mon.mean_cpu_utilization(since=0.0) == pytest.approx(1.0)
+        assert mon.mean_cpu_utilization() == pytest.approx(1.0)
 
     def test_node_departed_before_window_excluded(self):
         mon = self.monitor()
         self.sample(mon, 0, 0.0, 0.0)
         self.sample(mon, 0, 50.0, 0.0)
         self.sample(mon, 1, 0.0, 1.0)
+        self.sample(mon, 2, 0.0, 1.0)
         mon.on_capacity_change(1, "depart", 5.0)
-        # Window opens after node 1 left: only node 0's zeros remain.
-        assert mon.mean_cpu_utilization(since=10.0) == pytest.approx(0.0)
-        # Window spanning the departure still sees node 1's contribution.
-        assert mon.mean_cpu_utilization(since=0.0) > 0.0
+        mon.on_capacity_change(2, "depart", 0.0)
+        # The window opens at time 0: node 2, gone by then, is left out;
+        # node 1, gone within it, still counts.
+        assert mon.mean_cpu_utilization() == 0.5
+        assert mon.mean_memory_utilization() == 0.5
 
     def test_joined_node_widens_the_denominator(self):
         mon = self.monitor()
@@ -371,14 +368,19 @@ class TestMonitorUnderChurn:
         mon.on_capacity_change(4, "join", 10.0)
         self.sample(mon, 4, 10.0, 0.0)
         self.sample(mon, 4, 20.0, 0.0)
-        assert mon.mean_cpu_utilization(since=0.0) == pytest.approx(0.5)
+        assert mon.mean_cpu_utilization() == pytest.approx(0.5)
 
     def test_timeline_until_caps_the_window(self):
-        tl = UtilizationTimeline()
+        mon = self.monitor()
         for t, v in ((0.0, 1.0), (10.0, 1.0), (20.0, 0.0), (30.0, 0.0)):
-            tl.add(t, v)
-        assert tl.mean(since=0.0, until=10.0) == pytest.approx(1.0)
-        assert tl.mean(since=0.0) < 1.0
+            self.sample(mon, 0, t, v)
+        assert mon.mean_cpu_utilization() < 1.0
+        mon.on_capacity_change(0, "depart", 10.0)
+        assert mon.mean_cpu_utilization() == 1.0
+        # A node whose every sample came after its departure counts as 0.
+        self.sample(mon, 1, 30.0, 1.0)
+        mon.on_capacity_change(1, "depart", 25.0)
+        assert mon.mean_cpu_utilization() == 0.5
 
     def test_end_to_end_monitor_survives_churn(self):
         # Real run with monitors on: churn must not corrupt aggregation
@@ -402,9 +404,8 @@ class TestMonitorUnderChurn:
         mon = sc.monitor
         assert set(mon.departed_nodes) == {1, 2}
         assert sc.fault_injector.elastic.joined == [4]
-        for since in (0.0, 20.0, 40.0):
-            assert 0.0 <= mon.mean_cpu_utilization(since=since) <= 1.0
-            assert 0.0 <= mon.mean_memory_utilization(since=since) <= 1.0
+        assert 0.0 <= mon.mean_cpu_utilization() <= 1.0
+        assert 0.0 <= mon.mean_memory_utilization() <= 1.0
 
 
     def test_each_join_samples_on_its_own_timer(self):

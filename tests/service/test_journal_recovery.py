@@ -60,7 +60,6 @@ class TestKillAndResume:
         state = read_journal(journal)
         assert len(state.jobs) == 3
         assert len(state.tuning) == 3
-        assert len(state.checkpoints) == 3
 
     def test_resume_reproduces_digest_byte_for_byte(
         self, tmp_path, reference_report
@@ -140,7 +139,7 @@ class TestLocalKillAndResume:
             self.run(journal, kill_after_jobs=1)
         assert exc.value.jobs_completed == 1
         kinds = [r["kind"] for r in read_journal(journal).records]
-        assert kinds == ["header", "job", "tuning", "tuner", "kb"]
+        assert kinds == ["header", "job", "tuning", "kb"]
 
         executed = []
         attach = LocalProcessBackend.attach_tuner
@@ -156,7 +155,7 @@ class TestLocalKillAndResume:
         # The restored knowledge base warm-starts the second session.
         assert [r.warm_started for r in report.tuning] == [False, True]
         resumed_kinds = [r["kind"] for r in read_journal(journal).records]
-        assert resumed_kinds == kinds + ["job", "tuning", "tuner", "kb"]
+        assert resumed_kinds == kinds + ["job", "tuning", "kb"]
 
 
 class TestJournalSafety:
@@ -205,6 +204,15 @@ class TestJournalSafety:
         with pytest.raises(JournalError, match="missing header"):
             read_journal(path)
 
+    def test_older_journal_rejected_by_version(self, tmp_path):
+        # Version 1 journals also carried a ``tuner`` record per session.
+        path = str(tmp_path / "v1.journal")
+        with open(path, "w") as fh:
+            fh.write('{"kind":"header","version":1,"fingerprint":"f"}\n')
+            fh.write('{"kind":"tuner","tenant":"t","profile":"p","index":0}\n')
+        with pytest.raises(JournalError, match="unsupported journal version 1"):
+            read_journal(path)
+
     def test_kill_without_journal_rejected(self):
         with pytest.raises(ValueError, match="requires journal_path"):
             make_config(kill_after_jobs=1)
@@ -228,17 +236,11 @@ class TestJournalState:
             assert tenant.startswith("tenant-")
             assert index >= 0
 
-    def test_checkpoints_carry_incumbents(self, tmp_path):
+    def test_knowledge_snapshots_restore(self, tmp_path):
         journal = str(tmp_path / "svc.journal")
         with pytest.raises(ServiceKilled):
             run_service(make_config(journal_path=journal, kill_after_jobs=3))
         state = read_journal(journal)
-        assert state.checkpoints
-        for searches in state.checkpoints.values():
-            for ckpt in searches.values():
-                assert {"incumbent_point", "bounds_lo", "wave_of_best"} <= set(
-                    ckpt
-                )
         # Knowledge snapshots restore into a usable KB.
         assert state.knowledge
         from repro.core.knowledge_base import TuningKnowledgeBase
