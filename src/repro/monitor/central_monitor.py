@@ -29,20 +29,22 @@ class CentralMonitor:
     to :meth:`on_task_stats`.  The monitor is no ``node`` subscriber, so
     a run nobody watches builds no ``NodeSampled`` event.
 
-    :attr:`node_samples` is the one store of node samples, each a
-    :data:`~repro.monitor.statistics.NodeRow` packed into 56 bytes
-    (:class:`NodeSamples`): ingestion appends to it and nothing else.
-    The CPU and memory means are computed from its records in one pass
-    when read, over each node's samples from time 0 to its departure.
+    :attr:`node_samples` folds each ingested
+    :data:`~repro.monitor.statistics.NodeRow` into its node's running
+    CPU and memory means (:class:`NodeSamples`) and keeps nothing per
+    sample, so reading the means costs one step per node.  Each node's
+    means run from time 0 to its departure; departures must therefore
+    arrive in time order with the samples, and one reported after a
+    later sample of its node was folded raises :class:`ValueError`.
     """
 
     def __init__(self, bus: Optional["TelemetryBus"] = None) -> None:
         self.task_stats: List[TaskStats] = []
-        self.node_samples = NodeSamples()
         #: Elastic membership: node_id -> time it left.  Fed by the
         #: elastic manager's departures so aggregation tracks the live
         #: set instead of averaging over ghosts.
         self.departed_nodes: Dict[int, float] = {}
+        self.node_samples = NodeSamples(self.departed_nodes)
         #: Blackout windows ``(node_id-or-None, start, end)`` opened by
         #: injected monitor outages / stats gaps.  Node samples inside
         #: an applicable window are dropped on ingestion.
@@ -62,9 +64,19 @@ class CentralMonitor:
             self.on_task_stats(event.stats)
 
     def on_capacity_change(self, node_id: int, action: str, time: float) -> None:
-        """Track departures so the utilization means follow the live set."""
-        if action == "depart":
-            self.departed_nodes.setdefault(node_id, time)
+        """Track departures so the utilization means follow the live set.
+
+        A node's first departure counts.  It must not come after a later
+        sample of the node was folded, which no fold can take back: such
+        a report raises :class:`ValueError` and records nothing.
+        """
+        if action != "depart" or node_id in self.departed_nodes:
+            return
+        if self.node_samples.folded_after(node_id, time):
+            raise ValueError(
+                f"node {node_id} departed at {time!r}, after a later sample was folded"
+            )
+        self.departed_nodes[node_id] = time
 
     def on_task_stats(self, stats: TaskStats) -> None:
         self.task_stats.append(stats)
@@ -90,10 +102,10 @@ class CentralMonitor:
         )
 
     def ingest(self, rows: Sequence[NodeRow]) -> None:
-        """Keep a batch of node samples, each a :data:`NodeRow`.
+        """Fold a batch of node samples, each a :data:`NodeRow`.
 
         Rows inside a blackout window (:meth:`begin_gap`) are dropped;
-        the rest are packed into :attr:`node_samples` in the given order.
+        the rest are folded into :attr:`node_samples` in the given order.
         """
         if self.gaps:
             rows = [row for row in rows if not self._in_gap(row[0], row[1])]
@@ -103,71 +115,7 @@ class CentralMonitor:
     # Queries
     # ------------------------------------------------------------------
     def mean_cpu_utilization(self) -> float:
-        return self._mean_over(2)  # a NodeRow's CPU column
+        return self.node_samples.means()[0]
 
     def mean_memory_utilization(self) -> float:
-        return self._mean_over(3)  # a NodeRow's memory column
-
-    def _mean_over(self, column: int) -> float:
-        """Per-node time-weighted means averaged over *current* capacity.
-
-        A node that departed at or before time 0 contributes nothing;
-        any other contributes its samples up to its departure, so a node
-        whose samples all came after it contributes 0.0.  Joined nodes
-        start contributing from their first sample, so the denominator
-        always tracks the live membership.  A node's samples arrive in
-        time order, none before time 0.
-        """
-        departed = self.departed_nodes
-        means: Dict[int, Optional[_RunningMean]] = {}
-        for record in self.node_samples.records():
-            node_id, time = record[0], record[1]
-            until = departed.get(node_id)
-            if until is not None and time > until:
-                means.setdefault(node_id, None)
-                continue
-            running = means.get(node_id)
-            if running is None:
-                means[node_id] = _RunningMean(time, record[column])
-            else:
-                running.add(time, record[column])
-        values = []
-        for node_id, running in sorted(means.items()):
-            until = departed.get(node_id)
-            if until is not None and until <= 0.0:
-                continue
-            values.append(0.0 if running is None else running.mean())
-        return sum(values) / len(values) if values else 0.0
-
-
-class _RunningMean:
-    """One node's time-weighted mean, fed its samples in time order.
-
-    Each value holds until the next sample, and the mean runs from the
-    first sample to the last.  Samples that share one instant are
-    averaged plainly, and one sample is its own mean.
-    """
-
-    __slots__ = ("first", "last", "value", "total", "at_first")
-
-    def __init__(self, time: float, value: float) -> None:
-        self.first = self.last = time
-        self.value = value
-        self.total = 0.0
-        #: The values sampled at the first instant, kept for ``sum``:
-        #: Python 3.12's compensates, which ``+=`` would not repeat.
-        self.at_first = [value]
-
-    def add(self, time: float, value: float) -> None:
-        self.total += self.value * (time - self.last)
-        if time == self.first:
-            self.at_first.append(value)
-        self.last, self.value = time, value
-
-    def mean(self) -> float:
-        span = self.last - self.first
-        if span <= 0:
-            if len(self.at_first) == 1:
-                return self.at_first[0]  # not divided by 1, so -0.0 stays
-            return sum(self.at_first) / len(self.at_first)
-        return self.total / span
+        return self.node_samples.means()[1]

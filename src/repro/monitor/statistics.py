@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mapreduce.jobspec import TaskId, TaskType
 
@@ -180,38 +178,111 @@ class NodeStats:
 #: ``(node_id, time, cpu, memory, containers, rx, tx)``.
 NodeRow = Tuple[int, float, float, float, int, float, float]
 
-#: One :class:`NodeStats` as a 56-byte record, in field order: ``q``
-#: (int64) for the node id and container count, ``d`` (float64, every
-#: bit kept, -0.0 and NaN included) for the rest.
-_NODE_RECORD = struct.Struct("=qdddqdd")
+
+class _NodeMeans:
+    """One node's running CPU and memory means, fed its samples in time order.
+
+    Each value holds until the node's next sample, and a mean runs from
+    its first sample to its last.  Samples that share the first instant
+    are averaged plainly, and one sample is its own mean.
+    :meth:`NodeSamples.extend` updates the fields inline.
+    """
+
+    __slots__ = ("first", "last", "cpu", "memory", "cpu_total", "memory_total", "at_first")
+
+    def __init__(self, time: float, cpu: float, memory: float) -> None:
+        self.first = self.last = time
+        self.cpu = cpu
+        self.memory = memory
+        self.cpu_total = self.memory_total = 0.0
+        #: The CPU and memory values sampled at the first instant, in
+        #: turn, kept for ``sum``: Python 3.12's compensates, which
+        #: ``+=`` would not repeat.
+        self.at_first = [cpu, memory]
+
+    def means(self) -> Tuple[float, float]:
+        span = self.last - self.first
+        if span <= 0:
+            at_first = self.at_first
+            if len(at_first) == 2:
+                return at_first[0], at_first[1]  # not divided by 1, so -0.0 stays
+            cpu, memory = at_first[0::2], at_first[1::2]
+            return sum(cpu) / len(cpu), sum(memory) / len(memory)
+        return self.cpu_total / span, self.memory_total / span
 
 
 class NodeSamples:
-    """Node samples packed into one ``bytearray`` of fixed-width records.
+    """Node samples folded into per-node running CPU and memory means.
 
-    A run's monitor keeps every sample (~107k in a 210-job service
-    stream).  Packed, a sample takes 56 bytes and leaves no object for
-    the garbage collector to walk.  :meth:`records` reads the rows back
-    with the same int and float types, provided the producer passed ints
-    for the two ``q`` fields (``struct`` rejects anything else) and
-    floats for the rest.
+    Each row is folded into its node's means as it arrives and then
+    dropped, so the memory kept grows with the nodes, not the samples
+    (~107k in a 210-job service stream).  A row later than its node's
+    departure in *departed* (the monitor's record, read, never written)
+    is counted but not folded.  ``len`` counts every row handed to
+    :meth:`extend`.
     """
 
-    def __init__(self) -> None:
-        self._records = bytearray()
+    def __init__(self, departed: Dict[int, float]) -> None:
+        self._departed = departed
+        #: node id -> its means, or None while every row of it came
+        #: after its departure.
+        self._nodes: Dict[int, Optional[_NodeMeans]] = {}
+        self._count = 0
 
-    def extend(self, rows: Iterable[NodeRow]) -> None:
-        """Pack *rows*, each a :data:`NodeRow`, after the samples kept."""
-        self._records += b"".join(starmap(_NODE_RECORD.pack, rows))
+    def extend(self, rows: Sequence[NodeRow]) -> None:
+        """Fold *rows*, each a :data:`NodeRow`, into their nodes' means.
 
-    def records(self) -> Iterator[NodeRow]:
-        """Every sample as a tuple of its fields, in append order.
-
-        Reads a copy of the buffer, so appends may go on while the
-        iterator is alive (``iter_unpack`` on the buffer itself would
-        forbid resizing it).
+        A node's rows must arrive in time order, after the rows of it
+        already folded.
         """
-        return _NODE_RECORD.iter_unpack(bytes(self._records))
+        nodes = self._nodes
+        departed = self._departed
+        for node_id, time, cpu, memory, _, _, _ in rows:
+            if departed:
+                until = departed.get(node_id)
+                if until is not None and time > until:
+                    nodes.setdefault(node_id, None)
+                    continue
+            node = nodes.get(node_id)
+            if node is None:
+                nodes[node_id] = _NodeMeans(time, cpu, memory)
+                continue
+            elapsed = time - node.last
+            node.cpu_total += node.cpu * elapsed
+            node.memory_total += node.memory * elapsed
+            if time == node.first:
+                node.at_first += (cpu, memory)
+            node.last = time
+            node.cpu = cpu
+            node.memory = memory
+        self._count += len(rows)
+
+    def folded_after(self, node_id: int, time: float) -> bool:
+        """Whether a row of *node_id* later than *time* was folded."""
+        node = self._nodes.get(node_id)
+        return node is not None and node.last > time
+
+    def means(self) -> Tuple[float, float]:
+        """Per-node time-weighted CPU and memory means, averaged over nodes.
+
+        A node that departed at or before time 0 contributes nothing;
+        any other contributes its rows up to its departure, so a node
+        whose rows all came after it contributes 0.0.  A joined node
+        counts from its first row, so the average follows the live set.
+        """
+        departed = self._departed
+        cpu: List[float] = []
+        memory: List[float] = []
+        for node_id, node in sorted(self._nodes.items()):
+            until = departed.get(node_id)
+            if until is not None and until <= 0.0:
+                continue
+            node_cpu, node_memory = (0.0, 0.0) if node is None else node.means()
+            cpu.append(node_cpu)
+            memory.append(node_memory)
+        if not cpu:
+            return 0.0, 0.0
+        return sum(cpu) / len(cpu), sum(memory) / len(memory)
 
     def __len__(self) -> int:
-        return len(self._records) // _NODE_RECORD.size
+        return self._count

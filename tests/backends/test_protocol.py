@@ -22,8 +22,7 @@ from repro.backends.local import (
 )
 from repro.backends.sim import SimBackend
 from repro.mapreduce.counters import Counter
-from repro.monitor.statistics import NodeStats
-from repro.telemetry.events import NodeSampled
+from tests.monitor.test_sample_pins import Recorder
 
 #: sha256 over (succeeded, duration, sorted counters) of the shrunk
 #: wordcount-wikipedia case, seed 1, untuned, run through the Backend
@@ -99,19 +98,15 @@ class TestProtocolConformance:
 
     def test_stats_stream_reaches_monitor(self, backend_and_spec):
         _name, backend, spec = backend_and_spec
-        sampled = []
-        backend.telemetry.subscribe(
-            lambda ev: sampled.append(ev.stats) if isinstance(ev, NodeSampled) else None,
-            categories=("node",),
-        )
+        recorder = Recorder(None, backend.telemetry, backend.monitor)
         result = backend.run_job(spec)
         recorded = {s.task_id for s in backend.monitor.task_stats}
         assert {s.task_id for s in result.task_stats} <= recorded
-        # Every node sample reaches the monitor's packed store and reads
-        # back with its producer's int and float types.
-        assert sampled
-        stored = [NodeStats(*row) for row in backend.monitor.node_samples.records()]
-        assert repr(stored) == repr(sampled)
+        # Every node sample reaches the monitor (no gap drops any), and
+        # its means are the reference's over them.
+        assert recorder.samples
+        assert recorder.ingested == [ev.stats for ev in recorder.samples]
+        recorder.assert_monitor_matches()
 
     def test_completion_callbacks(self, backend_and_spec):
         _name, backend, spec = backend_and_spec

@@ -6,6 +6,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.experiments.harness import SimCluster
 from repro.experiments.reporting import FigureReport, format_table
 from repro.workloads.suite import terasort_case
+from tests.monitor.test_sample_pins import Recorder
 
 
 class TestSimCluster:
@@ -17,15 +18,16 @@ class TestSimCluster:
 
     def test_monitors_collect_node_samples(self):
         sc = SimCluster(seed=0, cluster_spec=ClusterSpec(num_slaves=2, racks=(2,)))
+        recorder = Recorder(sc.sim, sc.telemetry, sc.monitor)
         case = terasort_case(0.5)
         from repro.workloads.suite import make_job_spec
 
         sc.run_job(make_job_spec(case, sc.hdfs))
-        samples = sc.monitor.node_samples.records()
         ticks = int(sc.sim.now // 5.0) + 1
-        assert [(time, node_id) for node_id, time, *_ in samples] == [
+        assert [(s.time, s.node_id) for s in recorder.ingested] == [
             (5.0 * k, node_id) for k in range(ticks) for node_id in (0, 1)
         ]
+        recorder.assert_monitor_matches()
         assert len(sc.monitor.task_stats) == case.num_maps + case.num_reducers
 
 

@@ -31,6 +31,7 @@ from tests.faults.tuned_scenarios import (
     search_spec,
     small_cluster,
 )
+from tests.monitor.test_sample_pins import Recorder
 
 
 class TestTunerCrashEndToEnd:
@@ -252,21 +253,25 @@ class TestMonitorOutage:
         sc = small_cluster(start_monitors=True)
         events = []
         sc.telemetry.subscribe(events.append, categories=("fault",))
+        recorder = Recorder(sc.sim, sc.telemetry, sc.monitor)
         sc.inject_faults(plan=plan)
         spec = search_spec(sc, blocks=12, reducers=4)
         am = sc.submit(spec)
         result = sc.sim.run_until_complete(am.completion, max_events=40_000_000)
-        return sc, result, events
+        recorder.assert_monitor_matches()
+        return sc, result, events, recorder
 
     def test_outage_blacks_out_all_node_samples(self):
         plan = FaultPlan(
             (Fault(time=10.0, kind="monitor_outage", node_id=0, duration=30.0),)
         )
-        sc, result, events = self.run_with_monitors(plan)
+        sc, result, events, recorder = self.run_with_monitors(plan)
         assert result.succeeded
         assert [e for e in events if isinstance(e, MonitorOutage)]
         assert sc.monitor.gaps == [(None, 10.0, 40.0)]
-        times = [time for _node, time, *_ in sc.monitor.node_samples.records()]
+        # The slaves keep sampling; the monitor drops what falls in the window.
+        assert any(10.0 <= ev.time <= 40.0 for ev in recorder.samples)
+        times = [s.time for s in recorder.ingested]
         assert not any(10.0 <= t <= 40.0 for t in times)
         # Samples outside the window still flow.
         assert any(t < 10.0 or t > 40.0 for t in times)
@@ -275,11 +280,14 @@ class TestMonitorOutage:
         plan = FaultPlan(
             (Fault(time=10.0, kind="stats_gap", node_id=1, duration=30.0),)
         )
-        sc, result, events = self.run_with_monitors(plan)
+        sc, result, events, recorder = self.run_with_monitors(plan)
         assert result.succeeded
         gaps = [e for e in events if isinstance(e, StatsGap)]
         assert gaps and gaps[0].node_id == 1
-        samples = [(node, time) for node, time, *_ in sc.monitor.node_samples.records()]
+        assert any(
+            ev.stats.node_id == 1 and 10.0 <= ev.time <= 40.0 for ev in recorder.samples
+        )
+        samples = [(s.node_id, s.time) for s in recorder.ingested]
         assert not any(node == 1 and 10.0 <= t <= 40.0 for node, t in samples)
         assert any(node != 1 and 10.0 <= t <= 40.0 for node, t in samples)
 

@@ -371,15 +371,19 @@ class TestMonitorUnderChurn:
         assert mon.mean_cpu_utilization() == pytest.approx(0.5)
 
     def test_timeline_until_caps_the_window(self):
-        mon = self.monitor()
-        for t, v in ((0.0, 1.0), (10.0, 1.0), (20.0, 0.0), (30.0, 0.0)):
+        mon, uncapped = self.monitor(), self.monitor()
+        for t, v in ((0.0, 1.0), (10.0, 1.0)):
             self.sample(mon, 0, t, v)
-        assert mon.mean_cpu_utilization() < 1.0
+            self.sample(uncapped, 0, t, v)
         mon.on_capacity_change(0, "depart", 10.0)
+        for t, v in ((20.0, 0.0), (30.0, 0.0)):
+            self.sample(mon, 0, t, v)
+            self.sample(uncapped, 0, t, v)
+        assert uncapped.mean_cpu_utilization() < 1.0
         assert mon.mean_cpu_utilization() == 1.0
         # A node whose every sample came after its departure counts as 0.
-        self.sample(mon, 1, 30.0, 1.0)
         mon.on_capacity_change(1, "depart", 25.0)
+        self.sample(mon, 1, 30.0, 1.0)
         assert mon.mean_cpu_utilization() == 0.5
 
     def test_end_to_end_monitor_survives_churn(self):

@@ -4,11 +4,12 @@ import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.mapreduce.jobspec import TaskId, TaskType
-from repro.monitor.central_monitor import CentralMonitor, _RunningMean
+from repro.monitor.central_monitor import CentralMonitor
 from repro.monitor.slave_monitor import SlaveMonitor
-from repro.monitor.statistics import NodeStats, TaskStats
+from repro.monitor.statistics import NodeStats, TaskStats, _NodeMeans
 from repro.sim import Simulator
 from repro.yarn.node_manager import NodeManager
+from tests.monitor.test_sample_pins import Recorder
 
 MB = 1024**2
 
@@ -107,7 +108,7 @@ class TestTimeline:
         assert cpu_mean((0, 5.0, 0.7)) == 0.7
         # A node's one sample is its mean as is: -0.0 keeps its sign
         # (the average over nodes, a ``sum``, would drop it anyway).
-        assert repr(_RunningMean(5.0, -0.0).mean()) == "-0.0"
+        assert repr(_NodeMeans(5.0, -0.0, -0.0).means()) == "(-0.0, -0.0)"
 
     def test_zero_span_averages_plainly(self):
         samples = [(0, 5.0, v) for v in (0.1, 0.2, 0.3, 1e16, 1.0, -1e16)]
@@ -255,18 +256,19 @@ class TestSlaveMonitor:
         assert len(seen) == 5
 
     def test_sample_reflects_cpu_load(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
+        sim, cluster, nms, _seen = sampled_cluster()
         node = cluster.nodes[0]
-        nm = NodeManager(sim, node)
         node.compute(10_000.0, max_cores=4.0)
         sim.run(until=0.1)
         mon = CentralMonitor()
-        SlaveMonitor(sim, cluster.network, mon).start([nm])
+        recorder = Recorder(sim, sim.telemetry, mon)
+        SlaveMonitor(sim, cluster.network, mon).start(nms)
         sim.run(until=0.2)
-        (s,) = (NodeStats(*row) for row in mon.node_samples.records())
+        (s,) = recorder.ingested
         assert s.cpu_utilization == pytest.approx(0.5)
         assert (s.node_id, s.time) == (0, 0.1)
+        recorder.assert_monitor_matches()
+        assert mon.mean_cpu_utilization() == s.cpu_utilization
 
 
 class TestDaemonFailure:

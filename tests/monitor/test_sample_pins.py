@@ -9,18 +9,18 @@ speculation on.  How the slave monitors are scheduled, which nodes they
 sample and how NIC utilization is read must leave every stream
 unchanged.
 
-The monitor packs each sample it keeps into ``node_samples`` and
-computes its CPU and memory means from those records in one pass when
-they are read.  ``Recorder`` keeps, beside it, the samples the monitor
-should have kept and the per-node timelines the monitor once extended
-sample by sample, with their mean verbatim: the store must read back
+The monitor folds each sample it keeps into its node's running CPU and
+memory means as the sample arrives, and keeps nothing per sample.
+``Recorder`` keeps, beside it, the samples the monitor should have
+folded and the per-node timelines the monitor once extended sample by
+sample, with their mean verbatim: ``len(node_samples)`` must count
 those samples, and the monitor's means must have the ``repr`` of the
 timelines' means, mid-run and at the end of every run.
 
 The slave monitor hands its samples to the central monitor directly and
 builds ``NodeSampled`` events only for a ``node`` subscriber such as
 ``Recorder``.  Each run, repeated with no such subscriber, must leave
-the monitor with the same packed bytes, departures and means, and must
+the monitor with the same sample count, departures and means, and must
 build no per-sample object at all.
 
 Print the current values with::
@@ -41,7 +41,6 @@ from repro.experiments.harness import SimCluster
 from repro.experiments.parallel import RunRequest, build_request, run_request
 from repro.faults import Fault, FaultPlan
 from repro.monitor import slave_monitor
-from repro.monitor.statistics import NodeStats
 from repro.telemetry.events import NodeSampled
 from repro.workloads.suite import case_by_name, make_job_spec, shrink_case
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
@@ -52,7 +51,7 @@ class UtilizationTimeline:
 
     The central monitor once kept one of these per node and column,
     extended sample by sample, and averaged their means; it is the
-    reference its one-pass means are compared with.
+    reference its folded means are compared with.
     """
 
     def __init__(self):
@@ -108,7 +107,7 @@ class Recorder:
     """A run's ``NodeSampled`` events, and eager timelines beside the monitor.
 
     ``ingested`` holds each sample outside the monitor's gaps, the ones
-    ``CentralMonitor.ingest`` should keep.  The eager timelines take each
+    ``CentralMonitor.ingest`` should fold.  The eager timelines take each
     of them as it arrives, as the monitor once extended its own.  With
     *probe_at*, a sim callback at that instant reads the monitor's means
     against the reference ones, while samples are still arriving.
@@ -121,7 +120,8 @@ class Recorder:
         self.ingested = []
         self.cpu = defaultdict(UtilizationTimeline)
         self.mem = defaultdict(UtilizationTimeline)
-        #: ``(samples kept so far, monitor means, reference means)`` per probe.
+        #: ``(samples folded so far, samples outside gaps so far, monitor
+        #: means, reference means)`` per probe.
         self.probes = []
         if watch:
             bus.subscribe(self.on_event, categories=("node",))
@@ -151,7 +151,16 @@ class Recorder:
         return repr(derived), repr(eager)
 
     def probe(self):
-        self.probes.append((len(self.monitor.node_samples), *self.means()))
+        self.probes.append(
+            (len(self.monitor.node_samples), len(self.ingested), *self.means())
+        )
+
+    def assert_monitor_matches(self):
+        """The monitor counted every sample outside its gaps, and its
+        means have the ``repr`` of the reference's."""
+        assert len(self.monitor.node_samples) == len(self.ingested)
+        derived, eager = self.means()
+        assert derived == eager
 
 
 def _stream(samples):
@@ -282,19 +291,14 @@ def test_derived_timelines_equal_eager_ones(name):
     result, recorder = RUNS[name](probe_at=PROBE_AT[name])
     assert result.succeeded
     monitor = recorder.monitor
-    # The packed store reads back every sample it was meant to keep, with
-    # the producers' int and float types (``repr`` tells 1 from 1.0).
-    stored = [NodeStats(*row) for row in monitor.node_samples.records()]
-    assert stored == recorder.ingested
-    assert repr(stored) == repr(recorder.ingested)
     # Mid-run: the means read from a sim callback match, and more
     # samples arrive after it.
-    ((kept, derived, eager),) = recorder.probes
+    ((kept, ingested, derived, eager),) = recorder.probes
     assert derived == eager
+    assert kept == ingested
     assert 0 < kept < len(monitor.node_samples)
-    derived, eager = recorder.means()
-    assert derived == eager, f"{name}: means differ"
-    assert eager != repr((0.0, 0.0))
+    recorder.assert_monitor_matches()
+    assert recorder.means()[1] != repr((0.0, 0.0))
 
 
 def test_eager_reference_sees_departures_and_gaps():
@@ -314,7 +318,7 @@ def test_watching_changes_nothing_the_monitor_keeps(name):
     assert len(watched.samples) == PINS[name][0] and not unwatched.samples
     assert (result.succeeded, result.duration) == (True, watched_result.duration)
     w, u = watched.monitor, unwatched.monitor
-    assert u.node_samples._records == w.node_samples._records
+    assert len(u.node_samples) == len(w.node_samples) == len(watched.ingested)
     assert u.departed_nodes == w.departed_nodes
     assert u.gaps == w.gaps
     key = "elastic.capacity_changes"

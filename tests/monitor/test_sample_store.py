@@ -1,120 +1,196 @@
-"""The central monitor's packed node-sample store and the per-sample records.
+"""The central monitor's folded node samples and the per-sample records.
 
-``CentralMonitor.node_samples`` keeps each ingested
-:data:`~repro.monitor.statistics.NodeRow` as one 56-byte record.
-Reading the records back must give the rows ingested, float bit for
-float bit and with the same int and float types.
+``CentralMonitor.ingest`` folds each
+:data:`~repro.monitor.statistics.NodeRow` into its node's running CPU
+and memory means and keeps nothing per sample.  A seeded fuzz holds the
+folded means to the verbatim per-node timelines of
+``tests/monitor/test_sample_pins.py``, ``repr`` for ``repr``.
 """
 
 import dataclasses
 import inspect
-import math
-import struct
+import random
 import tracemalloc
+from bisect import bisect_left
+from collections import defaultdict
 
 import pytest
 
 from repro.monitor.central_monitor import CentralMonitor
-from repro.monitor.statistics import NodeSamples, NodeStats
+from repro.monitor.statistics import NodeStats
 from repro.telemetry.events import NodeSampled
-
-INT_FIELDS = ("node_id", "running_containers")
-
-#: Samples whose values a float64 or int64 record must keep exactly.
-EDGE_SAMPLES = [
-    NodeStats(0, 0.0, 0.0, 0.0, 0),
-    NodeStats(2**31, -0.0, math.inf, -math.inf, 2**40, math.nan, 5e-324),
-    NodeStats(2**63 - 1, 1e308, -1e-308, 0.1 + 0.2, -(2**63), -math.nan, 1.0 - 2**-53),
-    NodeStats(-1, 123456.789, 1.0, 0.5, 7, 0.25, 0.125),
-]
+from tests.monitor.test_sample_pins import UtilizationTimeline, reference_mean
 
 
-def bits(sample):
-    """Field values with each float as its 8 raw bytes (NaN-safe equality)."""
-    return tuple(
-        struct.pack("<d", v) if isinstance(v, float) else v
-        for v in dataclasses.astuple(sample)
-    )
+def sample(node_id, time, cpu, memory=0.0):
+    return (node_id, time, cpu, memory, 0, 0.0, 0.0)
 
 
-def assert_same_sample(got, want):
-    assert bits(got) == bits(want)
-    for f in dataclasses.fields(NodeStats):
-        assert type(getattr(got, f.name)) is (int if f.name in INT_FIELDS else float)
-
-
-def row(sample):
-    """*sample* as the row ``NodeSamples.extend`` packs."""
-    return dataclasses.astuple(sample)
-
-
-def fresh_samples(n):
-    """*n* distinct samples over 18 nodes, none sharing a float object."""
-    return [
-        NodeStats(i % 18, i * 5.0, i / n, 1.0 - i / n, i % 7, i / (2 * n), i / (3 * n))
-        for i in range(n)
-    ]
-
-
-class TestRoundTrip:
-    def test_edge_values_round_trip_bit_for_bit(self):
-        monitor = CentralMonitor()
-        for sample in EDGE_SAMPLES:
-            monitor.ingest([row(sample)])
-        store = monitor.node_samples
-        assert len(store) == len(EDGE_SAMPLES)
-        stored = [NodeStats(*record) for record in store.records()]
-        assert len(stored) == len(EDGE_SAMPLES)
-        for got, want in zip(stored, EDGE_SAMPLES):
-            assert_same_sample(got, want)
-
-    def test_appends_go_on_while_iterating(self):
-        samples = fresh_samples(3)
-        store = NodeSamples()
-        store.extend(row(sample) for sample in samples)
-        records = store.records()
-        assert NodeStats(*next(records)) == samples[0]
-        extra = NodeStats(5, 99.0, 0.5, 0.5, 2)
-        store.extend([row(extra)])
-        assert [NodeStats(*r) for r in records] == samples[1:]
-        assert [NodeStats(*r) for r in store.records()] == [*samples, extra]
-        assert len(store) == 4
-
-    def test_records_are_the_fields_in_order(self):
-        store = NodeSamples()
-        store.extend(row(sample) for sample in EDGE_SAMPLES)
-        records = list(store.records())
-        assert [bits(NodeStats(*r)) for r in records] == [bits(s) for s in EDGE_SAMPLES]
-        assert all(len(r) == len(dataclasses.fields(NodeStats)) for r in records)
-
-    def test_ints_are_required_for_id_and_container_count(self):
-        store = NodeSamples()
-        with pytest.raises(struct.error):
-            store.extend([row(NodeStats(1.0, 0.0, 0.0, 0.0, 0))])
-        with pytest.raises(struct.error):
-            store.extend([row(NodeStats(1, 0.0, 0.0, 0.0, 2.0))])
-        with pytest.raises(struct.error):
-            store.extend([row(NodeStats(2**63, 0.0, 0.0, 0.0, 0))])
-        # A batch with one bad row keeps none of its rows.
-        with pytest.raises(struct.error):
-            store.extend([row(EDGE_SAMPLES[0]), row(NodeStats(1.0, 0.0, 0.0, 0.0, 0))])
-        assert len(store) == 0
+def means(monitor):
+    return repr((monitor.mean_cpu_utilization(), monitor.mean_memory_utilization()))
 
 
 def test_retained_memory_per_sample_is_bounded():
-    """20,000 ingested samples keep at most 80 B each (the list kept ~265 B)."""
+    """The memory kept grows with the nodes, not the samples: 20,000
+    samples over 18 nodes keep under 8 KB, and 20,000 more add under
+    1 KB (the packed store kept 1.25 MB, then 1.0 MB more)."""
     n = 20_000
+    # Built untraced: what is measured is what the monitor keeps.
+    rows = [
+        (i % 18, i * 5.0, i / n, 1.0 - i / n, i % 7, i / (2 * n), i / (3 * n))
+        for i in range(2 * n)
+    ]
     monitor = CentralMonitor()
     tracemalloc.start()
     try:
         before, _peak = tracemalloc.get_traced_memory()
-        for sample in fresh_samples(n):
-            monitor.ingest([row(sample)])
+        for row in rows[:n]:
+            monitor.ingest([row])
+        middle, _peak = tracemalloc.get_traced_memory()
+        for row in rows[n:]:
+            monitor.ingest([row])
         after, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(monitor.node_samples) == n
-    assert (after - before) / n <= 80
+    assert len(monitor.node_samples) == 2 * n
+    assert middle - before < 8 * 1024
+    assert after - middle < 1024
+
+
+class TestDepartures:
+    """Departures arrive in order with the samples, since no fold can
+    take a sample back."""
+
+    def monitor(self):
+        mon = CentralMonitor()
+        mon.ingest([sample(0, 0.0, 0.5, 0.25), sample(1, 0.0, 1.0), sample(0, 10.0, 1.0)])
+        return mon
+
+    def test_late_departure_raises_and_records_nothing(self):
+        mon = self.monitor()
+        before = means(mon)
+        with pytest.raises(ValueError, match="node 0 departed at 5.0"):
+            mon.on_capacity_change(0, "depart", 5.0)
+        assert mon.departed_nodes == {}
+        assert means(mon) == before
+        # Node 0 goes on as if the report never came.
+        mon.ingest([sample(0, 20.0, 0.0)])
+        assert mon.mean_cpu_utilization() == (0.75 + 1.0) / 2
+
+    def test_departure_at_the_last_sample_is_in_order(self):
+        mon = self.monitor()
+        mon.on_capacity_change(0, "depart", 10.0)
+        mon.on_capacity_change(1, "depart", 0.0)  # left out: gone by time 0
+        mon.ingest([sample(0, 20.0, 0.0)])  # after its departure: not folded
+        assert mon.departed_nodes == {0: 10.0, 1: 0.0}
+        assert mon.mean_cpu_utilization() == 0.5
+        assert len(mon.node_samples) == 4
+
+    def test_repeated_departure_keeps_the_first_time(self):
+        mon = self.monitor()
+        mon.on_capacity_change(0, "depart", 10.0)
+        mon.on_capacity_change(0, "depart", 30.0)
+        mon.on_capacity_change(0, "depart", 5.0)
+        mon.on_capacity_change(1, "join", 0.0)
+        assert mon.departed_nodes == {0: 10.0}
+
+    def test_node_with_no_sample_may_depart_any_time(self):
+        mon = self.monitor()
+        mon.on_capacity_change(7, "depart", 3.0)
+        mon.ingest([sample(7, 5.0, 1.0)])  # every sample after it: counts 0.0
+        assert mon.mean_cpu_utilization() == (0.5 + 1.0 + 0.0) / 3
+
+
+#: Values that tell one summation order from another, and -0.0.
+FUZZ_VALUES = (0.0, -0.0, 0.1, 0.2, 0.5, 1.0, 1e16, -1e16)
+
+
+def fuzz_value(rng):
+    return rng.choice(FUZZ_VALUES) if rng.random() < 0.6 else rng.random()
+
+
+def fuzz_case(rng):
+    """One random run: its gaps, and its rows and departures in order.
+
+    Returns ``(gaps, steps)``: each step is ``("rows", batch)``,
+    ``("depart", node_id, time)`` or ``("probe",)``, in the order a
+    monitor is fed them.  Nodes start at 0 or later, share instants and
+    depart at 0, mid-run, at their last row or before their first.
+    """
+    nodes = rng.randint(1, 4)
+    time = rng.choice((0.0, 0.0, 1.5))
+    rows = []
+    for _ in range(rng.randint(1, 24)):
+        time += rng.choice((0.0, 0.0, 0.5, 1.0, 2.5, rng.random()))
+        rows.append(sample(rng.randrange(nodes), time, fuzz_value(rng), fuzz_value(rng)))
+    gaps = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        start = rng.uniform(0.0, time)
+        gap_node = rng.choice((None, rng.randrange(nodes)))
+        gaps.append((gap_node, start, start + rng.uniform(0.0, 3.0)))
+    # A departure is reported after every row earlier than it, before or
+    # after the rows at its instant, but before the first later row of
+    # its own node.
+    times = [row[1] for row in rows]
+    reports = defaultdict(list)
+    for node_id in range(nodes):
+        own = [t for n, t, *_ in rows if n == node_id]
+        choices = [None, 0.0, rng.uniform(0.0, time)]
+        if own:
+            choices += [own[-1], own[0] - rng.uniform(0.0, 2.0)]
+        until = rng.choice(choices)
+        if until is None:
+            continue
+        own_later = [i for i, (n, t, *_) in enumerate(rows) if n == node_id and t > until]
+        latest = own_later[0] if own_later else len(rows)
+        at = rng.randint(bisect_left(times, until), latest)
+        reports[at].append(("depart", node_id, until))
+    steps = []
+    done = 0
+    for index in sorted({*reports, len(rows)}):
+        while done < index:
+            batch = rows[done:min(index, done + rng.randint(1, 5))]
+            steps.append(("rows", batch))
+            done += len(batch)
+            if rng.random() < 0.3:
+                steps.append(("probe",))
+        steps += reports[index]
+    steps.append(("probe",))
+    return gaps, steps
+
+
+def test_fuzzed_means_equal_the_timelines():
+    rng = random.Random(2035)
+    cases, probes = 2_000, 0
+    for _ in range(cases):
+        gaps, steps = fuzz_case(rng)
+        monitor = CentralMonitor()
+        for gap_node, start, end in gaps:
+            monitor.begin_gap(start, end, node_id=gap_node)
+        kept = 0
+        cpu = defaultdict(UtilizationTimeline)
+        memory = defaultdict(UtilizationTimeline)
+        for step in steps:
+            if step[0] == "rows":
+                monitor.ingest(step[1])
+                for node_id, time, c, m, *_ in step[1]:
+                    if not monitor._in_gap(node_id, time):
+                        kept += 1
+                        cpu[node_id].add(time, c)
+                        memory[node_id].add(time, m)
+            elif step[0] == "depart":
+                monitor.on_capacity_change(step[1], "depart", step[2])
+            else:
+                assert len(monitor.node_samples) == kept
+                want = repr(
+                    (
+                        reference_mean(monitor.departed_nodes, cpu),
+                        reference_mean(monitor.departed_nodes, memory),
+                    )
+                )
+                assert means(monitor) == want, (gaps, steps)
+                probes += 1
+    assert probes > cases  # some probes fall mid-run
 
 
 class TestRecordConstructors:

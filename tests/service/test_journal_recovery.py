@@ -256,7 +256,8 @@ class TestJournalState:
         with pytest.raises(JournalError, match="already open"):
             journal.open("f" * 64)
         journal.close()
-        state = ServiceJournal(path).open("f" * 64)
+        with ServiceJournal(path) as reopened:
+            state = reopened.open("f" * 64)
         assert state.fingerprint == "f" * 64
         assert os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
