@@ -7,9 +7,10 @@ attainment) land in ``benchmarks/results/BENCH_service.json`` next to
 the measured wall time, so nightly runs expose both simulator-cost
 trends and service-quality trends in one record.
 
-Assertions only guard sanity plus the pinned report digest (the same
-pin as ``tests/service/test_service.py``): if the digest moves here but
-not there, the bench and test environments diverged.
+Assertions only guard sanity plus the pinned report digest (the
+``service/3x70-seed1`` pin of ``tests/pins.json``, which
+``tests/service/test_service.py`` checks too): if the digest moves here
+but not there, the bench and test environments diverged.
 """
 
 import time
@@ -19,7 +20,7 @@ from repro.service import ServiceConfig, default_tenants, run_service
 
 from benchmarks.bench_common import record_bench, run_once
 
-from tests.service.test_service import SERVICE_DIGEST_3X70_SEED1
+from tests.pins import check
 
 NUM_TENANTS = 3
 JOBS_PER_TENANT = 70
@@ -39,7 +40,7 @@ def test_service_steadystate(benchmark):
     wall = time.perf_counter() - t0
 
     assert report.jobs_completed == NUM_TENANTS * JOBS_PER_TENANT
-    assert report.digest() == SERVICE_DIGEST_3X70_SEED1
+    check("service/3x70-seed1", report.digest())
     assert report.throughput_jobs_per_sec > 0
 
     record_bench(

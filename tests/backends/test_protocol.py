@@ -23,13 +23,7 @@ from repro.backends.local import (
 from repro.backends.sim import SimBackend
 from repro.mapreduce.counters import Counter
 from tests.monitor.test_sample_pins import Recorder
-
-#: sha256 over (succeeded, duration, sorted counters) of the shrunk
-#: wordcount-wikipedia case, seed 1, untuned, run through the Backend
-#: API.  Any drift means the protocol refactor changed sim behavior.
-SIM_BACKEND_DIGEST = (
-    "490cd13c2e8c104fa0ef753276ef6dbc38d0430a37442992f931e9256f8bfbdd"
-)
+from tests.pins import check
 
 
 def _sim_backend_and_spec():
@@ -131,7 +125,9 @@ class TestProtocolConformance:
 
 class TestSimBackendDigest:
     def test_pinned_digest(self):
-        """The Backend-API path must not perturb the sim kernel."""
+        """The Backend-API path must not perturb the sim kernel: a sha256
+        over (succeeded, duration, sorted counters) of the shrunk
+        wordcount-wikipedia case, seed 1, untuned."""
         backend, spec = _sim_backend_and_spec()
         result = backend.run_job(spec)
         payload = repr(
@@ -141,4 +137,4 @@ class TestSimBackendDigest:
                 tuple(sorted(result.counters.snapshot().items())),
             )
         ).encode("utf-8")
-        assert hashlib.sha256(payload).hexdigest() == SIM_BACKEND_DIGEST
+        check("backends/sim", hashlib.sha256(payload).hexdigest())

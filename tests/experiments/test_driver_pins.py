@@ -9,16 +9,10 @@ the tournament lanes' search traces and times, the traced runs' JSONL
 digests, the fault experiment's plans and digest, and the repr of the
 multi-tenant outcomes and the what-if advice.  A refactor of the run
 path must leave every one unchanged.
-
-Print the current values with::
-
-    PYTHONPATH=src python -m tests.experiments.test_driver_pins --record
 """
 
 import dataclasses
 import hashlib
-import itertools
-import sys
 
 import pytest
 
@@ -34,6 +28,7 @@ from repro.faults import FAULT_KINDS
 from repro.workloads.datasets import teragen_dataset
 from repro.workloads.suite import case_by_name, shrink_case
 from repro.workloads.terasort import terasort_profile
+from tests.pins import check, pinned_ids
 
 #: The expedited protocol's hill-climb budget in ``test_protocols.py``.
 TINY_HC = HillClimbSettings(m=6, n=4, global_search_limit=1)
@@ -41,26 +36,6 @@ TINY_HC = HillClimbSettings(m=6, n=4, global_search_limit=1)
 
 def small_terasort():
     return shrink_case(case_by_name("terasort"), num_blocks=8, num_reducers=4)
-
-
-def pin_global_ids():
-    """Reset the process-global id counters, as a fresh process would.
-
-    Job, container, request and block ids and optimizer sample ids all
-    reach the JSONL trace; pinning them keeps the digests independent
-    of which tests ran first.
-    """
-    from repro.cluster import container
-    from repro.core.optimizers import base
-    from repro.hdfs import block
-    from repro.mapreduce import jobspec
-    from repro.yarn import records
-
-    jobspec._job_ids = itertools.count(9000)
-    container._container_ids = itertools.count(1_000_000)
-    records._request_ids = itertools.count(1_000_000)
-    block._block_ids = itertools.count(1_000_000)
-    base._sample_ids = itertools.count(1_000_000)
 
 
 def sha(value) -> str:
@@ -103,10 +78,10 @@ def tournament_pin(backend: str) -> str:
 
 
 def trace_pin(tuning: str) -> str:
-    pin_global_ids()
-    run = run_traced_case(
-        "wordcount-wikipedia", 1, tuning=tuning, num_blocks=4, num_reducers=2
-    )
+    with pinned_ids():
+        run = run_traced_case(
+            "wordcount-wikipedia", 1, tuning=tuning, num_blocks=4, num_reducers=2
+        )
     return run.digest()
 
 
@@ -148,46 +123,7 @@ DRIVERS = {
     "whatif": whatif_pin,
 }
 
-PINS = {
-    "expedited": (
-        "8d4f25a3c89d2acf8c1d7df5c41b4186120576552c0e1c4e3f994d547860606d"
-    ),
-    "single-run": (
-        "4e2965cc0ba05a9d3403043905e26dc79107e2b0b153df15479b2f0acc8e484e"
-    ),
-    "tournament-hill_climb": (
-        "254995c37e17fea8985f8579ce6090efc8e48c6c8c32969d7910dc884c59f35d"
-    ),
-    "tournament-spsa": (
-        "a6065eded790da76116d297c3212adb2eb60ffe08e57ce4abda7f3441523b3f4"
-    ),
-    "trace-none": (
-        "f53e5266e90e9746a7fc27f57c954646b8a8c6a317b9d84afef1869f12d26b0f"
-    ),
-    "trace-aggressive": (
-        "a5ec3f6ef4e5f0ef29128da6d076542e5304ca1aaf616e5643406991d1454222"
-    ),
-    "faults-all-kinds": (
-        "562e6db54dc6394ff56f06b6d0ab90a995cb62ba42cab31cf395f978422470c1"
-    ),
-    "multitenant": (
-        "ddca2e907c7807fca30078161ab31f7543c40d31eb8b16e374d12dfa2f7946a6"
-    ),
-    "whatif": (
-        "c674501e06a605414fcc28ab979e8e02ee21ce3fab3fcce08efcd226bad7c482"
-    ),
-}
 
-
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_driver_pin(name):
-    assert DRIVERS[name]() == PINS[name]
-
-
-def test_every_driver_is_pinned():
-    assert set(PINS) == set(DRIVERS)
-
-
-if __name__ == "__main__" and "--record" in sys.argv:
-    for name in sorted(DRIVERS):
-        print(f'    "{name}": (\n        "{DRIVERS[name]()}"\n    ),')
+    check(f"drivers/{name}", DRIVERS[name]())

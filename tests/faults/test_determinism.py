@@ -11,6 +11,7 @@ from repro.experiments.parallel import (
     combined_digest,
     run_requests,
 )
+from tests.pins import check
 
 FAULT_KNOBS = {"crashes": 1, "container_kills": 2, "degraded": 1, "horizon": 35.0}
 
@@ -42,20 +43,16 @@ class TestFaultDigest:
         assert a.digest() != b.digest()
 
 
+#: The network-fault scenario (terasort, seed 1, 8 blocks / 4 reducers).
+#: ``tests/yarn/test_attempt_pins.py`` pins its outcome digest as
+#: ``faults/network``: if that moves, a change altered the per-fetch
+#: recovery path's simulated behaviour.
 NETWORK_KNOBS = {
     "link_flaky": 1,
     "rack_partitions": 1,
     "link_degraded": 1,
     "horizon": 35.0,
 }
-
-#: Recorded from the network-fault scenario above (terasort, seed 1,
-#: 8 blocks / 4 reducers).  If it moves, a change altered the per-fetch
-#: recovery path's simulated behaviour -- fix it or re-record in a
-#: dedicated commit that says so.
-NETWORK_FAULT_DIGEST = (
-    "ccf9c4baf5b2ac219cf561bb6e04538866ba0589bc907c36f19323fe9c1074ab"
-)
 
 
 def network_request(tuning="none"):
@@ -71,11 +68,6 @@ class TestNetworkFaultDigest:
         serial = run_requests(requests, max_workers=1)
         pooled = run_requests(requests, max_workers=4)
         assert combined_digest(serial) == combined_digest(pooled)
-
-    def test_pinned_digest(self):
-        (outcome,) = run_requests([network_request()], max_workers=1)
-        assert outcome.succeeded
-        assert outcome.digest() == NETWORK_FAULT_DIGEST
 
     def test_plan_replay_matches_knob_generation(self):
         """A ("plan", json) request replays the knob-generated scenario
@@ -119,20 +111,13 @@ DENSE_ELASTIC_KNOBS = {
     "horizon": 35.0,
 }
 
-#: Recorded from the elastic-churn scenarios below (terasort, seed 1;
-#: sparse = 8 blocks / 4 reducers, dense = 24 blocks / 8 reducers).
-#: If one moves, a change altered decommission draining, mid-run node
-#: registration, or the preempt grace-window migration path -- fix it
-#: or re-record in a dedicated commit that says so.
-ELASTIC_SPARSE_DIGEST = (
-    "2aeaeabac1177c12b7ec6753b6ab6cc62d3df1d9a57adb8bf300ef031babaca6"
-)
-ELASTIC_DENSE_DIGEST = (
-    "6bf44f9ca5a989be48cc379899cc18beeaba78197080e5c8e43debca44c76c19"
-)
-
-
 def elastic_requests():
+    """The elastic-churn scenarios (terasort, seed 1; sparse = 8 blocks /
+    4 reducers, dense = 24 blocks / 8 reducers), pinned as
+    ``faults/elastic-sparse`` and ``faults/elastic-dense``.  If one
+    moves, a change altered decommission draining, mid-run node
+    registration, or the preempt grace-window migration path -- fix it
+    or re-record in a dedicated commit that says so."""
     sparse = RunRequest.build(
         "terasort", 1, num_blocks=8, num_reducers=4, faults=ELASTIC_KNOBS
     )
@@ -153,9 +138,9 @@ class TestElasticFaultDigest:
     def test_pinned_digests(self):
         sparse, dense = run_requests(elastic_requests(), max_workers=1)
         assert sparse.succeeded
-        assert sparse.digest() == ELASTIC_SPARSE_DIGEST
+        check("faults/elastic-sparse", sparse.digest())
         assert dense.succeeded
-        assert dense.digest() == ELASTIC_DENSE_DIGEST
+        check("faults/elastic-dense", dense.digest())
 
     def test_dense_churn_exercises_preemption(self):
         """The dense scenario reclaims nodes with work running: attempts

@@ -25,6 +25,7 @@ from repro.testing import assert_no_output_leaks
 from repro.workloads.datasets import DatasetSpec
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
 from tests.faults.tuned_scenarios import run_full_churn
+from tests.pins import check
 
 MB = 1024**2
 
@@ -275,9 +276,7 @@ class TestCrashComposesWithChurn:
         ]
         # One heartbeat timer for the whole seed cluster.
         assert timers == [(0.0, "rm-liveness")]
-        assert result_digest(result) == (
-            "330689b0d77805f6abd0fc6eb56f36be5b5cb866ca95eb5939aeb325dd0e81cc"
-        )
+        check("elastic/crash-during-drain", result_digest(result))
 
     def test_crash_of_a_joined_node(self):
         # The joiner beats on its own 1.3 + 3k grid, so its expiry lands
@@ -301,9 +300,7 @@ class TestCrashComposesWithChurn:
         assert result.succeeded
         assert result.failure_reasons == {"node_lost": 1}
         assert round(result.duration, 3) == 66.910
-        assert result_digest(result) == (
-            "806b86abfe57ee12a5530a77c40a8d2fe5e0243b74c99e234b9760ea9dd87b2b"
-        )
+        check("elastic/crash-of-a-joined-node", result_digest(result))
 
 
 class TestBlacklistEscapeAfterDecommission:

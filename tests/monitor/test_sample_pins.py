@@ -23,14 +23,12 @@ builds ``NodeSampled`` events only for a ``node`` subscriber such as
 the monitor with the same sample count, departures and means, and must
 build no per-sample object at all.
 
-Print the current values with::
-
-    PYTHONPATH=src python -m tests.monitor.test_sample_pins --record
+The pins are the ``samples/`` entries of ``tests/pins.json``: the number
+of samples on the bus and the sha256 of their stream.
 """
 
 import dataclasses
 import hashlib
-import sys
 from collections import defaultdict
 
 import pytest
@@ -44,6 +42,7 @@ from repro.monitor import slave_monitor
 from repro.telemetry.events import NodeSampled
 from repro.workloads.suite import case_by_name, make_job_spec, shrink_case
 from repro.yarn.app_master import FaultToleranceSettings, SpeculationSettings
+from tests.pins import check
 
 
 class UtilizationTimeline:
@@ -163,8 +162,12 @@ class Recorder:
         assert derived == eager
 
 
-def _stream(samples):
-    return [(ev.time, *dataclasses.astuple(ev.stats)) for ev in samples]
+def stream_pin(samples):
+    """The pinned form of a run's ``NodeSampled`` events: their count and
+    the sha256 of their stream."""
+    stream = [(ev.time, *dataclasses.astuple(ev.stats)) for ev in samples]
+    digest = hashlib.sha256(repr(stream).encode("utf-8")).hexdigest()
+    return {"samples": len(stream), "sha256": digest}
 
 
 def churn_off_grid(probe_at=None, watch=True):
@@ -247,23 +250,6 @@ RUNS = {
     "generated_mixed_plan": generated_mixed_plan,
 }
 
-#: name -> (samples on the bus, sha256 of the sample stream).
-PINS = {
-    "churn_off_grid": (
-        131,
-        "ef694e209a080e036ac1ea1b6bac9d158b46a6edfe0aaaf1bfca8732ac077655",
-    ),
-    "generated_mixed_plan": (
-        276,
-        "0001d9e2e4258d9ea386dda28b1b0eb7ff80a338111f3ac30062ed6220e63906",
-    ),
-    "shuffle_faults": (
-        612,
-        "41a6d08107abc6f8f9b4f3e9e37b54c8ef98eebfdee8faba52d987aae32beb70",
-    ),
-}
-
-
 #: name -> a mid-run instant, off the 5 s grid, for the probe.
 PROBE_AT = {
     "churn_off_grid": 41.3,
@@ -272,21 +258,14 @@ PROBE_AT = {
 }
 
 
-def observe(name):
-    result, recorder = RUNS[name]()
-    stream = _stream(recorder.samples)
-    digest = hashlib.sha256(repr(stream).encode("utf-8")).hexdigest()
-    return result, len(stream), digest
-
-
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_node_sample_stream_is_pinned(name):
-    result, count, digest = observe(name)
+    result, recorder = RUNS[name]()
     assert result.succeeded
-    assert (count, digest) == PINS[name], f"{name} sample stream drifted"
+    check(f"samples/{name}", stream_pin(recorder.samples))
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_derived_timelines_equal_eager_ones(name):
     result, recorder = RUNS[name](probe_at=PROBE_AT[name])
     assert result.succeeded
@@ -310,12 +289,13 @@ def test_eager_reference_sees_departures_and_gaps():
     assert len(mixed.monitor.node_samples) < len(mixed.samples)
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_watching_changes_nothing_the_monitor_keeps(name):
     watched_result, watched = RUNS[name]()
     result, unwatched = RUNS[name](watch=False)
     assert not unwatched.bus.wants("node")
-    assert len(watched.samples) == PINS[name][0] and not unwatched.samples
+    check(f"samples/{name}", stream_pin(watched.samples))
+    assert not unwatched.samples
     assert (result.succeeded, result.duration) == (True, watched_result.duration)
     w, u = watched.monitor, unwatched.monitor
     assert len(u.node_samples) == len(w.node_samples) == len(watched.ingested)
@@ -340,7 +320,7 @@ def test_nothing_subscribes_to_node_samples_by_default(tmp_path):
         assert backend.telemetry.wants("node") is False
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_unwatched_run_builds_no_sample_object(name, monkeypatch):
     def refuse(*args):
         # Raised in a slave-monitor tick, this fails the run.
@@ -351,9 +331,3 @@ def test_unwatched_run_builds_no_sample_object(name, monkeypatch):
     result, unwatched = RUNS[name](watch=False)
     assert result.succeeded
     assert len(unwatched.monitor.node_samples) > 0
-
-
-if __name__ == "__main__" and "--record" in sys.argv:
-    for name in sorted(RUNS):
-        _result, count, digest = observe(name)
-        print(f'    "{name}": ({count}, "{digest}"),')

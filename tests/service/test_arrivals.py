@@ -18,18 +18,15 @@ from repro.service.arrivals import (
     generate_arrivals,
 )
 from repro.service.service import default_tenants
-
-#: The acceptance-scale trace: 3 default tenants x 70 jobs, seed 1 --
-#: the exact stream `repro serve --backend sim` serves by default.
-ARRIVALS_DIGEST_3X70_SEED1 = (
-    "5554bf2cdb71a82ddfa8cbf062e1fe30b7334db16a3cd96ed7b77d31f727bdbe"
-)
+from tests.pins import check
 
 
 class TestDeterminism:
     def test_pinned_digest(self):
+        # The acceptance-scale trace: 3 default tenants x 70 jobs, seed 1
+        # -- the exact stream `repro serve --backend sim` serves by default.
         arrivals = generate_arrivals(default_tenants(3), 70, seed=1)
-        assert arrivals_digest(arrivals) == ARRIVALS_DIGEST_3X70_SEED1
+        check("arrivals/3x70-seed1", arrivals_digest(arrivals))
 
     def test_same_seed_same_trace(self):
         a = generate_arrivals(default_tenants(3), 20, seed=7)

@@ -13,12 +13,7 @@ from repro.service import (
     run_service,
     run_service_local,
 )
-
-#: Warm run, 3 default tenants x 70 jobs (210-job Poisson/diurnal
-#: stream), seed 1 -- exactly what `repro serve --backend sim` serves.
-SERVICE_DIGEST_3X70_SEED1 = (
-    "161b01c36c4865849a77b827d76da7740a54670fa1acf168fbfaea3066e49571"
-)
+from tests.pins import check
 
 
 class TestSmallRun:
@@ -189,7 +184,8 @@ class TestAcceptance:
     def test_stream_scale(self, warm):
         assert warm.jobs_completed == 210 >= 200
         assert len(warm.tenants) == 3
-        assert warm.digest() == SERVICE_DIGEST_3X70_SEED1
+        # Exactly what `repro serve --backend sim` serves by default.
+        check("service/3x70-seed1", warm.digest())
 
     def test_warm_starts_dominate_steady_state(self, warm):
         # After the first job of each (tenant, profile, size) key, every

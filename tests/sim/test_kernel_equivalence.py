@@ -5,7 +5,8 @@ epoch-cached utilization, deque FIFOs, inlined event loop) were
 optimized under a hard constraint: **byte-identical event ordering**.
 These tests pin the optimized kernel to run digests recorded from the
 seed (pre-optimization) kernel, across three seeds and three workload
-profiles, fault-free and under a fixed fault scenario.
+profiles, fault-free and under a fixed fault scenario.  The digests are
+the ``kernel/`` entries of ``tests/pins.json``.
 
 If any of these digests moves, a kernel change altered simulated
 behaviour -- either fix the change or (for an intentional semantic
@@ -15,6 +16,7 @@ change) re-record the digests in a dedicated commit that says so.
 import pytest
 
 from repro.experiments.parallel import RunRequest, combined_digest, run_requests
+from tests.pins import check
 
 #: Dataset shrink per case (blocks, reducers) -- matches the CLI
 #: ``digest`` subcommand's fixed experiment so the fault-free digests
@@ -25,36 +27,16 @@ CASE_SHAPES = {
     "bigram-freebase": (6, 3),
 }
 
+SEEDS = (1, 2, 3)
+
 #: The fixed fault scenario: the plan itself is drawn worker-side from
 #: the run's seeded ``("faults", "plan")`` RNG stream, so these knobs
 #: plus a seed fully determine the injected faults.
 FAULT_KNOBS = (("container_kills", 2), ("crashes", 1), ("degraded", 1), ("horizon", 240.0))
 
-#: Per-run sha256 digests recorded from the seed kernel (pre-PR).
-GOLDEN_CLEAN = {
-    ("terasort", 1): "ebdc042b57fe841e173522cfa222a08060292fb54d6381810bab7e82bb79cd6f",
-    ("terasort", 2): "6f61f180d1cacabd6c6c9cae77662b2fdfd0f5f0d9b85df84e5673b158b213cb",
-    ("terasort", 3): "95918b4c18870c201289caa1f8b3a849d314a87d361b71344ed65af56c483303",
-    ("wordcount-wikipedia", 1): "9355d0a94c640fbe11d7051706ebd9acab11d2f7fff8f83a567c564ba3105758",
-    ("wordcount-wikipedia", 2): "26a4395aaa7cac76a983a20ffb85617cd5b493b38e9a8eea16f52401ecd9739a",
-    ("wordcount-wikipedia", 3): "15c3b55be0efe62a6a1727da2977416cbde02a7a5429a586581de15c16d9253d",
-    ("bigram-freebase", 1): "5b94388705590a3a2cd50f8c725de3364d7bc3a303405a1195f156fc664726dd",
-    ("bigram-freebase", 2): "f1390cae6f14cf720bf3adff8b66617737a4a95275bd250942dd6cb2bab26af0",
-    ("bigram-freebase", 3): "d3091d69bc3ae560b9ed32b20d636ad20d23bfe5d699250814de12937228fcf2",
-}
-
-GOLDEN_FAULTED = {
-    ("terasort", 1): "63dd39ecdf4b16fb757b2de9e81eaca35dee22a6f00bef31271059066388159b",
-    ("terasort", 2): "c97357ba967d278458be083eef5a330e2ee0be0a1d37ca510968e1251f0b8b7e",
-    ("terasort", 3): "968807768f364e9606fdbffb02450b61e8eeaa372c9b793db90fbf3fa2448d64",
-    ("wordcount-wikipedia", 1): "a587ef5ceec743813492b23db8ed252b995c6ba449f8a356fa720b7d011c7e66",
-    ("wordcount-wikipedia", 2): "a5636c870c7643a44c9d4c862ca91e25fbf4821fb8680d95918ee4dac079d0a9",
-    ("wordcount-wikipedia", 3): "0e5002c9c005f4e362dd128045b64359356b4709246265c2b34da4978ec74b4a",
-}
-
-#: The seed fault-free combined digest -- the exact value the CI
-#: determinism gate prints for ``python -m repro --replicas 2 digest``.
-SEED_COMBINED_DIGEST = "db9d5a9d41e8f7ff8cdd25b6f8d1b687484a3f750e13a89c9f61b1dd7ad77fde"
+#: (case, seed) of each pinned run, fault-free and faulted.
+CLEAN_RUNS = [(case, seed) for case in CASE_SHAPES for seed in SEEDS]
+FAULTED_RUNS = [(case, seed) for case in ("terasort", "wordcount-wikipedia") for seed in SEEDS]
 
 
 def _request(case: str, seed: int, faulted: bool) -> RunRequest:
@@ -70,23 +52,19 @@ def _request(case: str, seed: int, faulted: bool) -> RunRequest:
 
 @pytest.fixture(scope="module")
 def clean_outcomes():
-    requests = [_request(case, seed, faulted=False) for case, seed in GOLDEN_CLEAN]
-    return dict(zip(GOLDEN_CLEAN, run_requests(requests, max_workers=1)))
+    requests = [_request(case, seed, faulted=False) for case, seed in CLEAN_RUNS]
+    return dict(zip(CLEAN_RUNS, run_requests(requests, max_workers=1)))
 
 
 @pytest.fixture(scope="module")
 def faulted_outcomes():
-    requests = [_request(case, seed, faulted=True) for case, seed in GOLDEN_FAULTED]
-    return dict(zip(GOLDEN_FAULTED, run_requests(requests, max_workers=1)))
+    requests = [_request(case, seed, faulted=True) for case, seed in FAULTED_RUNS]
+    return dict(zip(FAULTED_RUNS, run_requests(requests, max_workers=1)))
 
 
 def test_fault_free_digests_match_seed_kernel(clean_outcomes):
-    mismatches = {
-        key: outcome.digest()
-        for key, outcome in clean_outcomes.items()
-        if outcome.digest() != GOLDEN_CLEAN[key]
-    }
-    assert not mismatches, f"kernel drifted from seed behaviour: {mismatches}"
+    for (case, seed), outcome in clean_outcomes.items():
+        check(f"kernel/clean/{case}/{seed}", outcome.digest())
 
 
 def test_fault_free_runs_succeed(clean_outcomes):
@@ -94,12 +72,8 @@ def test_fault_free_runs_succeed(clean_outcomes):
 
 
 def test_fault_scenario_digests_match_seed_kernel(faulted_outcomes):
-    mismatches = {
-        key: outcome.digest()
-        for key, outcome in faulted_outcomes.items()
-        if outcome.digest() != GOLDEN_FAULTED[key]
-    }
-    assert not mismatches, f"faulted kernel drifted from seed behaviour: {mismatches}"
+    for (case, seed), outcome in faulted_outcomes.items():
+        check(f"kernel/faulted/{case}/{seed}", outcome.digest())
 
 
 def test_fault_scenarios_actually_injected(faulted_outcomes):
@@ -108,8 +82,12 @@ def test_fault_scenarios_actually_injected(faulted_outcomes):
     assert all(o.injected_faults for o in faulted_outcomes.values())
 
 
-def test_cli_combined_digest_matches_seed_kernel():
-    """Replicates ``python -m repro --replicas 2 digest`` exactly."""
+def test_cli_combined_digest_matches_seed_kernel(clean_outcomes):
+    """Replicates ``python -m repro --replicas 2 digest`` exactly.
+
+    The runs the fault-free fixture already made are reused; only the
+    rest (the ``bbp`` case) run here.
+    """
     from repro.cli import DIGEST_CASES
 
     requests = [
@@ -117,5 +95,7 @@ def test_cli_combined_digest_matches_seed_kernel():
         for name, blocks, reducers in DIGEST_CASES
         for seed in (1, 2)
     ]
-    outcomes = run_requests(requests, max_workers=1)
-    assert combined_digest(outcomes) == SEED_COMBINED_DIGEST
+    outcomes = {o.request: o for o in clean_outcomes.values()}
+    missing = [r for r in requests if r not in outcomes]
+    outcomes.update(zip(missing, run_requests(missing, max_workers=1)))
+    check("kernel/cli-digest", combined_digest([outcomes[r] for r in requests]))

@@ -14,13 +14,7 @@ scheduler before it did; here that reads ~0.6x the eager count.  The
 wide run parks reducers on the reduce ramp-up limit, so it also caps
 its executed events: an attempt settle rechecks every parked reducer in
 one event, where it once woke each in its own; that reads ~0.63x.
-
-Print the current digests, network solve counts and event counts with::
-
-    PYTHONPATH=src python -m tests.sim.test_solver_scale_pins --record
 """
-
-import sys
 
 import pytest
 
@@ -28,6 +22,7 @@ from repro.backends.sim import SimBackend
 from repro.experiments.parallel import RunRequest, execute_request
 from repro.sim import resources
 from repro.sim.resources import FlowScheduler
+from tests.pins import check
 
 #: Shuffle-heavy TeraSort under a degraded link, a flaky link and a rack
 #: partition, tuned conservatively (the shape of the ``shuffle-faults``
@@ -44,16 +39,7 @@ FAULTED_SHUFFLE = RunRequest.build(
 #: A fault-free TeraSort wide enough that hundreds of fetches overlap.
 WIDE_SHUFFLE = RunRequest.build("terasort", 1, num_blocks=400, num_reducers=100)
 
-PINS = {
-    "faulted_shuffle": (
-        FAULTED_SHUFFLE,
-        "457a850cc9a700c6f5223b52dd40b03f127ed1f47419a2acf4e9398214440bea",
-    ),
-    "wide_shuffle": (
-        WIDE_SHUFFLE,
-        "0b0988e9ce283d2d0f1dd0fc81fcfb70702ec16db49da18c22b5c892e85cceea",
-    ),
-}
+RUNS = {"faulted_shuffle": FAULTED_SHUFFLE, "wide_shuffle": WIDE_SHUFFLE}
 
 
 #: ``_fill_rates`` calls of the ``net`` scheduler per run (seed 1) when
@@ -105,19 +91,17 @@ def count_events(monkeypatch) -> list:
     return events
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_solver_heavy_run_digest_is_pinned(name):
-    request, expected = PINS[name]
-    outcome = execute_request(request)
+    outcome = execute_request(RUNS[name])
     assert outcome.succeeded
-    assert outcome.digest() == expected, f"{name} drifted from its pinned digest"
+    check(f"solver/{name}", outcome.digest())
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_network_solves_stay_under_ceiling(name, monkeypatch):
-    request, _expected = PINS[name]
     solves = count_solves(monkeypatch)
-    assert execute_request(request).succeeded
+    assert execute_request(RUNS[name]).succeeded
     ceiling = MAX_SOLVE_RATIO * EAGER_NET_SOLVES[name]
     assert solves["net"] <= ceiling, (
         f"{name}: {solves['net']} network solves, over the ceiling of {ceiling:.0f} "
@@ -126,21 +110,11 @@ def test_network_solves_stay_under_ceiling(name, monkeypatch):
 
 
 def test_parked_reducers_cost_one_event_per_settle(monkeypatch):
-    request, _expected = PINS["wide_shuffle"]
     events = count_events(monkeypatch)
-    assert execute_request(request).succeeded
+    assert execute_request(WIDE_SHUFFLE).succeeded
     (executed,) = events
     ceiling = MAX_EVENT_RATIO * WAKEUP_EVENTS
     assert executed <= ceiling, (
         f"wide_shuffle: {executed} events, over the ceiling of {ceiling:.0f} "
         f"({MAX_EVENT_RATIO}x the {WAKEUP_EVENTS} of a wakeup per parked reducer)"
     )
-
-
-if __name__ == "__main__" and "--record" in sys.argv:
-    for name, (request, _expected) in sorted(PINS.items()):
-        with pytest.MonkeyPatch.context() as mp:
-            solves = count_solves(mp)
-            events = count_events(mp)
-            digest = execute_request(request).digest()
-        print(name, digest, "net solves:", solves["net"], "events:", events[0])

@@ -11,6 +11,7 @@ from repro.experiments.trace import (
     run_traced_case,
 )
 from repro.telemetry import CATEGORIES
+from tests.pins import pinned_ids
 
 CASE = "wordcount-wikipedia"
 BLOCKS = 4
@@ -24,26 +25,13 @@ def traced(seed=1, **kwargs):
 
 
 class TestTracedRun:
-    @staticmethod
-    def pin_global_ids():
-        # Job / container / request ids come from process-global
-        # counters; two CLI runs each start fresh, so pin the counters
-        # to mimic separate processes (the CI gate's actual setup).
-        import itertools
-
-        from repro.cluster import container
-        from repro.mapreduce import jobspec
-        from repro.yarn import records
-
-        jobspec._job_ids = itertools.count(9000)
-        container._container_ids = itertools.count(1_000_000)
-        records._request_ids = itertools.count(1_000_000)
-
     def test_same_seed_runs_are_byte_identical(self):
-        self.pin_global_ids()
-        a = traced()
-        self.pin_global_ids()
-        b = traced()
+        # Ids come from process-global counters; two CLI runs each start
+        # fresh (the CI gate's actual setup), so each run here does too.
+        with pinned_ids():
+            a = traced()
+        with pinned_ids():
+            b = traced()
         assert a.events.dumps() == b.events.dumps()
         assert a.digest() == b.digest()
         assert a.chrome.to_json() == b.chrome.to_json()

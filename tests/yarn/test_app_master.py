@@ -11,11 +11,8 @@ from repro.mapreduce.counters import Counter
 from repro.mapreduce.jobspec import JobSpec, TaskType, WorkloadProfile
 from repro.workloads.datasets import DatasetSpec
 from repro.yarn.app_master import BaseConfigProvider, MRAppMaster
-from tests.faults.test_determinism import (
-    ELASTIC_DENSE_DIGEST,
-    ELASTIC_SPARSE_DIGEST,
-    elastic_requests,
-)
+from tests.faults.test_determinism import elastic_requests
+from tests.pins import check
 
 MB = 1024**2
 
@@ -189,8 +186,8 @@ class TestFailureHandlingSeesOnlyLiveAttempts:
 
         monkeypatch.setattr(MRAppMaster, "_handle_failure", checked)
         sparse, dense = (execute_request(r) for r in elastic_requests())
-        assert sparse.digest() == ELASTIC_SPARSE_DIGEST
-        assert dense.digest() == ELASTIC_DENSE_DIGEST
+        check("faults/elastic-sparse", sparse.digest())
+        check("faults/elastic-dense", dense.digest())
         assert seen
         assert not any(settled for running in seen for settled, _ in running)
         assert any(migration for running in seen for _, migration in running)
